@@ -364,9 +364,10 @@ func BenchmarkProfitMatrixCI(b *testing.B) {
 
 // BenchmarkSDGALargeConference runs one full SDGA assignment at a larger
 // conference scale than BenchmarkSDGAConference; the end-to-end number the
-// profit-matrix speedup feeds into. (At the paper's full P=1000, R=2000 the
-// runtime is dominated by the per-stage min-cost-flow solve, which is the
-// next scaling target — see ROADMAP.md.)
+// profit-matrix speedup feeds into. (A CPU profile of a cold solve at the
+// paper's full P=1000, R=2000 put most of the time in the δp profit fills,
+// not in the per-stage transportation solves; the residual-topic fill of
+// internal/engine cut the fills roughly in half — see README.md.)
 func BenchmarkSDGALargeConference(b *testing.B) {
 	in := benchConferenceInstance(300, 600, 40, 3)
 	b.ResetTimer()

@@ -178,6 +178,9 @@ func (m *editMirror) check(op *pendingEdit) error {
 		if d := op.rev.Topics.Dim(); d != m.topics {
 			return fmt.Errorf("%w: cra: reviewer has %d topics, want %d", ErrInvalidEdit, d, m.topics)
 		}
+		if k := op.rev.Topics.NonFinite(); k >= 0 {
+			return fmt.Errorf("%w: cra: reviewer topic %d weight %v is not finite", ErrInvalidEdit, k, op.rev.Topics[k])
+		}
 	case editWorkload:
 		if op.workload <= 0 {
 			return fmt.Errorf("%w: workload δr must be positive, got %d", ErrInvalidEdit, op.workload)

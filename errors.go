@@ -18,8 +18,8 @@ var (
 	// ErrUnknownMethod reports an unrecognised assignment Method.
 	ErrUnknownMethod = errors.New("wgrap: unknown method")
 	// ErrInvalidInstance reports a malformed instance: no papers or
-	// reviewers, inconsistent topic dimensions, non-positive constraints or
-	// out-of-range conflict indices.
+	// reviewers, inconsistent topic dimensions, a NaN or ±Inf topic weight,
+	// non-positive constraints or out-of-range conflict indices.
 	ErrInvalidInstance = errors.New("wgrap: invalid instance")
 	// ErrInfeasible reports that no assignment can satisfy the constraints:
 	// the reviewer pool's total capacity R·δr is below the demand P·δp, or a
@@ -32,7 +32,8 @@ var (
 	// withdrawn.
 	ErrConflictSaturated = errors.New("wgrap: conflicts leave a paper with fewer eligible reviewers than the group size")
 	// ErrInvalidEdit reports a session edit with out-of-range indices, a
-	// mismatched topic dimension, or a non-positive workload.
+	// mismatched topic dimension, a NaN or ±Inf topic weight, or a
+	// non-positive workload.
 	ErrInvalidEdit = errors.New("wgrap: invalid edit")
 	// ErrJournalExists reports that WithJournalDir points at a directory that
 	// already holds durable session state; restore it with RestoreSolver

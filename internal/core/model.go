@@ -188,8 +188,8 @@ func (in *Instance) StageWorkload() int {
 }
 
 // Validate checks that the instance is well formed: consistent vector
-// dimensions, positive constraints and enough total reviewer capacity
-// (R·δr ≥ P·δp as assumed in Section 2.2).
+// dimensions, finite topic weights, positive constraints and enough total
+// reviewer capacity (R·δr ≥ P·δp as assumed in Section 2.2).
 func (in *Instance) Validate() error {
 	if len(in.Papers) == 0 {
 		return errors.New("core: instance has no papers")
@@ -211,10 +211,16 @@ func (in *Instance) Validate() error {
 		if p.Topics.Dim() != t {
 			return fmt.Errorf("core: paper %d has %d topics, want %d", i, p.Topics.Dim(), t)
 		}
+		if k := p.Topics.NonFinite(); k >= 0 {
+			return fmt.Errorf("core: paper %d topic %d weight %v is not finite", i, k, p.Topics[k])
+		}
 	}
 	for i, r := range in.Reviewers {
 		if r.Topics.Dim() != t {
 			return fmt.Errorf("core: reviewer %d has %d topics, want %d", i, r.Topics.Dim(), t)
+		}
+		if k := r.Topics.NonFinite(); k >= 0 {
+			return fmt.Errorf("core: reviewer %d topic %d weight %v is not finite", i, k, r.Topics[k])
 		}
 	}
 	if in.GroupSize > in.NumReviewers() {

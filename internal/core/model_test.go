@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -49,6 +50,9 @@ func TestInstanceValidateErrors(t *testing.T) {
 		{"bad workload", func(in *Instance) { in.Workload = -1 }, "workload"},
 		{"dim mismatch paper", func(in *Instance) { in.Papers[1].Topics = Vector{1} }, "paper 1"},
 		{"dim mismatch reviewer", func(in *Instance) { in.Reviewers[2].Topics = Vector{1} }, "reviewer 2"},
+		{"NaN paper weight", func(in *Instance) { in.Papers[1].Topics = withWeight(in.Papers[1].Topics, 0, math.NaN()) }, "paper 1 topic 0 weight NaN is not finite"},
+		{"+Inf reviewer weight", func(in *Instance) { in.Reviewers[2].Topics = withWeight(in.Reviewers[2].Topics, 1, math.Inf(1)) }, "reviewer 2 topic 1 weight +Inf"},
+		{"-Inf reviewer weight", func(in *Instance) { in.Reviewers[0].Topics = withWeight(in.Reviewers[0].Topics, 2, math.Inf(-1)) }, "reviewer 0 topic 2 weight -Inf"},
 		{"group larger than pool", func(in *Instance) { in.GroupSize = 9 }, "exceeds reviewer pool"},
 		{"capacity", func(in *Instance) { in.Workload = 1 }, "insufficient capacity"},
 		{"conflict range", func(in *Instance) { in.AddConflict(99, 0) }, "out of range"},
@@ -61,6 +65,13 @@ func TestInstanceValidateErrors(t *testing.T) {
 			t.Errorf("%s: error = %v, want substring %q", c.name, err, c.want)
 		}
 	}
+}
+
+// withWeight returns a copy of v with weight t replaced by x.
+func withWeight(v Vector, t int, x float64) Vector {
+	c := v.Clone()
+	c[t] = x
+	return c
 }
 
 func TestConflicts(t *testing.T) {

@@ -40,6 +40,17 @@ func (v Vector) Clone() Vector {
 	return c
 }
 
+// NonFinite returns the index of v's first NaN or ±Inf weight, or -1 when
+// every weight is finite.
+func (v Vector) NonFinite() int {
+	for i, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Normalized returns a copy of v scaled so its entries sum to one. A zero
 // vector is returned unchanged.
 func (v Vector) Normalized() Vector {

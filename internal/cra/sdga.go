@@ -105,19 +105,34 @@ func (s SDGA) AssignContext(ctx context.Context, instance *core.Instance) (*core
 	if k := effectiveCandidateCap(in, s.CandidateCap); k > 0 && s.Solver != StageHungarian && s.Transport != flow.Legacy {
 		cands = buildCandidates(in, k, shardWorkers(s.Shards))
 	}
+	perStage := make([][]int, 0, in.GroupSize)
 	for stage := 0; stage < in.GroupSize; stage++ {
-		if err := s.runStage(ctx, eng, a, groupVecs, rem, &m, tr, cands); err != nil {
+		perPaper, err := s.runStage(ctx, eng, a, groupVecs, rem, &m, tr, cands)
+		if err != nil {
+			if b := stageBackOff(ctx, err, eng, perStage, nil, cands, s.bonus(), s.GainWeight, shardWorkers(s.Shards)); b != nil {
+				return b, nil
+			}
 			return nil, fmt.Errorf("cra: SDGA stage %d: %w", stage+1, err)
 		}
+		perStage = append(perStage, perPaper)
 	}
 	return a, nil
 }
 
-// runStage solves one Stage-WGRAP sub-problem and applies its assignment.
-// tr is the transportation solver shared across all stages of one assignment;
-// cands, when non-nil, holds the per-paper candidate reviewers of the sparse
-// solve path.
-func (s SDGA) runStage(ctx context.Context, eng *engine.Oracle, a *core.Assignment, groupVecs []core.Vector, rem []int, m *engine.Matrix, tr *flow.Transport, cands [][]int32) error {
+// bonus adapts PairBonus to the engine's (paper, reviewer) argument order;
+// nil without one.
+func (s SDGA) bonus() func(p, r int) float64 {
+	if s.PairBonus == nil {
+		return nil
+	}
+	return func(p, r int) float64 { return s.PairBonus(r, p) }
+}
+
+// runStage solves one Stage-WGRAP sub-problem, applies its assignment and
+// returns the reviewer it gave each paper. tr is the transportation solver
+// shared across all stages of one assignment; cands, when non-nil, holds the
+// per-paper candidate reviewers of the sparse solve path.
+func (s SDGA) runStage(ctx context.Context, eng *engine.Oracle, a *core.Assignment, groupVecs []core.Vector, rem []int, m *engine.Matrix, tr *flow.Transport, cands [][]int32) ([]int, error) {
 	in := eng.Instance()
 	P, R := in.NumPapers(), in.NumReviewers()
 	stageCap := in.StageWorkload()
@@ -139,10 +154,7 @@ func (s SDGA) runStage(ctx context.Context, eng *engine.Oracle, a *core.Assignme
 		return caps
 	}
 
-	var bonus func(p, r int) float64
-	if s.PairBonus != nil {
-		bonus = func(p, r int) float64 { return s.PairBonus(r, p) }
-	}
+	bonus := s.bonus()
 
 	solveStage := func(caps []int) ([]int, error) {
 		// Profit matrix: marginal gain of adding reviewer r to paper p's
@@ -231,7 +243,7 @@ func (s SDGA) runStage(ctx context.Context, eng *engine.Oracle, a *core.Assignme
 		}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	for p, r := range perPaper {
@@ -239,7 +251,7 @@ func (s SDGA) runStage(ctx context.Context, eng *engine.Oracle, a *core.Assignme
 		groupVecs[p].MaxInPlace(in.Reviewers[r].Topics)
 		rem[r]--
 	}
-	return nil
+	return perPaper, nil
 }
 
 // shardWorkers resolves a Shards setting: 0 means one worker per available

@@ -222,12 +222,16 @@ func (s *Session) RestorePaper(p int) error {
 	return nil
 }
 
-// AddReviewer appends a reviewer to the pool and returns its index. The
-// edit is structural (every profit matrix gains a column), so the next
-// Resolve rebuilds the warm state from scratch.
+// AddReviewer appends a reviewer to the pool and returns its index. It
+// rejects a topic vector of the wrong dimension or with a NaN or ±Inf
+// weight. The edit is structural (every profit matrix gains a column), so
+// the next Resolve rebuilds the warm state from scratch.
 func (s *Session) AddReviewer(r core.Reviewer) (int, error) {
 	if t := s.in.NumTopics(); r.Topics.Dim() != t {
 		return -1, fmt.Errorf("cra: reviewer has %d topics, want %d", r.Topics.Dim(), t)
+	}
+	if k := r.Topics.NonFinite(); k >= 0 {
+		return -1, fmt.Errorf("cra: reviewer topic %d weight %v is not finite", k, r.Topics[k])
 	}
 	idx := s.in.AddReviewer(r)
 	s.structural = true
@@ -379,8 +383,19 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 	sort.Ints(s.dirtyList)
 
 	a := core.NewAssignment(P)
-	for stage := 0; stage < in.GroupSize; stage++ {
-		if err := s.runStage(ctx, stage, a, structural); err != nil {
+	backedOff := false
+	for stage := 0; stage < in.GroupSize && !backedOff; stage++ {
+		err := s.runStage(ctx, stage, a, structural)
+		if err != nil {
+			perStage := make([][]int, stage)
+			for k := range perStage {
+				perStage[k] = s.stages[k].perPaper
+			}
+			if b := stageBackOff(ctx, err, s.eng, perStage, s.withdrawn, s.cands, tieBreak, 0, workers); b != nil {
+				a, err, backedOff = b, nil, true
+			}
+		}
+		if err != nil {
 			// The abort may have committed some stages' recorded choices but
 			// not others', so the drift bookkeeping no longer describes a
 			// complete run; invalidate the warm state — the next resolve
@@ -406,7 +421,9 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 
 	s.last = result.Clone()
 	clear(s.dirty)
-	s.structural = false
+	// A backed-off run's stage records stop at the failed stage and do not
+	// describe its assignment, so the next Resolve must rebuild them.
+	s.structural = backedOff
 	s.capsDirty = false
 	return result, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -211,6 +212,26 @@ func TestSessionAddReviewer(t *testing.T) {
 	}
 }
 
+// TestSessionAddReviewerNonFinite: a reviewer with a NaN or ±Inf weight is
+// refused and the pool does not grow.
+func TestSessionAddReviewerNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	s, err := NewSession(sessionInstance(rng, 8, 6, 5, 2), SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		topics := randomVector(rng, 5)
+		topics[4] = x
+		if _, err := s.AddReviewer(core.Reviewer{Topics: topics}); err == nil {
+			t.Fatalf("reviewer with weight %v accepted", x)
+		}
+	}
+	if R := s.Instance().NumReviewers(); R != 6 {
+		t.Fatalf("pool grew to %d reviewers on refused edits", R)
+	}
+}
+
 // TestSessionConflictSaturation: edits that would leave a paper without δp
 // eligible reviewers are rejected with ErrConflictSaturated; building a
 // session on an already-saturated instance fails the same way.
@@ -326,6 +347,57 @@ func TestSessionStageFallbackWarm(t *testing.T) {
 	}
 	if exercised == 0 {
 		t.Fatal("no seed exercised the stage fallback; tighten the instances")
+	}
+}
+
+// TestSessionStageBackOff: on the conference of backOffSeed, stage 3 has no
+// plan even at the full remaining workload. The session must complete the
+// instance through the stage back-off, treat its next Resolve as
+// structural, and keep warm == cold parity across a later edit.
+func TestSessionStageBackOff(t *testing.T) {
+	in := stageSolverConference(backOffSeed)
+	s, err := NewSession(in.Clone(), SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Solve(context.Background())
+	if err != nil {
+		t.Fatalf("feasible instance reported as %v", err)
+	}
+	validateSessionAssignment(t, s, a)
+	if !s.structural {
+		t.Fatal("a backed-off solve left warm state for the next Resolve")
+	}
+	again, err := s.Resolve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range a.Groups {
+		if !slices.Equal(a.Groups[p], again.Groups[p]) {
+			t.Fatalf("paper %d: Resolve gave %v after Solve gave %v", p, again.Groups[p], a.Groups[p])
+		}
+	}
+	if err := s.WithdrawPaper(0); err != nil {
+		t.Fatal(err)
+	}
+	warmA, err := s.Resolve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	validateSessionAssignment(t, s, warmA)
+	cold, err := NewSession(in.Clone(), SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.WithdrawPaper(0); err != nil {
+		t.Fatal(err)
+	}
+	coldA, err := cold.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws, cs := scoreActive(s, warmA), scoreActive(cold, coldA); math.Abs(ws-cs) > 1e-9 {
+		t.Fatalf("warm %v != cold %v after the back-off", ws, cs)
 	}
 }
 

@@ -19,15 +19,47 @@
 //     GOMAXPROCS-sized worker pool and reusable buffers (see Matrix and
 //     FillProfit in matrix.go).
 //
+// # The residual-topic fill
+//
+// A weighted-coverage profit cell (p, r) is the gain
+//
+//	Σ_t max(0, min(x_t, p_t) − c_t) / Σ_t p_t,  c_t = min(g_t, p_t),
+//
+// where x is reviewer r's vector, p the paper's and g its group's. Computed
+// one cell at a time, that is a loop-carried sum over all T topics per
+// cell. The fills compute it one row at a time instead (kernel.go): they
+// list the row's open topics — those with c_t < p_t, which the group can
+// still raise — and, for each in ascending order, stream the row's columns
+// against a topic-major T×R copy of the reviewer vectors (the panel),
+// adding the topic's term into every column's running sum. The forbidden /
+// zero-denominator / bonus step then runs per cell as before. A dense fill
+// costs O(P·T) to list the open topics plus O(R) per open topic of each
+// row; from SDGA's second stage on most of a paper's topics are closed.
+//
+// The row kernel is exact, not an approximation: a closed topic (c_t = p_t)
+// contributes max(0, min(x_t, p_t) − p_t) = +0 for every reviewer, a sum
+// that starts at +0 and adds only non-negative terms is unchanged by adding
+// +0, and the open topics are added in the same ascending order as the
+// per-cell sum. So every cell has the same bits as the per-cell value for
+// finite weights, and tie-breaks downstream cannot move. (A NaN or ±Inf
+// weight breaks the argument, which is one reason core.Instance.Validate and
+// the session edit paths reject them.) Pair-score fills (no group vectors)
+// use the same kernel with every topic open and the term min(x_t, p_t). The
+// other three scores and custom ones fill cell by cell.
+//
 // An Oracle is read-only with respect to its Instance and safe for
-// concurrent use, provided the instance is not mutated while the oracle is
-// alive (adding conflicts or changing the scoring function after New is not
-// supported).
+// concurrent use, provided the instance is not mutated during a call.
+// Between calls a session may add conflicts (fills see them through
+// ProfitSpec.Forbidden) and append reviewers (core.Instance.AddReviewer):
+// the next fill rebuilds the panel for the grown pool before it hands rows
+// to its workers. Changing the scoring function or the paper set after New
+// is not supported.
 package engine
 
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -75,6 +107,14 @@ type Oracle struct {
 	// group-vector construction; entries are *core.Vector to keep Get/Put
 	// allocation free.
 	scratch sync.Pool
+	// panel is the topic-major reviewer copy the weighted-coverage fills
+	// stream (see kernel.go), built on first use and rebuilt under panelMu
+	// when the reviewer pool grows.
+	panel   atomic.Pointer[topicPanel]
+	panelMu sync.Mutex
+	// rowPool pools the fill workers' *rowScratch, jobPool the *fillJob of
+	// each fill, so steady-state fills allocate nothing.
+	rowPool, jobPool sync.Pool
 }
 
 // New builds an oracle for the instance. The instance must not be mutated
@@ -94,6 +134,8 @@ func New(in *core.Instance) *Oracle {
 		v := make(core.Vector, t)
 		return &v
 	}
+	o.rowPool.New = func() interface{} { return &rowScratch{open: make([]openTopic, 0, t)} }
+	o.jobPool.New = func() interface{} { return new(fillJob) }
 	return o
 }
 
@@ -111,9 +153,10 @@ func (o *Oracle) Score(g core.Vector, p int) float64 {
 		if den == 0 {
 			return 0
 		}
-		// Branchless accumulation (builtin min compiles to MINSD): the
-		// per-topic branches of the generic path mispredict heavily on
-		// real topic vectors.
+		// Branchless accumulation (builtin float min compiles to two
+		// MINSDs plus a POR, to honour NaN and signed zeros): the per-topic
+		// branches of the generic path mispredict heavily on real topic
+		// vectors.
 		num := 0.0
 		for t, pv := range paper {
 			num += min(g[t], pv)

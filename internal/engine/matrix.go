@@ -126,20 +126,15 @@ type ProfitSpec struct {
 	GainWeight float64
 }
 
-// Fill tiling: cells are produced in rowBlock×colBlock tiles so the
-// colBlock reviewer vectors stay cache-resident while a block of papers is
-// scored against them. An untiled fill re-streams the entire reviewer pool
-// (R·T·8 bytes) for every paper and becomes memory-bound at paper scale.
-const (
-	fillRowBlock = 64
-	fillColBlock = 128
-)
+// fillRowBlock is the number of rows one fill unit covers: the worker pool
+// hands out blocks of rows, each filled row by row through fillRow.
+const fillRowBlock = 64
 
-// profitCell computes the value of cell (p, r) per spec — the single
-// definition of the profit-cell semantics, shared by the dense tiled build,
-// the sparse candidate build and the dirty-row refills so none of them can
-// drift apart. gv is the paper's group vector (nil for pair scores), w the
-// resolved gain weight.
+// profitCell computes the value of cell (p, r) per spec, one cell at a time.
+// It is the fill path of the reviewer-coverage, paper-coverage, dot-product
+// and custom scores, and the reference the weighted-coverage row kernel
+// (weightedRow) is tested against bit for bit. gv is the paper's group
+// vector (nil for pair scores), w the resolved gain weight.
 func (o *Oracle) profitCell(p, r int, gv core.Vector, spec *ProfitSpec, w float64) float64 {
 	if spec.Forbidden != nil && spec.Forbidden(p, r) {
 		return spec.ForbiddenValue
@@ -156,74 +151,159 @@ func (o *Oracle) profitCell(p, r int, gv core.Vector, spec *ProfitSpec, w float6
 	return gain
 }
 
-// fillRowCells computes the dense cells [c0, c1) of row p per spec.
-func (o *Oracle) fillRowCells(row []float64, p, c0, c1 int, spec *ProfitSpec, w float64) {
-	var gv core.Vector
-	if spec.GroupVecs != nil {
-		gv = spec.GroupVecs[p]
+// fillJob is the shared state of one fill: what to fill, and the unit
+// counter its workers claim row blocks (or dirty rows) from. Jobs are pooled
+// on the Oracle, so a steady-state fill allocates nothing.
+type fillJob struct {
+	o    *Oracle
+	ctx  context.Context
+	m    *Matrix
+	spec ProfitSpec
+	w    float64
+	pn   *topicPanel // nil unless the score is weighted coverage
+	// rows lists the rows of a FillProfitRows refill; nil for full fills,
+	// whose units are blocks of fillRowBlock rows.
+	rows  []int
+	units int
+	next  atomic.Int64
+	wg    sync.WaitGroup
+}
+
+// newJob draws a job from the pool and resolves spec's gain weight and the
+// reviewer panel for it.
+func (o *Oracle) newJob(ctx context.Context, m *Matrix, spec *ProfitSpec, rows []int, units int) *fillJob {
+	j := o.jobPool.Get().(*fillJob)
+	j.o, j.ctx, j.m, j.spec, j.rows, j.units = o, ctx, m, *spec, rows, units
+	j.w = spec.GainWeight
+	if j.w == 0 {
+		j.w = 1
 	}
-	for r := c0; r < c1; r++ {
-		row[r] = o.profitCell(p, r, gv, spec, w)
+	j.pn = nil
+	if o.kind == kindWeighted {
+		j.pn = o.panelFor()
+	}
+	return j
+}
+
+// release drops the job's references and returns it to the pool.
+func (j *fillJob) release() {
+	o := j.o
+	j.o, j.ctx, j.m, j.spec, j.pn, j.rows = nil, nil, nil, ProfitSpec{}, nil, nil
+	o.jobPool.Put(j)
+}
+
+// fillRow fills row p: every column in the dense layout, or the candidate
+// columns cand of the sparse-row layout. Weighted coverage goes through the
+// residual-topic row kernel; every other score fills cell by cell.
+func (j *fillJob) fillRow(sc *rowScratch, row []float64, p int, cand []int32) {
+	if j.pn != nil {
+		j.weightedRow(sc, row, p, cand)
+		return
+	}
+	var gv core.Vector
+	if j.spec.GroupVecs != nil {
+		gv = j.spec.GroupVecs[p]
+	}
+	if cand != nil {
+		for x, r := range cand {
+			row[x] = j.o.profitCell(p, int(r), gv, &j.spec, j.w)
+		}
+		return
+	}
+	for i := range row {
+		row[i] = j.o.profitCell(p, i, gv, &j.spec, j.w)
 	}
 }
 
-// fillRowCellsSparse computes the candidate cells of sparse row p per spec:
-// row[x] receives the profit of pairing p with candidate cand[x].
-func (o *Oracle) fillRowCellsSparse(row []float64, p int, cand []int32, spec *ProfitSpec, w float64) {
-	var gv core.Vector
-	if spec.GroupVecs != nil {
-		gv = spec.GroupVecs[p]
+// unit fills work unit u: one dirty row of a refill, or one block of rows
+// of a full fill.
+func (j *fillJob) unit(sc *rowScratch, u int) {
+	p0 := u * fillRowBlock
+	p1 := min(p0+fillRowBlock, j.m.rows)
+	if j.rows != nil {
+		p0 = j.rows[u]
+		p1 = p0 + 1
 	}
-	for x, r := range cand {
-		row[x] = o.profitCell(p, int(r), gv, spec, w)
+	for p := p0; p < p1; p++ {
+		var cand []int32
+		if j.m.cand != nil {
+			cand = j.m.cand[p]
+		}
+		j.fillRow(sc, j.m.views[p], p, cand)
 	}
+}
+
+// drain claims and fills units until none are left or the context is done.
+func (j *fillJob) drain() {
+	sc := j.o.getScratch()
+	for {
+		u := int(j.next.Add(1)) - 1
+		if u >= j.units || j.ctx.Err() != nil {
+			break
+		}
+		j.unit(sc, u)
+	}
+	j.o.rowPool.Put(sc)
+}
+
+// fillHandoff passes jobs to freshly started fill workers. Each job is sent
+// once per worker started for it, and each worker takes exactly one job, so
+// workers started by concurrent fills may take each other's jobs and every
+// job still gets its count.
+var fillHandoff = make(chan *fillJob)
+
+// fillWorker is one helper goroutine of a fill. It is a plain function so
+// starting it allocates nothing.
+func fillWorker() {
+	j := <-fillHandoff
+	j.drain()
+	j.wg.Done()
+}
+
+// run fills the job's units across a GOMAXPROCS-sized worker pool — the
+// calling goroutine plus helpers — and returns the job to the pool. Units
+// are claimed from an atomic counter so uneven unit costs still balance.
+func (j *fillJob) run() error {
+	workers := min(runtime.GOMAXPROCS(0), j.units)
+	j.next.Store(0)
+	j.wg.Add(max(workers-1, 0))
+	for i := 1; i < workers; i++ {
+		go fillWorker()
+		fillHandoff <- j
+	}
+	j.drain()
+	j.wg.Wait()
+	err := j.ctx.Err()
+	j.release()
+	return err
 }
 
 // FillRowInto fills one full-width profit row for paper p into row (len R),
 // per spec. It is the densification callback of the sparse solve path:
 // flow.Transport widens a row to full width when its candidate set saturates,
-// and needs the row's dense profits on demand without a Matrix rebuild.
+// and needs the row's dense profits on demand without a Matrix rebuild. It
+// is safe to call from several goroutines at once for distinct rows.
 func (o *Oracle) FillRowInto(row []float64, p int, spec ProfitSpec) {
-	w := spec.GainWeight
-	if w == 0 {
-		w = 1
-	}
-	o.fillRowCells(row, p, 0, len(row), &spec, w)
+	j := o.newJob(context.Background(), nil, &spec, nil, 0)
+	sc := o.getScratch()
+	j.fillRow(sc, row, p, nil)
+	o.rowPool.Put(sc)
+	j.release()
 }
 
-// FillProfit builds the P×R profit matrix described by spec into m. Tiles of
-// rows are filled in parallel with a GOMAXPROCS-sized worker pool. It
+// FillProfit builds the P×R profit matrix described by spec into m. Blocks
+// of rows are filled in parallel with a GOMAXPROCS-sized worker pool. It
 // returns ctx.Err() if the context is cancelled mid-build (the matrix
 // contents are then unspecified).
 func (o *Oracle) FillProfit(ctx context.Context, m *Matrix, spec ProfitSpec) error {
 	P, R := o.in.NumPapers(), o.in.NumReviewers()
 	m.Reset(P, R)
-	w := spec.GainWeight
-	if w == 0 {
-		w = 1
-	}
-	blocks := (P + fillRowBlock - 1) / fillRowBlock
-	return parallelUnits(ctx, blocks, func(b int) {
-		p0 := b * fillRowBlock
-		p1 := p0 + fillRowBlock
-		if p1 > P {
-			p1 = P
-		}
-		for c0 := 0; c0 < R; c0 += fillColBlock {
-			c1 := c0 + fillColBlock
-			if c1 > R {
-				c1 = R
-			}
-			for p := p0; p < p1; p++ {
-				o.fillRowCells(m.views[p], p, c0, c1, &spec, w)
-			}
-		}
-	})
+	return o.newJob(ctx, m, &spec, nil, (P+fillRowBlock-1)/fillRowBlock).run()
 }
 
 // FillProfitSparse builds the sparse-row profit matrix described by spec
 // into m: row p receives one cell per entry of cand[p] (its candidate
-// reviewers, ascending), so the build costs O(P·k·T) instead of O(P·R·T).
+// reviewers, ascending), so the build costs O(P·k) cells instead of O(P·R).
 // Blocks of rows are filled in parallel as in FillProfit. cand is retained
 // by the matrix (see Matrix.ResetSparse).
 func (o *Oracle) FillProfitSparse(ctx context.Context, m *Matrix, spec ProfitSpec, cand [][]int32) error {
@@ -232,27 +312,13 @@ func (o *Oracle) FillProfitSparse(ctx context.Context, m *Matrix, spec ProfitSpe
 		return errors.New("engine: FillProfitSparse candidate lists do not cover the papers")
 	}
 	m.ResetSparse(P, R, cand)
-	w := spec.GainWeight
-	if w == 0 {
-		w = 1
-	}
-	blocks := (P + fillRowBlock - 1) / fillRowBlock
-	return parallelUnits(ctx, blocks, func(b int) {
-		p0 := b * fillRowBlock
-		p1 := p0 + fillRowBlock
-		if p1 > P {
-			p1 = P
-		}
-		for p := p0; p < p1; p++ {
-			o.fillRowCellsSparse(m.views[p], p, cand[p], &spec, w)
-		}
-	})
+	return o.newJob(ctx, m, &spec, nil, (P+fillRowBlock-1)/fillRowBlock).run()
 }
 
 // FillProfitRows rebuilds only the given rows of a previously filled profit
 // matrix (the dirty-row refill of session warm re-solves: after a small
 // instance edit most papers' gains are unchanged, so refilling the handful
-// of dirty rows replaces an O(P·R·T) full build with an O(|rows|·R·T) one).
+// of dirty rows replaces a full P×R build with an |rows|×R one).
 // m must already hold a P×R fill — dense or sparse-row; a sparse matrix
 // refills only the dirty rows' candidate cells. The untouched rows keep
 // their contents.
@@ -261,20 +327,7 @@ func (o *Oracle) FillProfitRows(ctx context.Context, m *Matrix, spec ProfitSpec,
 	if m.rows != P || m.cols != R {
 		return errors.New("engine: FillProfitRows on a matrix with stale dimensions")
 	}
-	w := spec.GainWeight
-	if w == 0 {
-		w = 1
-	}
-	if m.cand != nil {
-		return parallelUnits(ctx, len(rows), func(u int) {
-			p := rows[u]
-			o.fillRowCellsSparse(m.views[p], p, m.cand[p], &spec, w)
-		})
-	}
-	return parallelUnits(ctx, len(rows), func(u int) {
-		p := rows[u]
-		o.fillRowCells(m.views[p], p, 0, R, &spec, w)
-	})
+	return o.newJob(ctx, m, &spec, rows, len(rows)).run()
 }
 
 // FillPairScores builds the P×R matrix of pair scores c(r, p) into m in
@@ -282,40 +335,4 @@ func (o *Oracle) FillProfitRows(ctx context.Context, m *Matrix, spec ProfitSpec,
 // matching preference lists).
 func (o *Oracle) FillPairScores(ctx context.Context, m *Matrix) error {
 	return o.FillProfit(ctx, m, ProfitSpec{})
-}
-
-// parallelUnits runs work(u) for every unit in [0, units) across a
-// GOMAXPROCS-sized worker pool, checking ctx between units. Units are handed
-// out with an atomic counter so uneven unit costs still balance.
-func parallelUnits(ctx context.Context, units int, work func(u int)) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > units {
-		workers = units
-	}
-	if workers <= 1 {
-		for u := 0; u < units; u++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			work(u)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= units || ctx.Err() != nil {
-					return
-				}
-				work(u)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }

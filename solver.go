@@ -285,9 +285,10 @@ func (s *Solver) RestorePaper(p int) error {
 	return s.enqueueEdit(pendingEdit{kind: editRestore, p: p})
 }
 
-// AddReviewer appends a reviewer to the pool and returns its index. The
-// edit is structural, so the next Resolve rebuilds the warm state (still
-// reusing the session's buffers).
+// AddReviewer appends a reviewer to the pool and returns its index. It
+// fails with ErrInvalidEdit when the topic vector has the wrong dimension or
+// a NaN or ±Inf weight. The edit is structural, so the next Resolve rebuilds
+// the warm state (still reusing the session's buffers).
 func (s *Solver) AddReviewer(r Reviewer) (int, error) {
 	s.pendMu.Lock()
 	op := pendingEdit{kind: editReviewer, rev: r}

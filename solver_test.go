@@ -231,6 +231,54 @@ func TestSolverSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestSolverRejectsNonFiniteWeights: NaN and ±Inf topic weights turn
+// profit rows into NaN, so both ways into a session refuse them — the
+// instance at NewSolver with ErrInvalidInstance, a new reviewer with
+// ErrInvalidEdit — and a refused edit leaves the session untouched.
+func TestSolverRejectsNonFiniteWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	papers, reviewers := randomProblem(rng, 6, 5, 4)
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := append([]Paper(nil), papers...)
+		bad[2].Topics = append(Vector(nil), bad[2].Topics...)
+		bad[2].Topics[1] = x
+		if _, err := NewSolver(NewInstance(bad, reviewers, 2, 0)); !errors.Is(err, ErrInvalidInstance) {
+			t.Fatalf("paper weight %v: NewSolver err = %v, want ErrInvalidInstance", x, err)
+		}
+		badR := append([]Reviewer(nil), reviewers...)
+		badR[0].Topics = append(Vector(nil), badR[0].Topics...)
+		badR[0].Topics[3] = x
+		if _, err := NewSolver(NewInstance(papers, badR, 2, 0)); !errors.Is(err, ErrInvalidInstance) {
+			t.Fatalf("reviewer weight %v: NewSolver err = %v, want ErrInvalidInstance", x, err)
+		}
+	}
+	s, err := NewSolver(NewInstance(papers, reviewers, 2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		topics := make(Vector, 4)
+		topics[0] = x
+		if _, err := s.AddReviewer(Reviewer{Topics: topics}); !errors.Is(err, ErrInvalidEdit) {
+			t.Fatalf("AddReviewer with weight %v: err = %v, want ErrInvalidEdit", x, err)
+		}
+	}
+	after, err := s.Resolve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Score != before.Score {
+		t.Fatalf("score moved from %v to %v after refused edits", before.Score, after.Score)
+	}
+	if idx, err := s.AddReviewer(Reviewer{Topics: Vector{0.25, 0.25, 0.25, 0.25}}); err != nil || idx != len(reviewers) {
+		t.Fatalf("finite reviewer after refused edits: index %d, err %v; want %d, nil", idx, err, len(reviewers))
+	}
+}
+
 // TestSolverProgressStream: the construction snapshot arrives first, then
 // monotonically improving refinement snapshots; the final snapshot equals
 // the returned result.
