@@ -115,3 +115,35 @@ var (
 	// durable state left on disk.
 	ErrTenantExists = errors.New("client: tenant already exists")
 )
+
+// cloneView deep-copies a view, so the copy shares nothing with v.
+func cloneView(v *wire.View) *wire.View {
+	out := *v
+	if v.Result != nil {
+		res := *v.Result
+		out.Result = ownGroups(&res)
+	}
+	return &out
+}
+
+// ownGroups replaces res.Groups with a copy held in one flat backing array
+// (nil and empty groups keep their form) and returns res.
+func ownGroups(res *wire.Result) *wire.Result {
+	if res == nil || res.Groups == nil {
+		return res
+	}
+	n := 0
+	for _, g := range res.Groups {
+		n += len(g)
+	}
+	flat := make([]int, 0, n)
+	groups := make([][]int, len(res.Groups))
+	for p, g := range res.Groups {
+		if g != nil {
+			flat = append(flat, g...)
+			groups[p] = flat[len(flat)-len(g) : len(flat) : len(flat)]
+		}
+	}
+	res.Groups = groups
+	return res
+}

@@ -7,6 +7,9 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,6 +89,7 @@ func runScript(t *testing.T, c client.Client) scriptOutcome {
 		t.Fatal(err)
 	}
 	out.coldScore = res.Score
+	scribble(ctx, t, c, "venue", res.Groups, "Solve")
 
 	select {
 	case p, ok := <-progress:
@@ -116,6 +120,7 @@ func runScript(t *testing.T, c client.Client) scriptOutcome {
 		t.Fatal(err)
 	}
 	out.warmScore = res.Score
+	scribble(ctx, t, c, "venue", res.Groups, "Resolve")
 
 	// Async resolve after one more edit; poll the ticket to completion.
 	if _, err := c.Edit(ctx, "venue", wire.Edit{Op: wire.OpRestore, P: 1}); err != nil {
@@ -135,6 +140,7 @@ func runScript(t *testing.T, c client.Client) scriptOutcome {
 				t.Fatalf("ticket failed: %+v", ts)
 			}
 			out.asyncScore = ts.Result.Score
+			scribble(ctx, t, c, "venue", ts.Result.Groups, "Ticket")
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -145,6 +151,7 @@ func runScript(t *testing.T, c client.Client) scriptOutcome {
 		t.Fatal(err)
 	}
 	out.version = v.Version
+	scribble(ctx, t, c, "venue", v.Result.Groups, "View")
 	st, err = c.Status(ctx, "venue")
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +165,40 @@ func runScript(t *testing.T, c client.Client) scriptOutcome {
 
 	if err := c.DeleteTenant(ctx, "venue"); err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+// scribble overwrites every reviewer index in groups, which a caller owns
+// once a Client returned them, and fails when the tenant's view changes with
+// them: a backend that hands out the published view's slices, or a view it
+// keeps for revalidation, would let one caller corrupt every later read.
+func scribble(ctx context.Context, t *testing.T, c client.Client, id string, groups [][]int, what string) {
+	t.Helper()
+	before := viewGroups(ctx, t, c, id)
+	for _, g := range groups {
+		for i := range g {
+			g[i] = -1
+		}
+	}
+	if after := viewGroups(ctx, t, c, id); !reflect.DeepEqual(after, before) {
+		t.Fatalf("editing the groups %s returned changed the view:\nbefore %v\nafter  %v", what, before, after)
+	}
+}
+
+// viewGroups reads the tenant's view and returns a copy of its groups.
+func viewGroups(ctx context.Context, t *testing.T, c client.Client, id string) [][]int {
+	t.Helper()
+	v, err := c.View(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Result == nil {
+		t.Fatalf("view %d has no result", v.Version)
+	}
+	out := make([][]int, len(v.Result.Groups))
+	for p, g := range v.Result.Groups {
+		out[p] = slices.Clone(g)
 	}
 	return out
 }
@@ -265,5 +306,116 @@ func TestMemDurable(t *testing.T) {
 	// sentinel.
 	if _, err := c2.CreateTenant(ctx, &wire.CreateRequest{ID: "www", Instance: in}); !errors.Is(err, client.ErrTenantExists) {
 		t.Fatalf("create over durable state: %v", err)
+	}
+}
+
+// TestViewRevalidationConcurrent reads views through one http:// client from
+// several goroutines while a writer edits and resolves. A reader's versions
+// never go back, each version shows the assignment its resolve returned, and
+// every reader overwrites the groups it gets, which the race detector
+// reports if two callers were handed the same slices.
+func TestViewRevalidationConcurrent(t *testing.T) {
+	reg, err := serve.NewRegistry("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	srv := httptest.NewServer(serve.Handler(reg))
+	defer srv.Close()
+	c, err := client.Open(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	if _, err := c.CreateTenant(ctx, &wire.CreateRequest{
+		ID: "venue", Instance: testWireInstance(18, 14, 6, 9), Config: wire.TenantConfig{Omega: 2, Seed: 5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	published := map[uint64][][]int{}
+	record := func(res *wire.Result) {
+		st, err := c.Status(ctx, "venue") // only this goroutine publishes
+		if err != nil {
+			t.Fatal(err)
+		}
+		published[st.Version] = res.Groups
+	}
+	res, err := c.Solve(ctx, "venue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(res)
+
+	const readers = 4
+	done := make(chan struct{})
+	seen := make([]map[uint64][][]int, readers)
+	var wg sync.WaitGroup
+	for i := range seen {
+		seen[i] = map[uint64][][]int{}
+		wg.Add(1)
+		go func(seen map[uint64][][]int) {
+			defer wg.Done()
+			var last uint64
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				v, err := c.View(ctx, "venue")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if v.Version < last || v.Result == nil {
+					t.Errorf("view version %d (result %v) after version %d", v.Version, v.Result != nil, last)
+					return
+				}
+				last = v.Version
+				if _, ok := seen[v.Version]; !ok {
+					groups := make([][]int, len(v.Result.Groups))
+					for p, g := range v.Result.Groups {
+						groups[p] = slices.Clone(g)
+					}
+					seen[v.Version] = groups
+				}
+				for _, g := range v.Result.Groups {
+					for i := range g {
+						g[i] = -1
+					}
+				}
+			}
+		}(seen[i])
+	}
+
+	for round := 0; round < 12; round++ {
+		op := wire.OpWithdraw
+		if round%2 == 1 {
+			op = wire.OpRestore
+		}
+		if _, err := c.Edit(ctx, "venue", wire.Edit{Op: op, P: round / 2}); err != nil {
+			t.Fatal(err)
+		}
+		if res, err = c.Resolve(ctx, "venue"); err != nil {
+			t.Fatal(err)
+		}
+		record(res)
+	}
+	close(done)
+	wg.Wait()
+
+	for _, s := range seen {
+		for version, groups := range s {
+			if want, ok := published[version]; !ok || !reflect.DeepEqual(groups, want) {
+				t.Fatalf("version %d read as %v, published %v (%v)", version, groups, want, ok)
+			}
+		}
+	}
+	final := viewGroups(ctx, t, c, "venue")
+	if !reflect.DeepEqual(final, res.Groups) {
+		t.Fatalf("final view %v, last resolve %v", final, res.Groups)
 	}
 }

@@ -548,6 +548,7 @@ func (c *httpClient) forgetTenant(id string) {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
 	delete(c.seqs, id)
+	delete(c.views, id)
 }
 
 func (c *httpClient) rememberTicket(token, addr, remote string) {

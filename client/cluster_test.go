@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,6 +140,45 @@ func TestClusterClientNotOwnerRedirect(t *testing.T) {
 	}
 	if got := right.hits("status"); got != 1 {
 		t.Fatalf("owner answered %d times, want 1", got)
+	}
+}
+
+// TestClusterClientViewRevalidatesAcrossRedirect: a view read that a
+// not_owner answer redirects still carries the held ETag to the owner, so
+// only the first read downloads the view and the owner's 304s return it.
+func TestClusterClientViewRevalidatesAcrossRedirect(t *testing.T) {
+	wrong, right := twoFakes(t, "venue")
+	wrong.mux.HandleFunc("GET /v1/tenants/venue/view", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusMisdirectedRequest, notOwnerEnvelope(right.id, right.addr(), 1))
+	})
+	const etag = `"scripted"`
+	full := right.counter("full")
+	right.mux.HandleFunc("GET /v1/tenants/venue/view", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", etag)
+		if r.Header.Get("If-None-Match") == etag {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		atomic.AddInt32(full, 1)
+		writeJSON(w, http.StatusOK, wire.View{Version: 4, Result: &wire.Result{Score: 2.5, Groups: [][]int{{1, 2}}}})
+	})
+
+	c, err := client.Open("http://" + wrong.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		v, err := c.View(context.Background(), "venue")
+		if err != nil {
+			t.Fatalf("view %d: %v", i, err)
+		}
+		if v.Version != 4 || v.Result == nil || v.Result.Score != 2.5 {
+			t.Fatalf("view %d = %+v, want the owner's version 4", i, v)
+		}
+	}
+	if got := right.hits("full"); got != 1 {
+		t.Fatalf("owner sent the full view %d times, want 1", got)
 	}
 }
 
@@ -403,6 +443,11 @@ func TestClusterFailoverInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The client now holds the owner's view and ETag; the last View below
+	// revalidates that tag against the survivor.
+	if _, err := c.View(ctx, venue); err != nil {
+		t.Fatal(err)
+	}
 
 	ownerNode.kill()
 
@@ -446,6 +491,18 @@ func TestClusterFailoverInProcess(t *testing.T) {
 	}
 	if v.Result == nil || v.Result.Score != res.Score {
 		t.Fatalf("view after resolve = %+v, want result with score %v", v, res.Score)
+	}
+	direct, err := http.Get("http://" + succNode.addr + "/v1/tenants/" + venue + "/view")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Body.Close()
+	var survivor wire.View
+	if err := json.NewDecoder(direct.Body).Decode(&survivor); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v, &survivor) {
+		t.Fatalf("client view after failover\n%+v\ndiffers from the survivor's\n%+v", v, &survivor)
 	}
 }
 

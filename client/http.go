@@ -39,6 +39,27 @@ type httpClient struct {
 	dead    map[string]uint64    // node id -> epoch at which we marked it dead
 	seqs    map[string]uint64    // tenant id -> last acknowledged edit seq
 	tickets map[string]ticketRef // ticket token -> issuing node + remote token
+
+	// views holds, per tenant id, the last view a 200 delivered and its
+	// ETag, so View can revalidate instead of downloading again. Guarded by
+	// cmu; the held views are private and only ever copied out.
+	views map[string]heldView
+}
+
+// heldView is a decoded view and the validator the server sent with it.
+type heldView struct {
+	etag string
+	view *wire.View
+}
+
+// revalidation is the out value of a conditional GET: callAt sends
+// ifNoneMatch and on a 304 sets notModified; on a 200 it decodes into view
+// and records the response's ETag.
+type revalidation struct {
+	ifNoneMatch string
+	notModified bool
+	etag        string
+	view        *wire.View
 }
 
 func openHTTP(base string) Client {
@@ -48,6 +69,7 @@ func openHTTP(base string) Client {
 		dead:    make(map[string]uint64),
 		seqs:    make(map[string]uint64),
 		tickets: make(map[string]ticketRef),
+		views:   make(map[string]heldView),
 	}
 }
 
@@ -59,7 +81,8 @@ func (c *httpClient) call(ctx context.Context, method, path string, body, out an
 // callAt issues one JSON request against an explicit node base URL. Failures
 // to reach the node (dial, reset, death mid-response) come back as
 // *transportError; a not_owner envelope comes back as *notOwnerError; other
-// error envelopes map onto the sentinel errors.
+// error envelopes map onto the sentinel errors. An out of type
+// *revalidation makes the request conditional on the validator it holds.
 func (c *httpClient) callAt(ctx context.Context, method, base, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -76,11 +99,23 @@ func (c *httpClient) callAt(ctx context.Context, method, base, path string, body
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	rv, _ := out.(*revalidation)
+	if rv != nil && rv.ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", rv.ifNoneMatch)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return &transportError{err: err}
 	}
 	defer resp.Body.Close()
+	if rv != nil {
+		if resp.StatusCode == http.StatusNotModified && rv.ifNoneMatch != "" {
+			rv.notModified = true
+			return nil
+		}
+		rv.etag = resp.Header.Get("ETag")
+		out = rv.view
+	}
 	if resp.StatusCode/100 != 2 {
 		var we wire.Error
 		if err := json.NewDecoder(resp.Body).Decode(&we); err != nil || we.Code == "" {
@@ -162,12 +197,26 @@ func (c *httpClient) Ticket(ctx context.Context, id, token string) (*wire.Ticket
 	return c.clusterTicket(ctx, id, token)
 }
 
+// View revalidates the view held for id: the request carries its ETag, a
+// 304 returns a copy of the held view, and a 200 replaces it. Every
+// returned view is the caller's own.
 func (c *httpClient) View(ctx context.Context, id string) (*wire.View, error) {
-	v := &wire.View{}
-	if _, err := c.tenantCall(ctx, id, "GET", "/view", nil, v); err != nil {
+	c.cmu.Lock()
+	held := c.views[id]
+	c.cmu.Unlock()
+	rv := &revalidation{ifNoneMatch: held.etag, view: &wire.View{}}
+	if _, err := c.tenantCall(ctx, id, "GET", "/view", nil, rv); err != nil {
 		return nil, err
 	}
-	return v, nil
+	if rv.notModified {
+		return cloneView(held.view), nil
+	}
+	if rv.etag != "" {
+		c.cmu.Lock()
+		c.views[id] = heldView{etag: rv.etag, view: cloneView(rv.view)}
+		c.cmu.Unlock()
+	}
+	return rv.view, nil
 }
 
 // Progress subscribes to the tenant's SSE stream. The reader goroutine
@@ -230,6 +279,9 @@ func (c *httpClient) Progress(ctx context.Context, id string) (<-chan wire.Progr
 }
 
 func (c *httpClient) Close() error {
+	c.cmu.Lock()
+	clear(c.views)
+	c.cmu.Unlock()
 	c.hc.CloseIdleConnections()
 	return nil
 }

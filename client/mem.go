@@ -13,7 +13,9 @@ import (
 // memClient is the embedded backend: the same tenant.Registry the daemon
 // hosts, driven in-process. No HTTP, no serialization on the hot paths —
 // but byte-for-byte the same wire types and the same semantics, which is
-// what keeps the two backends interchangeable.
+// what keeps the two backends interchangeable. Like a decoded response,
+// every returned result owns its Groups: the solver's are shared with the
+// published view, so they are copied out (ownGroups).
 type memClient struct {
 	reg *tenant.Registry
 }
@@ -90,7 +92,7 @@ func (c *memClient) Solve(ctx context.Context, id string) (*wire.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	return tenant.ResultOf(res), nil
+	return ownGroups(tenant.ResultOf(res)), nil
 }
 
 func (c *memClient) Resolve(ctx context.Context, id string) (*wire.Result, error) {
@@ -102,7 +104,7 @@ func (c *memClient) Resolve(ctx context.Context, id string) (*wire.Result, error
 	if err != nil {
 		return nil, err
 	}
-	return tenant.ResultOf(res), nil
+	return ownGroups(tenant.ResultOf(res)), nil
 }
 
 func (c *memClient) ResolveAsync(_ context.Context, id string) (string, error) {
@@ -131,7 +133,7 @@ func (c *memClient) Ticket(ctx context.Context, id, token string) (*wire.TicketS
 			st.Error = tenant.ToWireError(err)
 		} else {
 			st.Version = tk.Version()
-			st.Result = tenant.ResultOf(res)
+			st.Result = ownGroups(tenant.ResultOf(res))
 		}
 	default:
 	}
@@ -144,6 +146,7 @@ func (c *memClient) View(_ context.Context, id string) (*wire.View, error) {
 		return nil, memErr(err)
 	}
 	v := tenant.ViewOf(t.Solver.View())
+	ownGroups(v.Result)
 	return &v, nil
 }
 

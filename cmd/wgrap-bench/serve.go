@@ -35,8 +35,9 @@ type serveConfig struct {
 // reports per-endpoint p50/p99 as `go test -bench`-format lines
 // (BenchmarkServeHTTP/...), so the returned map plugs into the same snapshot
 // and regression-gate machinery as real benchmarks. Unlike -concurrent
-// (which times the in-process Solver surface), every number here includes
-// JSON encoding and a loopback TCP round trip.
+// (which times the in-process Solver surface), every number here includes a
+// loopback TCP round trip, and JSON encoding except where a view read is
+// answered 304 (all views of a cycle but the first).
 func runServe(stdout io.Writer, cfg serveConfig) (map[string]Result, error) {
 	reg, err := serve.NewRegistry("")
 	if err != nil {

@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 
 	wgrap "repro"
 	"repro/internal/cluster"
@@ -68,7 +70,8 @@ type handler struct {
 //	POST   /v1/tenants/{id}/resolve             warm re-solve (blocking)
 //	POST   /v1/tenants/{id}/resolve-async       enqueue re-solve, returns ticket
 //	GET    /v1/tenants/{id}/tickets/{ticket}    poll an async resolve
-//	GET    /v1/tenants/{id}/view                latest published View (lock-free)
+//	GET    /v1/tenants/{id}/view                latest published View (lock-free,
+//	                                            conditional: ETag / If-None-Match)
 //	GET    /v1/tenants/{id}/result              latest Result (lock-free)
 //	GET    /v1/tenants/{id}/progress            SSE stream of anytime snapshots
 //
@@ -126,9 +129,7 @@ func Handler(reg *Registry, opts ...Option) http.Handler {
 		writeJSON(w, http.StatusAccepted, wire.Ticket{Ticket: token})
 	}))
 	mux.HandleFunc("GET /v1/tenants/{id}/tickets/{ticket}", h.local(handleTicket))
-	mux.HandleFunc("GET /v1/tenants/{id}/view", h.local(func(w http.ResponseWriter, r *http.Request, t *Tenant) {
-		writeJSON(w, http.StatusOK, tenant.ViewOf(t.Solver.View()))
-	}))
+	mux.HandleFunc("GET /v1/tenants/{id}/view", h.local(handleView))
 	mux.HandleFunc("GET /v1/tenants/{id}/result", h.local(func(w http.ResponseWriter, r *http.Request, t *Tenant) {
 		res := t.Solver.Result()
 		if res == nil {
@@ -265,6 +266,61 @@ func handleTicket(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	default:
 	}
 	writeJSON(w, http.StatusOK, st)
+}
+
+// handleView serves the latest published view from the tenant's
+// once-per-publication encoding. The response carries the encoding's ETag
+// and Cache-Control: no-cache, so a client revalidates instead of trusting
+// its copy; an If-None-Match naming the current ETag gets 304 Not Modified
+// with no body.
+func handleView(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	ev, err := t.EncodedView()
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	hdr := w.Header()
+	hdr.Set("ETag", ev.ETag)
+	hdr.Set("Cache-Control", "no-cache")
+	if noneMatch(r.Header.Values("If-None-Match"), ev.ETag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	hdr.Set("Content-Type", "application/json")
+	hdr.Set("Content-Length", strconv.Itoa(len(ev.Body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(ev.Body) // a failed write means the client left
+}
+
+// noneMatch reports whether If-None-Match field values match etag, per RFC
+// 9110 §13.1.2: each value is "*" or a comma-separated list of entity tags,
+// compared weakly (a W/ prefix is ignored; etag itself is strong). Parsing
+// stops at the first malformed member, which then matches nothing.
+func noneMatch(values []string, etag string) bool {
+	for _, v := range values {
+		for {
+			v = strings.TrimLeft(v, " \t,")
+			if v == "" {
+				break
+			}
+			if v[0] == '*' {
+				return true
+			}
+			v = strings.TrimPrefix(v, "W/")
+			if !strings.HasPrefix(v, `"`) {
+				break
+			}
+			end := strings.IndexByte(v[1:], '"')
+			if end < 0 {
+				break
+			}
+			if v[:end+2] == etag {
+				return true
+			}
+			v = v[end+2:]
+		}
+	}
+	return false
 }
 
 // handleProgress streams the tenant's anytime snapshots as Server-Sent

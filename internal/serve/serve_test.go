@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	wgrap "repro"
+	"repro/internal/tenant"
 	"repro/internal/wire"
 )
 
@@ -503,5 +505,136 @@ func TestServerDeleteDuringAsyncSolve(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// getView issues GET /v1/tenants/{id}/view with one If-None-Match line per
+// entry of ifNoneMatch and returns the response with its body read.
+func (ts *testServer) getView(id string, ifNoneMatch ...string) (*http.Response, []byte) {
+	ts.t.Helper()
+	req, err := http.NewRequest("GET", ts.srv.URL+"/v1/tenants/"+id+"/view", nil)
+	if err != nil {
+		ts.t.Fatal(err)
+	}
+	for _, v := range ifNoneMatch {
+		req.Header.Add("If-None-Match", v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		ts.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		ts.t.Fatal(err)
+	}
+	return resp, body.Bytes()
+}
+
+// perRequestView is the view body as a per-request encoding writes it.
+func perRequestView(t *testing.T, reg *Registry, id string) []byte {
+	t.Helper()
+	tn, err := reg.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(tenant.ViewOf(tn.Solver.View())); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestServerViewConditionalGet: the view route answers with an ETag and
+// Cache-Control: no-cache, returns 304 with no body to an If-None-Match that
+// matches (RFC 9110 weak comparison: lists, W/ tags, *), and a full 200
+// once the view the tag names is no longer current.
+func TestServerViewConditionalGet(t *testing.T) {
+	ts := newTestServer(t, "")
+	ts.createTenant("vldb", testWireInstance(16, 12, 6, 3), wire.TenantConfig{Omega: 2, Seed: 4})
+	ts.do("POST", "/v1/tenants/vldb/solve", nil, nil, http.StatusOK)
+
+	resp, body := ts.getView("vldb")
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || etag == "" || resp.Header.Get("Cache-Control") != "no-cache" {
+		t.Fatalf("view: status %d, ETag %q, Cache-Control %q", resp.StatusCode, etag, resp.Header.Get("Cache-Control"))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != fmt.Sprint(len(body)) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, len(body))
+	}
+	if want := perRequestView(t, ts.reg, "vldb"); !bytes.Equal(body, want) {
+		t.Fatalf("body\n%s\ndiffers from the per-request encoding\n%s", body, want)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		header []string
+		want   int
+	}{
+		{"exact", []string{etag}, http.StatusNotModified},
+		{"list", []string{`"x", "a,b" ,` + etag}, http.StatusNotModified},
+		{"weak", []string{"W/" + etag}, http.StatusNotModified},
+		{"star", []string{"*"}, http.StatusNotModified},
+		{"second line", []string{`"x"`, etag}, http.StatusNotModified},
+		{"other tag", []string{`"x"`}, http.StatusOK},
+		{"unquoted", []string{strings.Trim(etag, `"`)}, http.StatusOK},
+		{"bare W/", []string{"W/"}, http.StatusOK},
+		{"unterminated", []string{`"` + strings.Trim(etag, `"`)}, http.StatusOK},
+	} {
+		resp, got := ts.getView("vldb", tc.header...)
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s (%q): status %d, want %d", tc.name, tc.header, resp.StatusCode, tc.want)
+		}
+		if resp.Header.Get("ETag") != etag || resp.Header.Get("Cache-Control") != "no-cache" {
+			t.Fatalf("%s: ETag %q, Cache-Control %q", tc.name, resp.Header.Get("ETag"), resp.Header.Get("Cache-Control"))
+		}
+		if tc.want == http.StatusNotModified && len(got) != 0 {
+			t.Fatalf("%s: 304 carries a %d-byte body", tc.name, len(got))
+		}
+		if tc.want == http.StatusOK && !bytes.Equal(got, body) {
+			t.Fatalf("%s: 200 body differs from the first read", tc.name)
+		}
+	}
+
+	// A publication makes the held tag stale: full response, new tag.
+	ts.do("POST", "/v1/tenants/vldb/edits", wire.EditRequest{Edits: []wire.Edit{{Op: wire.OpWithdraw, P: 4}}}, nil, http.StatusOK)
+	ts.do("POST", "/v1/tenants/vldb/resolve", nil, nil, http.StatusOK)
+	resp, body = ts.getView("vldb", etag)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == etag {
+		t.Fatalf("stale tag after a resolve: status %d, ETag %q (was %q)", resp.StatusCode, resp.Header.Get("ETag"), etag)
+	}
+	if want := perRequestView(t, ts.reg, "vldb"); !bytes.Equal(body, want) {
+		t.Fatalf("post-resolve body\n%s\ndiffers from the per-request encoding\n%s", body, want)
+	}
+}
+
+// TestServerViewETagNamesContent: two servers whose same-id tenants sit at
+// the same view version over different instances — a failover to a
+// follower, a re-created tenant — must give different ETags, so a tag from
+// one never earns a 304 from the other. A tag built from the version would.
+func TestServerViewETagNamesContent(t *testing.T) {
+	a, b := newTestServer(t, ""), newTestServer(t, "")
+	a.createTenant("venue", testWireInstance(16, 12, 6, 7), wire.TenantConfig{Omega: 2})
+	b.createTenant("venue", testWireInstance(16, 12, 6, 8), wire.TenantConfig{Omega: 2})
+	a.do("POST", "/v1/tenants/venue/solve", nil, nil, http.StatusOK)
+	b.do("POST", "/v1/tenants/venue/solve", nil, nil, http.StatusOK)
+
+	ra, bodyA := a.getView("venue")
+	rb, bodyB := b.getView("venue")
+	var va, vb wire.View
+	if err := errors.Join(json.Unmarshal(bodyA, &va), json.Unmarshal(bodyB, &vb)); err != nil {
+		t.Fatal(err)
+	}
+	if va.Version != vb.Version {
+		t.Fatalf("versions %d and %d, want equal", va.Version, vb.Version)
+	}
+	if ra.Header.Get("ETag") == rb.Header.Get("ETag") {
+		t.Fatalf("different views share ETag %s", ra.Header.Get("ETag"))
+	}
+	if resp, _ := b.getView("venue", ra.Header.Get("ETag")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("the other server's tag got status %d, want 200", resp.StatusCode)
 	}
 }

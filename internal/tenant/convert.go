@@ -1,6 +1,10 @@
 package tenant
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -92,6 +96,47 @@ func ViewOf(v *wgrap.View) wire.View {
 		WhenUnixNS: v.When.UnixNano(),
 		Result:     ResultOf(v.Result),
 	}
+}
+
+// EncodedView is one published view in its HTTP wire form, built once per
+// publication and shared by every read of it. Body and ETag are immutable:
+// callers must not modify Body.
+type EncodedView struct {
+	view *wgrap.View // the publication Body encodes
+	// Body is the json.Encoder output of ViewOf(view), trailing newline
+	// included: byte for byte what a per-request encoding would write.
+	Body []byte
+	// ETag is a strong validator: the quoted hex of the first 128 bits of
+	// SHA-256(Body). It names the content, not the version — a replication
+	// follower numbers its views independently and a re-created tenant
+	// restarts at version 0, so equal versions do not mean equal views.
+	ETag string
+}
+
+// EncodedView returns the encoding of the tenant's latest published view.
+// It is built on the first read after a publication, so solves nobody reads
+// cost nothing. Readers racing to build it may each encode; the last store
+// wins, and when that is an older view the next read only encodes again.
+func (t *Tenant) EncodedView() (*EncodedView, error) {
+	v := t.Solver.View()
+	if e := t.encoded.Load(); e != nil && e.view == v {
+		return e, nil
+	}
+	e, err := encodeView(v)
+	if err != nil {
+		return nil, err
+	}
+	t.encoded.Store(e)
+	return e, nil
+}
+
+func encodeView(v *wgrap.View) (*EncodedView, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(ViewOf(v)); err != nil {
+		return nil, fmt.Errorf("tenant: encoding view %d: %w", v.Version, err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return &EncodedView{view: v, Body: buf.Bytes(), ETag: `"` + hex.EncodeToString(sum[:16]) + `"`}, nil
 }
 
 // ToWireError classifies err into the wire error envelope.

@@ -48,6 +48,10 @@ type Tenant struct {
 	Durable bool
 	hub     *hub
 
+	// encoded caches the wire encoding of the latest published view, keyed
+	// by the *wgrap.View it encodes (every publication is a new pointer).
+	encoded atomic.Pointer[EncodedView]
+
 	ticketMu sync.Mutex
 	tickets  map[string]*wgrap.Ticket
 }
