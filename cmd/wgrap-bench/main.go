@@ -91,7 +91,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("wgrap-bench", flag.ContinueOnError)
 	inPath := fs.String("in", "-", "bench text input file (- = stdin)")
 	outPath := fs.String("out", "", "write the JSON snapshot to this file")
-	keepPat := fs.String("keep", "TransportSolve|ProfitMatrixCI|ResolveAfterEdit|ResolveAfterWithdraw|ConcurrentMixed|ServeHTTP|TrackReplay|TransportStageSequencePaperScale|SolveColdPaperScale|SolveHugeScale", "regexp of benchmarks recorded in the snapshot")
+	keepPat := fs.String("keep", "TransportSolve|ProfitMatrixCI|ResolveAfterEdit|ResolveAfterWithdraw|ConcurrentMixed|ServeHTTP|TrackReplay|TransportStageSequencePaperScale|SolveColdPaperScale|SolveHugeScale|ScorerTopK|BuildCandidates", "regexp of benchmarks recorded in the snapshot")
 	note := fs.String("note", "", "free-form note stored in the snapshot")
 	candidateCap := fs.Int("candidate-cap", 0, "WithCandidateCap(k) setting of the benchmarked run, recorded in the snapshot for provenance (0 = dense)")
 	baseline := fs.String("baseline", "", "baseline JSON to gate against (no gating when empty)")

@@ -17,6 +17,10 @@ BenchmarkTransportSolve/dijkstra-200x400-8         	      10	   5233623 ns/op	  
 BenchmarkTransportSolve/legacy-200x400-8           	      10	 508076954 ns/op	55548472 B/op	    8989 allocs/op
 BenchmarkProfitMatrixCI-8                          	       3	   2345678 ns/op	      16 B/op	       1 allocs/op
 BenchmarkSolveHugeScale/solve_huge_scale_sparse-8  	       1	28348720444 ns/op	         0.7534 avg-coverage
+BenchmarkScorerTopK-8                              	     100	  13128524 ns/op	     479 B/op	       0 allocs/op
+BenchmarkBuildCandidates/single-worker-8           	      50	  17387163 ns/op	  489944 B/op	      66 allocs/op
+BenchmarkBuildCandidates/multicore-8               	      50	  10206467 ns/op	  524543 B/op	      90 allocs/op
+BenchmarkFigure15TopK-8                            	       1	 987654321 ns/op
 BenchmarkSDGAConference-8                          	       2	 123456789 ns/op
 PASS
 `
@@ -68,16 +72,25 @@ func TestRunWritesSnapshot(t *testing.T) {
 	if snap.CandidateCap != 64 {
 		t.Fatalf("candidate cap = %d, want 64", snap.CandidateCap)
 	}
-	// Default -keep records the transport, profit-matrix and solve-scale
-	// benchmarks only.
-	if len(snap.Benchmarks) != 4 {
-		t.Fatalf("kept %d benchmarks, want 4: %v", len(snap.Benchmarks), snap.Benchmarks)
+	// Default -keep records the transport, profit-matrix, solve-scale and
+	// candidate-stage benchmarks only.
+	if len(snap.Benchmarks) != 7 {
+		t.Fatalf("kept %d benchmarks, want 7: %v", len(snap.Benchmarks), snap.Benchmarks)
 	}
-	if _, ok := snap.Benchmarks["BenchmarkSolveHugeScale/solve_huge_scale_sparse"]; !ok {
-		t.Fatal("huge-scale sparse benchmark not kept by the default -keep")
+	for _, name := range []string{
+		"BenchmarkSolveHugeScale/solve_huge_scale_sparse",
+		"BenchmarkScorerTopK",
+		"BenchmarkBuildCandidates/single-worker",
+		"BenchmarkBuildCandidates/multicore",
+	} {
+		if _, ok := snap.Benchmarks[name]; !ok {
+			t.Fatalf("%s not kept by the default -keep", name)
+		}
 	}
-	if _, ok := snap.Benchmarks["BenchmarkSDGAConference"]; ok {
-		t.Fatal("-keep did not filter")
+	for _, name := range []string{"BenchmarkSDGAConference", "BenchmarkFigure15TopK"} {
+		if _, ok := snap.Benchmarks[name]; ok {
+			t.Fatalf("-keep did not filter %s", name)
+		}
 	}
 }
 

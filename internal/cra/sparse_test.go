@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 )
 
@@ -50,6 +52,66 @@ func TestBuildCandidatesShape(t *testing.T) {
 		t.Fatal("candidate lists differ across worker counts")
 	}
 }
+
+// zipfConference draws a conference whose topics follow a Zipf(1)
+// popularity: four draws per vector, the j-th weighted rand/(j+1), then
+// normalized. Hot topics carry most of the expertise, so candidate scans
+// touch many reviewers — the shape of the capped benchmark instances.
+func zipfConference(rng *rand.Rand, p, r, t int) *core.Instance {
+	pop := make([]float64, t)
+	total := 0.0
+	for j := range pop {
+		pop[j] = 1 / float64(j+1)
+		total += pop[j]
+	}
+	vec := func() core.Vector {
+		v := make(core.Vector, t)
+		for j := 0; j < 4; j++ {
+			u, topic := rng.Float64()*total, t-1
+			for x, w := range pop {
+				if u -= w; u < 0 {
+					topic = x
+					break
+				}
+			}
+			v[topic] += rng.Float64() / float64(j+1)
+		}
+		return v.Normalized()
+	}
+	papers := make([]core.Paper, p)
+	for i := range papers {
+		papers[i] = core.Paper{Topics: vec()}
+	}
+	reviewers := make([]core.Reviewer, r)
+	for i := range reviewers {
+		reviewers[i] = core.Reviewer{Topics: vec()}
+	}
+	in := core.NewInstance(papers, reviewers, 3, 0)
+	in.Workload = in.MinWorkload() + 1
+	return in
+}
+
+// BenchmarkBuildCandidates times the candidate stage of a capped cold solve
+// at paper scale (P=1000, R=2000, T=40, Zipf topics, k=64): the index build
+// and one TopK per paper plus its stride slots, serial and sharded over
+// GOMAXPROCS workers.
+func BenchmarkBuildCandidates(b *testing.B) {
+	in := zipfConference(rand.New(rand.NewSource(1)), 1000, 2000, 40)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"single-worker", 1}, {"multicore", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				candidatesSink = buildCandidates(in, 64, bc.workers)
+			}
+		})
+	}
+}
+
+// candidatesSink keeps BenchmarkBuildCandidates' result live.
+var candidatesSink [][]int32
 
 // TestSDGACandidateCapFullPool: a cap at (or above) the pool size must take
 // the exact dense path and produce the identical assignment.

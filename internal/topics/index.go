@@ -1,9 +1,6 @@
 package topics
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Index is an inverted index over a fixed pool of topic vectors (typically
 // the reviewer pool): for every topic it holds the postings of vectors with
@@ -36,7 +33,10 @@ type posting struct {
 // weight-descending) makes the truncated tail contribute at most the last
 // scanned weight per skipped posting, so a small multiple of k suffices; 16
 // was chosen so the measured objective loss at paper scale stays within the
-// test-asserted epsilon while TopK stays O(k) rather than O(pool).
+// test-asserted epsilon. A query then costs the scanned postings (about
+// scanBudgetFactor·k plus one per query topic) plus touched·log k for the
+// selection, where touched ≤ scanned is the number of distinct vectors the
+// scan reached — independent of the pool size.
 const scanBudgetFactor = 16
 
 // BuildIndex builds the inverted index over the given vectors. All vectors
@@ -107,11 +107,36 @@ type Scorer struct {
 	sel     []scored
 }
 
-// scored pairs a candidate id with its accumulated score for the selection
-// sort.
+// scored pairs a candidate id with its accumulated score for the top-k
+// selection.
 type scored struct {
 	id int32
 	s  float64
+}
+
+// worse reports whether a ranks after b in TopK's order: score descending,
+// then id ascending. Ids are unique, so the order is total.
+func worse(a, b scored) bool {
+	return a.s < b.s || (a.s == b.s && a.id > b.id)
+}
+
+// siftDown restores the heap property below i in h, a heap whose root is its
+// worst entry under worse.
+func siftDown(h []scored, i int) {
+	for {
+		w := i
+		if l := 2*i + 1; l < len(h) && worse(h[l], h[w]) {
+			w = l
+		}
+		if r := 2*i + 2; r < len(h) && worse(h[r], h[w]) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
 }
 
 // NewScorer returns a scorer with scratch sized for the index.
@@ -135,8 +160,9 @@ func (ix *Index) NewScorer() *Scorer {
 // can rely on |result| = min(k, Len): downstream sparse solvers need the
 // candidate sets to keep the instance feasible, not just high-scoring.
 //
-// out, when non-nil, is used as the backing for the result (avoiding one
-// allocation per call); it is resliced from out[:0]. TopK is deterministic:
+// out, when non-nil, is used as the backing for the result; it is resliced
+// from out[:0]. With cap(out) ≥ k, TopK allocates nothing once the Scorer's
+// scratch has grown to the largest query it has seen. TopK is deterministic:
 // the same index and query always produce the same candidate list.
 func (s *Scorer) TopK(q []float64, k int, out []int32) []int32 {
 	ix := s.ix
@@ -193,34 +219,32 @@ func (s *Scorer) TopK(q []float64, k int, out []int32) []int32 {
 			}
 		}
 	}
-	// Select the k best touched candidates: score descending, id ascending on
-	// ties. The touched set is O(scanBudgetFactor·k + dim), so a full sort of
-	// the selection buffer is cheap and keeps the result deterministic.
-	s.sel = s.sel[:0]
+	// Select the k best touched candidates (score descending, id ascending)
+	// in a k-entry heap whose root is the worst kept entry: a further
+	// candidate costs one comparison against the root and, when it ranks
+	// ahead, one sift-down. The order is total, so the kept set is exactly
+	// the first k of a full sort of the touched set.
+	h := s.sel[:0]
 	for _, id := range s.touched {
-		s.sel = append(s.sel, scored{id: id, s: s.score[id]})
-	}
-	slices.SortFunc(s.sel, func(a, b scored) int {
+		c := scored{id: id, s: s.score[id]}
 		switch {
-		case a.s > b.s:
-			return -1
-		case a.s < b.s:
-			return 1
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		default:
-			return 0
+		case len(h) < k:
+			h = append(h, c)
+			if len(h) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(h, i)
+				}
+			}
+		case worse(h[0], c):
+			h[0] = c
+			siftDown(h, 0)
 		}
-	})
-	if len(s.sel) > k {
-		s.sel = s.sel[:k]
 	}
-	for _, c := range s.sel {
+	s.sel = h
+	for _, c := range h {
 		res = append(res, c.id)
 	}
-	sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+	slices.Sort(res)
 	if len(res) < k {
 		res = padCandidates(res, k, n)
 	}

@@ -1,8 +1,10 @@
 package topics
 
 import (
+	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -28,6 +30,140 @@ func randVecs(rng *rand.Rand, n, dim, hot int) [][]float64 {
 	return vecs
 }
 
+// zipfVecs draws n topic vectors whose topics follow a Zipf(1) popularity:
+// four draws per vector, the j-th weighted rand/(j+1), normalized to sum 1.
+// Hot topics then carry most of the pool's expertise and their postings run
+// long — the shape of the sparse benchmark instances.
+func zipfVecs(rng *rand.Rand, n, dim int) [][]float64 {
+	pop := make([]float64, dim)
+	total := 0.0
+	for t := range pop {
+		pop[t] = 1 / float64(t+1)
+		total += pop[t]
+	}
+	topic := func() int {
+		u := rng.Float64() * total
+		for t, w := range pop {
+			if u -= w; u < 0 {
+				return t
+			}
+		}
+		return dim - 1
+	}
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		v := make([]float64, dim)
+		sum := 0.0
+		for j := 0; j < 4; j++ {
+			w := rng.Float64() / float64(j+1)
+			v[topic()] += w
+			sum += w
+		}
+		for t := range v {
+			v[t] /= sum
+		}
+		vecs[i] = v
+	}
+	return vecs
+}
+
+// quantized rounds every weight to a multiple of 1/levels, so scores become
+// short sums of a few distinct values and tie often — at the k-th place too.
+func quantized(vecs [][]float64, levels float64) [][]float64 {
+	out := make([][]float64, len(vecs))
+	for i, v := range vecs {
+		out[i] = make([]float64, len(v))
+		for t, w := range v {
+			out[i][t] = math.Round(w*levels) / levels
+		}
+	}
+	return out
+}
+
+// fullSortTopK is the reference TopK. It runs the same budgeted posting scan
+// into fresh dense scratch, fully sorts every touched vector by score
+// descending then id ascending, keeps the first k, sorts their ids ascending
+// and pads with the lowest unused ids. It also returns the full ranking so
+// tests can check which cases they reached (ties at the k-th place, padding).
+func fullSortTopK(ix *Index, q []float64, k int) (ids []int32, ranked []scored) {
+	n := ix.Len()
+	k = min(k, n)
+	ids = []int32{}
+	if k <= 0 {
+		return ids, nil
+	}
+	if k == n {
+		for id := range n {
+			ids = append(ids, int32(id))
+		}
+		return ids, nil
+	}
+	sumQ := 0.0
+	for t := 0; t < ix.dim && t < len(q); t++ {
+		if q[t] > 0 {
+			sumQ += q[t]
+		}
+	}
+	score := make([]float64, n)
+	seen := make([]bool, n)
+	if sumQ > 0 {
+		budget := float64(scanBudgetFactor * k)
+		for t := 0; t < ix.dim && t < len(q); t++ {
+			if q[t] <= 0 {
+				continue
+			}
+			post := ix.post[t]
+			post = post[:min(int(budget*q[t]/sumQ)+1, len(post))]
+			for _, pe := range post {
+				if !seen[pe.id] {
+					seen[pe.id] = true
+					ranked = append(ranked, scored{id: pe.id})
+				}
+				score[pe.id] += min(pe.w, q[t])
+			}
+		}
+	}
+	for i := range ranked {
+		ranked[i].s = score[ranked[i].id]
+	}
+	slices.SortFunc(ranked, func(a, b scored) int {
+		switch {
+		case a.s > b.s:
+			return -1
+		case a.s < b.s:
+			return 1
+		default:
+			return int(a.id - b.id)
+		}
+	})
+	kept := make([]bool, n)
+	for _, c := range ranked[:min(k, len(ranked))] {
+		ids = append(ids, c.id)
+		kept[c.id] = true
+	}
+	for id := int32(0); len(ids) < k; id++ {
+		if !kept[id] {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids, ranked
+}
+
+// checkTopKContract fails unless got is ascending, unique, in range and of
+// length min(k, n).
+func checkTopKContract(t *testing.T, got []int32, k, n int) {
+	t.Helper()
+	if want := max(0, min(k, n)); len(got) != want {
+		t.Fatalf("k=%d n=%d: TopK returned %d ids, want %d", k, n, len(got), want)
+	}
+	for i, id := range got {
+		if id < 0 || int(id) >= n || (i > 0 && id <= got[i-1]) {
+			t.Fatalf("k=%d n=%d: TopK result not ascending, unique and in range: %v", k, n, got)
+		}
+	}
+}
+
 // coverageScore is the exact numerator of the weighted-coverage objective.
 func coverageScore(v, q []float64) float64 {
 	s := 0.0
@@ -50,17 +186,7 @@ func TestTopKRecallsHighCoverageVectors(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randVecs(rng, 1, dim, 4)[0]
 		got := sc.TopK(q, k, nil)
-		if len(got) != k {
-			t.Fatalf("TopK returned %d candidates, want %d", len(got), k)
-		}
-		if !slices.IsSorted(got) {
-			t.Fatalf("TopK result not ascending: %v", got)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] == got[i-1] {
-				t.Fatalf("TopK result has duplicate %d", got[i])
-			}
-		}
+		checkTopKContract(t, got, k, n)
 		// The exact top-(k/4) by full coverage score must (nearly) all appear
 		// within the k candidates; the budgeted posting scan may lose deep-tail
 		// mass but not the strong matches.
@@ -151,3 +277,224 @@ func TestBuildIndexEmpty(t *testing.T) {
 		t.Fatalf("empty index TopK: got %v", got)
 	}
 }
+
+// TestTopKMatchesFullSort pins the bounded selection to the reference full
+// sort, result for result, over uniform and Zipf pools up to R=2000, with
+// weights quantized so scores tie at the k-th place, k from 1 to past the
+// touched count (the padding path), a zero query and a query whose topics
+// have no postings.
+func TestTopKMatchesFullSort(t *testing.T) {
+	const dim = 40
+	rng := rand.New(rand.NewSource(17))
+	pools := []struct {
+		name string
+		gen  func(n int) [][]float64
+	}{
+		{"uniform", func(n int) [][]float64 { return randVecs(rng, n, dim, 4) }},
+		{"zipf", func(n int) [][]float64 { return zipfVecs(rng, n, dim) }},
+		{"uniform-quantized", func(n int) [][]float64 { return quantized(randVecs(rng, n, dim, 4), 8) }},
+		{"zipf-quantized", func(n int) [][]float64 { return quantized(zipfVecs(rng, n, dim), 8) }},
+	}
+	var kthTies, padded int
+	for _, pool := range pools {
+		for _, n := range []int{1, 37, 500, 2000} {
+			vecs := pool.gen(n)
+			// The last topic has no postings: no pool vector uses it.
+			for _, v := range vecs {
+				v[dim-1] = 0
+			}
+			ix := BuildIndex(vecs)
+			sc := ix.NewScorer()
+			queries := pool.gen(6)
+			queries = append(queries, make([]float64, dim)) // zero query
+			noPostings := make([]float64, dim)
+			noPostings[dim-1] = 1
+			queries = append(queries, noPostings)
+			for qi, q := range queries {
+				for _, k := range []int{1, 2, 5, 48, 64, 300, n - 1, n, n + 3} {
+					got := sc.TopK(q, k, nil)
+					want, ranked := fullSortTopK(ix, q, k)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s n=%d query %d k=%d:\n got %v\nwant %v", pool.name, n, qi, k, got, want)
+					}
+					checkTopKContract(t, got, k, n)
+					if k > 0 && k < len(ranked) && ranked[k-1].s == ranked[k].s {
+						kthTies++
+					}
+					if k < n && len(ranked) < k {
+						padded++
+					}
+				}
+			}
+		}
+	}
+	if kthTies == 0 || padded == 0 {
+		t.Fatalf("cases not reached: %d ties at the k-th place, %d padded results", kthTies, padded)
+	}
+}
+
+// TestTopKAllocs: a steady-state TopK with a caller buffer of capacity ≥ k
+// allocates nothing, on the selection and the padding paths alike.
+func TestTopKAllocs(t *testing.T) {
+	const dim, k = 40, 48
+	rng := rand.New(rand.NewSource(19))
+	ix := BuildIndex(zipfVecs(rng, 2000, dim))
+	sc := ix.NewScorer()
+	queries := append(zipfVecs(rng, 16, dim), make([]float64, dim))
+	buf := make([]int32, 0, k)
+	for _, q := range queries { // grow the scorer's scratch once
+		sc.TopK(q, k, buf)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		sc.TopK(queries[i%len(queries)], k, buf)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state TopK allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestTopKConcurrentScorers: goroutines with a Scorer each query one Index,
+// as buildCandidates shards its work, and every result equals the serial one.
+func TestTopKConcurrentScorers(t *testing.T) {
+	const dim, k, workers = 40, 48, 4
+	rng := rand.New(rand.NewSource(23))
+	ix := BuildIndex(zipfVecs(rng, 2000, dim))
+	queries := zipfVecs(rng, 200, dim)
+	want := make([][]int32, len(queries))
+	sc := ix.NewScorer()
+	for i, q := range queries {
+		want[i] = sc.TopK(q, k, nil)
+	}
+	got := make([][][]int32, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := ix.NewScorer()
+			got[w] = make([][]int32, len(queries))
+			// Each goroutine starts at its own offset, so the scorers see
+			// the queries in different orders.
+			for j := range queries {
+				i := (j + w*len(queries)/workers) % len(queries)
+				got[w][i] = sc.TopK(queries[i], k, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range queries {
+			if !slices.Equal(got[w][i], want[i]) {
+				t.Fatalf("goroutine %d, query %d: got %v, want %v", w, i, got[w][i], want[i])
+			}
+		}
+	}
+}
+
+// fuzzPool decodes a fuzz input into a pool and a query of dimension dim:
+// the first dim bytes are the query, every further dim bytes one pool
+// vector. A byte below 0x80 is a zero weight, any other byte b the weight
+// (b&0x0f)/16, so random bytes give sparse vectors whose scores tie often.
+// The pool is capped at 2000 vectors.
+func fuzzPool(data []byte, dim int) (vecs [][]float64, q []float64) {
+	weights := func(b []byte) []float64 {
+		v := make([]float64, dim)
+		for t := range v {
+			if b[t] >= 0x80 {
+				v[t] = float64(b[t]&0x0f) / 16
+			}
+		}
+		return v
+	}
+	if len(data) < dim {
+		return nil, make([]float64, dim)
+	}
+	q = weights(data)
+	for rest := data[dim:]; len(rest) >= dim && len(vecs) < 2000; rest = rest[dim:] {
+		vecs = append(vecs, weights(rest))
+	}
+	return vecs, q
+}
+
+// fuzzSeed encodes a pool and a query in fuzzPool's byte format, rounding
+// every weight to a sixteenth.
+func fuzzSeed(vecs [][]float64, q []float64) []byte {
+	var data []byte
+	for _, v := range append([][]float64{q}, vecs...) {
+		for _, w := range v {
+			var b byte
+			if w > 0 {
+				b = 0x80 | byte(min(15, math.Round(w*16)))
+			}
+			data = append(data, b)
+		}
+	}
+	return data
+}
+
+// FuzzTopK checks TopK against the reference full sort and its contract
+// (ascending, unique, length min(k, Len)) on arbitrary pools. Each input also
+// runs a pool vector through the same Scorer first, so stale per-query
+// scratch would show. The seeds are small pools on purpose: the fuzzer
+// minimizes every new interesting input in time quadratic in its length,
+// and TestTopKMatchesFullSort already covers pools up to 2000 vectors.
+func FuzzTopK(f *testing.F) {
+	const dim = 6
+	rng := rand.New(rand.NewSource(29))
+	uniform := randVecs(rng, 32, dim, 3)
+	zipf := zipfVecs(rng, 32, dim)
+	for _, v := range zipf {
+		v[dim-1] = 0
+	}
+	noPostings := make([]float64, dim)
+	noPostings[dim-1] = 0.5
+	f.Add(fuzzSeed(uniform, uniform[0]), uint8(dim), uint16(8))
+	f.Add(fuzzSeed(zipf, zipf[1]), uint8(dim), uint16(8))
+	f.Add(fuzzSeed(zipf, zipf[2]), uint8(dim), uint16(30))                     // k past the touched count
+	f.Add(fuzzSeed(zipf, make([]float64, dim)), uint8(dim), uint16(7))         // zero query
+	f.Add(fuzzSeed(zipf, noPostings), uint8(dim), uint16(9))                   // query on a topic with no postings
+	f.Add(fuzzSeed(uniform, uniform[3]), uint8(dim), uint16(32))               // k = Len
+	f.Add(fuzzSeed(uniform, uniform[4]), uint8(dim), uint16(1))                // k = 1
+	f.Add(fuzzSeed(quantized(uniform, 2), uniform[5]), uint8(dim), uint16(12)) // ties at the k-th place
+	f.Add([]byte{}, uint8(3), uint16(4))                                       // empty pool
+	f.Fuzz(func(t *testing.T, data []byte, dimb uint8, kb uint16) {
+		d := 1 + int(dimb)%16
+		vecs, q := fuzzPool(data, d)
+		ix := BuildIndex(vecs)
+		k := int(kb) % (len(vecs) + 8)
+		sc := ix.NewScorer()
+		if len(vecs) > 0 {
+			sc.TopK(vecs[0], k, nil)
+		}
+		got := sc.TopK(q, k, make([]int32, 0, 4))
+		want, _ := fullSortTopK(ix, q, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d dim=%d k=%d:\n got %v\nwant %v", len(vecs), d, k, got, want)
+		}
+		checkTopKContract(t, got, k, len(vecs))
+	})
+}
+
+// BenchmarkScorerTopK times one op = 1000 TopK queries (k=48) against a
+// Zipf pool of R=2000 vectors over T=40 topics — the candidate stage of a
+// paper-scale capped solve, without the stride slots.
+func BenchmarkScorerTopK(b *testing.B) {
+	const dim, k = 40, 48
+	rng := rand.New(rand.NewSource(31))
+	ix := BuildIndex(zipfVecs(rng, 2000, dim))
+	queries := zipfVecs(rng, 1000, dim)
+	sc := ix.NewScorer()
+	buf := make([]int32, 0, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			topKSink = sc.TopK(q, k, buf)
+		}
+	}
+}
+
+// topKSink keeps BenchmarkScorerTopK's result live.
+var topKSink []int32

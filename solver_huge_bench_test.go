@@ -61,8 +61,9 @@ func hugeScaleInstance(p, r, t int) *core.Instance {
 // all — its profit matrix alone is 2·10^10 cells (~160 GB) — so the
 // benchmark has no dense twin; the objective loss of pruning is pinned
 // separately at paper scale by TestSolverCandidateCapPaperScaleEpsilon. CI
-// runs one iteration and gates a >20% ns/op regression against
-// BENCH_BASELINE.json (normalized by the legacy transport yardstick).
+// runs one iteration and gates a >50% ns/op regression against
+// BENCH_BASELINE.json (normalized by the legacy transport yardstick): a
+// single sample is noisy, and a real loss of sparsity costs 10x or more.
 func BenchmarkSolveHugeScale(b *testing.B) {
 	in := hugeScaleInstance(100_000, 200_000, 40)
 	b.Run("solve_huge_scale_sparse", func(b *testing.B) {
