@@ -18,7 +18,6 @@ import (
 	"repro/internal/cra"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/flow"
 	"repro/internal/jra"
 )
 
@@ -189,30 +188,6 @@ func BenchmarkAblationGreedyHeap(b *testing.B) {
 	}{
 		{"lazy-heap", cra.Greedy{}},
 		{"naive-rescan", cra.Greedy{Naive: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := v.alg.Assign(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationStageSolver compares the Stage-WGRAP formulations: the
-// default Dijkstra transport, the legacy SPFA transport and the Hungarian
-// column expansion.
-func BenchmarkAblationStageSolver(b *testing.B) {
-	in := benchConferenceInstance(120, 25, 30, 3)
-	variants := []struct {
-		name string
-		alg  cra.SDGA
-	}{
-		{"flow", cra.SDGA{Solver: cra.StageFlow}},
-		{"flow-legacy-spfa", cra.SDGA{Solver: cra.StageFlow, Transport: flow.Legacy}},
-		{"hungarian", cra.SDGA{Solver: cra.StageHungarian}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

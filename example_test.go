@@ -26,9 +26,9 @@ func ExampleAssignJournal() {
 	// best group: [0 1] (coverage 0.90)
 }
 
-// ExampleAssign assigns two reviewers to each of three papers with the
+// ExampleSolver_Solve assigns two reviewers to each of three papers with the
 // default SDGA + stochastic refinement pipeline.
-func ExampleAssign() {
+func ExampleSolver_Solve() {
 	papers := []wgrap.Paper{
 		{ID: "p1", Topics: wgrap.Vector{0.6, 0, 0.4}},
 		{ID: "p2", Topics: wgrap.Vector{0.5, 0.5, 0}},
@@ -40,7 +40,11 @@ func ExampleAssign() {
 		{ID: "r3", Topics: wgrap.Vector{0, 1, 0}},
 	}
 	in := wgrap.NewInstance(papers, reviewers, 2, 2)
-	res, err := wgrap.Assign(in, wgrap.AssignOptions{Seed: 1})
+	s, err := wgrap.NewSolver(in, wgrap.WithSeed(1))
+	if err != nil {
+		panic(err)
+	}
+	res, err := s.Solve(context.Background())
 	if err != nil {
 		panic(err)
 	}

@@ -7,13 +7,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/flow"
-	"repro/internal/lap"
 )
 
 // stageBackOff completes an SDGA construction whose next stage failed with
-// stageErr. It acts only when that stage is infeasible (flow or Hungarian)
-// even at the reviewers' full remaining workload and ctx is live; it returns
-// nil otherwise, or when no back-off completes. Such a stage arises when the
+// stageErr. It acts only when that stage is infeasible even at the
+// reviewers' full remaining workload and ctx is live; it returns nil
+// otherwise, or when no back-off completes. Such a stage arises when the
 // earlier stages spent the reviewers a paper still needs: each stage is
 // optimal on its own, but the stage partition of Definition 9 does not look
 // ahead, so a feasible instance can reach a stage no plan satisfies.
@@ -32,7 +31,7 @@ import (
 // withdrawn may be nil (no paper withdrawn); cands, when non-nil, selects
 // the sparse candidate path with its densify escape hatch, as in the stages.
 func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perStage [][]int, withdrawn []bool, cands [][]int32, bonus func(p, r int) float64, gainWeight float64, workers int) *core.Assignment {
-	if ctx.Err() != nil || !errors.Is(stageErr, flow.ErrInfeasible) && !errors.Is(stageErr, lap.ErrInfeasible) {
+	if ctx.Err() != nil || !errors.Is(stageErr, flow.ErrInfeasible) {
 		return nil
 	}
 	in := eng.Instance()

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/flow"
 )
 
 // sectionFourInstance is the 3×3 example of Section 4.2 where greedy
@@ -55,14 +54,12 @@ func allAlgorithms() []Algorithm {
 	return []Algorithm{
 		StableMatching{},
 		PairILP{},
-		PairILP{Transport: flow.Legacy},
 		PairILP{ViaILP: true},
 		Greedy{},
 		Greedy{Naive: true},
 		BRGG{},
 		SDGA{},
-		SDGA{Transport: flow.Legacy},
-		SDGA{Solver: StageHungarian},
+		hungarianSDGA{},
 		WithRefiner{Base: SDGA{}, Refiner: SRA{Omega: 3, MaxRounds: 20}},
 		WithRefiner{Base: SDGA{}, Refiner: LocalSearch{MaxMoves: 500, Patience: 200}},
 	}
@@ -122,11 +119,11 @@ func TestSDGABeatsNaiveFirstStageGreedy(t *testing.T) {
 	}
 }
 
-// With δp = 1 the whole assignment is a single Stage-WGRAP, so the two stage
-// solvers must return exactly the same optimal value. For δp > 1 the stage
-// optima may be non-unique, in which case the downstream stages (and hence
-// the total scores) can legitimately differ; there the test only requires
-// both results to be valid assignments.
+// With δp = 1 the whole assignment is a single Stage-WGRAP, so SDGA and the
+// Hungarian reference (hungarianSDGA) must return the same optimal value.
+// For δp > 1 the stage optima may be non-unique, in which case the
+// downstream stages (and hence the total scores) can legitimately differ;
+// there the test only requires both results to be valid assignments.
 func TestSDGAStageSolversAgree(t *testing.T) {
 	if err := quick.Check(sdgaStageSolversAgree, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -134,13 +131,13 @@ func TestSDGAStageSolversAgree(t *testing.T) {
 }
 
 // sdgaStageSolversAgree is the property of TestSDGAStageSolversAgree: on a
-// random conference drawn from seed, SDGA with either stage solver returns
-// a valid assignment, and single-stage runs score the same.
+// random conference drawn from seed, SDGA and the Hungarian reference both
+// return a valid assignment, and single-stage runs score the same.
 func sdgaStageSolversAgree(seed int64) bool {
 	in := stageSolverConference(seed)
 	singleStage := in.GroupSize == 1
-	a1, err1 := SDGA{Solver: StageFlow}.Assign(in)
-	a2, err2 := SDGA{Solver: StageHungarian}.Assign(in)
+	a1, err1 := SDGA{}.Assign(in)
+	a2, err2 := hungarianSDGA{}.Assign(in)
 	if err1 != nil || err2 != nil {
 		return false
 	}
@@ -386,6 +383,51 @@ func TestSRANeverDecreasesScore(t *testing.T) {
 	}
 }
 
+// TestSRARefineContextNeverWorse: refinement under a time budget returns a
+// valid assignment scoring at least as much as its input.
+func TestSRARefineContextNeverWorse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	in := randomConference(rng, 10, 6, 5, 2)
+	base, err := Greedy{}.Assign(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refined, err := SRA{Omega: 5, TimeBudget: time.Second}.RefineContext(context.Background(), in, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.ValidateAssignment(refined); err != nil {
+		t.Fatal(err)
+	}
+	if in.AssignmentScore(refined) < in.AssignmentScore(base)-1e-9 {
+		t.Fatal("refinement decreased the score")
+	}
+}
+
+// TestSRARefineContextAnytime: refinement under an already-cancelled context
+// still returns a valid assignment no worse than its input, with a nil error
+// (anytime semantics).
+func TestSRARefineContextAnytime(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	in := randomConference(rng, 10, 6, 5, 2)
+	base, err := Greedy{}.Assign(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	refined, err := SRA{Omega: 5}.RefineContext(ctx, in, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.ValidateAssignment(refined); err != nil {
+		t.Fatal(err)
+	}
+	if in.AssignmentScore(refined) < in.AssignmentScore(base)-1e-9 {
+		t.Fatal("cancelled refinement returned a worse assignment")
+	}
+}
+
 func TestSRARefineDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	in := randomConference(rng, 8, 6, 5, 2)
@@ -496,8 +538,8 @@ func TestRegressionSeedSDGASolvers(t *testing.T) {
 	seed := int64(8687629866177144313)
 	rng := rand.New(rand.NewSource(seed))
 	in := randomConference(rng, 4+rng.Intn(10), 4+rng.Intn(6), 3+rng.Intn(6), 2+rng.Intn(2))
-	a1, err1 := SDGA{Solver: StageFlow}.Assign(in)
-	a2, err2 := SDGA{Solver: StageHungarian}.Assign(in)
+	a1, err1 := SDGA{}.Assign(in)
+	a2, err2 := hungarianSDGA{}.Assign(in)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v %v", err1, err2)
 	}

@@ -21,9 +21,6 @@ import (
 // group assigned to each paper, which is why it loses to SDGA on the
 // group-coverage metric.
 type PairILP struct {
-	// Transport selects the transportation solver (flow.Dijkstra by
-	// default; flow.Legacy keeps the SPFA path for parity tests).
-	Transport flow.Solver
 	// ViaILP additionally solves the ARAP program as a genuine 0/1 integer
 	// program with internal/ilp, warm-started with the transportation
 	// solution as its incumbent, and returns that solution. It exists to
@@ -66,7 +63,7 @@ func (i PairILP) AssignContext(ctx context.Context, instance *core.Instance) (*c
 	if err := eng.FillProfit(ctx, &m, spec); err != nil {
 		return nil, err
 	}
-	rows, _, err := flow.MaxProfitTransportWith(i.Transport, m.Rows(), need, caps)
+	rows, _, err := flow.MaxProfitTransport(m.Rows(), need, caps)
 	if err != nil {
 		return nil, err
 	}

@@ -110,8 +110,8 @@ func checkFeasible(t *testing.T, profit [][]float64, rowNeed, colCap []int, rows
 // cross-checks objectives and feasibility. Returns whether it was feasible.
 func runParity(t *testing.T, profit [][]float64, need, caps []int, brute bool) bool {
 	t.Helper()
-	dRows, dTotal, dErr := MaxProfitTransportWith(Dijkstra, profit, need, caps)
-	lRows, lTotal, lErr := MaxProfitTransportWith(Legacy, profit, need, caps)
+	dRows, dTotal, dErr := MaxProfitTransport(profit, need, caps)
+	lRows, lTotal, lErr := legacyMaxProfitTransport(profit, need, caps)
 	if (dErr == nil) != (lErr == nil) {
 		t.Fatalf("solver disagreement: dijkstra err=%v, legacy err=%v", dErr, lErr)
 	}
@@ -190,19 +190,22 @@ func TestParityRandomMedium(t *testing.T) {
 func TestParityInfeasibleByCapacity(t *testing.T) {
 	// Total capacity below total demand.
 	profit := [][]float64{{1, 1}, {1, 1}}
-	if _, _, err := MaxProfitTransportWith(Dijkstra, profit, []int{2, 2}, []int{1, 1}); err != ErrInfeasible {
+	if _, _, err := MaxProfitTransport(profit, []int{2, 2}, []int{1, 1}); err != ErrInfeasible {
 		t.Fatalf("dijkstra err = %v, want ErrInfeasible", err)
 	}
-	if _, _, err := MaxProfitTransportWith(Legacy, profit, []int{2, 2}, []int{1, 1}); err != ErrInfeasible {
+	if _, _, err := legacyMaxProfitTransport(profit, []int{2, 2}, []int{1, 1}); err != ErrInfeasible {
 		t.Fatalf("legacy err = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestNegativeColumnCapacityRejected(t *testing.T) {
 	profit := [][]float64{{1, 2}}
-	for _, s := range []Solver{Dijkstra, Legacy} {
-		if _, _, err := MaxProfitTransportWith(s, profit, []int{1}, []int{1, -1}); err == nil || err == ErrInfeasible {
-			t.Fatalf("solver %v accepted negative column capacity (err=%v)", s, err)
+	for name, solve := range map[string]func([][]float64, []int, []int) ([][]int, float64, error){
+		"dijkstra": MaxProfitTransport,
+		"legacy":   legacyMaxProfitTransport,
+	} {
+		if _, _, err := solve(profit, []int{1}, []int{1, -1}); err == nil || err == ErrInfeasible {
+			t.Fatalf("%s solver accepted negative column capacity (err=%v)", name, err)
 		}
 	}
 	var tr Transport
@@ -317,6 +320,32 @@ func TestWarmStartAcrossStages(t *testing.T) {
 	}
 }
 
+// TestTransportStageSequenceMatchesSPFA is the stage-objective check of
+// BenchmarkTransportStageSequencePaperScale at test scale: three related
+// 200×400 stage instances solved in sequence through one Transport, which
+// warm-starts the column duals across them, must each match the SPFA
+// reference objective to 1e-9.
+func TestTransportStageSequenceMatchesSPFA(t *testing.T) {
+	const P, R, stages = 200, 400, 3
+	rng := rand.New(rand.NewSource(17))
+	need, caps := fillInts(P, 1), fillInts(R, 1)
+	var tr Transport
+	for s := 0; s < stages; s++ {
+		profit := benchProfit(rng, P, R)
+		_, got, err := tr.Solve(profit, need, caps)
+		if err != nil {
+			t.Fatalf("stage %d: %v", s, err)
+		}
+		_, want, err := legacyMaxProfitTransport(profit, need, caps)
+		if err != nil {
+			t.Fatalf("stage %d: SPFA: %v", s, err)
+		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("stage %d objective mismatch: dijkstra=%v spfa=%v", s, got, want)
+		}
+	}
+}
+
 // TestTransportReuseShrinksAllocations exercises dimension changes through one
 // reused solver.
 func TestTransportReuseAcrossShapes(t *testing.T) {
@@ -327,7 +356,7 @@ func TestTransportReuseAcrossShapes(t *testing.T) {
 		m := 1 + rng.Intn(7)
 		profit, need, caps := randomInstance(rng, n, m, 2, 2, 0.2)
 		rows, total, err := tr.Solve(profit, need, caps)
-		fRows, fTotal, fErr := MaxProfitTransportWith(Legacy, profit, need, caps)
+		fRows, fTotal, fErr := legacyMaxProfitTransport(profit, need, caps)
 		if (err == nil) != (fErr == nil) {
 			t.Fatalf("trial %d: err=%v legacy=%v", trial, err, fErr)
 		}

@@ -353,3 +353,69 @@ func TestSolveSparseValidation(t *testing.T) {
 		t.Fatalf("empty instance rejected: %v", err)
 	}
 }
+
+// sparseFeasibilityInstance draws the small instance FuzzSolveSparseFeasible
+// checks from seed: n, m in [2, 11], 15% Forbidden cells, row demands 1–3,
+// column capacities 0–3, and a random ascending candidate list of 1..m
+// columns per row (vals aligned with cols).
+func sparseFeasibilityInstance(seed int64) (profit [][]float64, need, caps []int, vals [][]float64, cols [][]int32) {
+	rng := rand.New(rand.NewSource(seed))
+	n, m := 2+rng.Intn(10), 2+rng.Intn(10)
+	profit = make([][]float64, n)
+	for i := range profit {
+		profit[i] = make([]float64, m)
+		for j := range profit[i] {
+			if rng.Float64() < 0.15 {
+				profit[i][j] = Forbidden
+			} else {
+				profit[i][j] = rng.Float64()
+			}
+		}
+	}
+	need = make([]int, n)
+	for i := range need {
+		need[i] = 1 + rng.Intn(3)
+	}
+	caps = make([]int, m)
+	for j := range caps {
+		caps[j] = rng.Intn(4)
+	}
+	vals, cols = sparseFromDense(rng, profit, 1+rng.Intn(m))
+	return profit, need, caps, vals, cols
+}
+
+// FuzzSolveSparseFeasible checks the promise of the sparse escape hatch:
+// with a DenseRow callback, SolveSparse fails exactly when the dense
+// instance is infeasible, and any plan it returns is feasible for the dense
+// instance and no better than its optimum. Seeds 0, 43, 115 and 141 are the
+// first draws on which an escape hatch that widened only the stuck rows
+// themselves reported a feasible instance infeasible: a stuck row already at
+// full width, whose failed search ran through rows still limited to their
+// candidates.
+func FuzzSolveSparseFeasible(f *testing.F) {
+	for _, seed := range []int64{0, 43, 115, 141, 7, 1000} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		profit, need, caps, vals, cols := sparseFeasibilityInstance(seed)
+		var dense, sparse Transport
+		_, dTotal, dErr := dense.Solve(profit, need, caps)
+		sparse.DenseRow = func(i int, buf []float64) []float64 {
+			copy(buf, profit[i])
+			return buf
+		}
+		rows, sTotal, sErr := sparse.SolveSparse(vals, cols, len(caps), need, caps)
+		if (dErr == nil) != (sErr == nil) {
+			t.Fatalf("seed %d: dense err=%v, sparse err=%v", seed, dErr, sErr)
+		}
+		if sErr != nil {
+			return
+		}
+		if got := checkFeasible(t, profit, need, caps, rows); math.Abs(got-sTotal) > 1e-9 {
+			t.Fatalf("seed %d: sparse reported %v but plan sums to %v", seed, sTotal, got)
+		}
+		if sTotal > dTotal+1e-9 {
+			t.Fatalf("seed %d: sparse %v beats the dense optimum %v", seed, sTotal, dTotal)
+		}
+	})
+}

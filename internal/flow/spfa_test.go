@@ -1,22 +1,10 @@
-// Package flow solves the transportation problems of the reviewer-assignment
-// pipeline:
-//
-//   - the Stage-WGRAP sub-problem of the Stage Deepening Greedy Algorithm
-//     when the per-stage reviewer workload ⌈δr/δp⌉ exceeds one (Section 4.2),
-//     where the Hungarian algorithm no longer applies directly; and
-//   - the ARAP/ILP baseline of the experiments (Section 5.2), whose
-//     pair-additive objective makes the relaxation integral, so min-cost flow
-//     yields the exact optimum.
-//
-// The default solver is Transport: costs are reduced to non-negative with
-// Johnson-style node potentials, each phase runs one dense Dijkstra over the
-// CSR-stored bipartite residual graph and augments along every tight path it
-// exposes (many units per search), and Solve/Resolve warm-start potentials
-// and residual flow across related instances (SDGA's δp stage re-solves).
-// This file keeps the original generic min-cost max-flow solver (successive
-// shortest paths with SPFA, one search per unit of flow), which still backs
-// the Legacy transportation path used by parity tests and ablations.
 package flow
+
+// The SPFA successive-shortest-paths solver this package started with: a
+// generic adjacency-list min-cost max-flow (one SPFA search per unit of
+// flow) and the transportation wrapper over it. It is the reference the
+// Transport parity tests compare against and the frozen yardstick the bench
+// regression gates normalize by (BenchmarkTransportSolve/legacy-200x400).
 
 import (
 	"errors"
@@ -41,9 +29,6 @@ type edge struct {
 func NewGraph(n int) *Graph {
 	return &Graph{n: n, heads: make([][]int, n)}
 }
-
-// NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return g.n }
 
 // AddEdge adds a directed edge from u to v with the given capacity and cost
 // and returns its identifier, which can later be passed to Flow.
@@ -137,4 +122,66 @@ func (g *Graph) spfa(source int) ([]float64, []int) {
 		}
 	}
 	return dist, parentEdge
+}
+
+// legacyMaxProfitTransport is the original transportation path: it expands
+// the instance into the generic adjacency-list Graph (source → rows → columns
+// → sink) and runs the SPFA-based successive-shortest-paths solver, one
+// search per unit of flow.
+func legacyMaxProfitTransport(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
+	if err := validateTransport(profit, rowNeed, colCap); err != nil {
+		return nil, 0, err
+	}
+	n := len(profit)
+	if n == 0 {
+		return nil, 0, nil
+	}
+	m := len(profit[0])
+	need := 0
+	for _, r := range rowNeed {
+		need += r
+	}
+
+	// Node layout: 0 = source, 1..n = rows, n+1..n+m = columns, n+m+1 = sink.
+	source := 0
+	rowNode := func(i int) int { return 1 + i }
+	colNode := func(j int) int { return 1 + n + j }
+	sink := 1 + n + m
+	g := NewGraph(sink + 1)
+
+	for i := 0; i < n; i++ {
+		g.AddEdge(source, rowNode(i), rowNeed[i], 0)
+	}
+	type pairEdge struct{ row, col, id int }
+	var pairs []pairEdge
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			p := profit[i][j]
+			if math.IsInf(p, -1) {
+				continue
+			}
+			id := g.AddEdge(rowNode(i), colNode(j), 1, -p)
+			pairs = append(pairs, pairEdge{row: i, col: j, id: id})
+		}
+	}
+	for j := 0; j < m; j++ {
+		if colCap[j] > 0 {
+			g.AddEdge(colNode(j), sink, colCap[j], 0)
+		}
+	}
+
+	flowed, cost, err := g.MinCostFlow(source, sink, need)
+	if err != nil {
+		return nil, 0, err
+	}
+	if flowed < need {
+		return nil, 0, ErrInfeasible
+	}
+	out := make([][]int, n)
+	for _, pe := range pairs {
+		if g.Flow(pe.id) > 0 {
+			out[pe.row] = append(out[pe.row], pe.col)
+		}
+	}
+	return out, -cost, nil
 }

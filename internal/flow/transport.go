@@ -1,3 +1,22 @@
+// Package flow solves the transportation problems of the reviewer-assignment
+// pipeline:
+//
+//   - the Stage-WGRAP sub-problem of the Stage Deepening Greedy Algorithm
+//     when the per-stage reviewer workload ⌈δr/δp⌉ exceeds one (Section 4.2),
+//     where the Hungarian algorithm no longer applies directly; and
+//   - the ARAP/ILP baseline of the experiments (Section 5.2), whose
+//     pair-additive objective makes the relaxation integral, so min-cost flow
+//     yields the exact optimum.
+//
+// The solver is Transport: costs are reduced to non-negative with
+// Johnson-style node potentials, each phase runs one heap-frontier Dijkstra
+// over the CSR-stored bipartite residual graph and augments along every
+// tight path it exposes (many units per search), and Resolve/ResolveRows
+// warm-start from the potentials and residual flow of the previous solve
+// (SDGA's stage-capacity fallback and the session's warm re-solves). The
+// original generic min-cost max-flow solver (successive shortest paths with
+// SPFA, one search per unit of flow) lives on in the package tests as the
+// parity reference.
 package flow
 
 import (
@@ -15,26 +34,8 @@ var ErrInfeasible = errors.New("flow: demand cannot be satisfied")
 // Forbidden marks an impossible row/column pairing in MaxProfitTransport.
 var Forbidden = math.Inf(-1)
 
-// Solver selects the algorithm behind MaxProfitTransport.
-type Solver int
-
-// Transportation solvers.
-const (
-	// Dijkstra is the default solver: Johnson-style node potentials keep
-	// every residual reduced cost non-negative, so each phase can run one
-	// heap-frontier Dijkstra over the bipartite residual graph and then
-	// augment along every tight (zero-reduced-cost) path the search exposes —
-	// many units of flow per search instead of one SPFA per unit. Instances
-	// are stored in flat CSR arrays with reusable scratch buffers; see
-	// Transport.
-	Dijkstra Solver = iota
-	// Legacy is the original successive-shortest-paths solver: one SPFA per
-	// unit of flow over the generic adjacency-list Graph of this package.
-	// Kept for parity tests and the transport ablation benchmarks.
-	Legacy
-)
-
-// validateTransport checks the shared preconditions of both solvers.
+// validateTransport checks the preconditions of a dense transportation
+// instance.
 func validateTransport(profit [][]float64, rowNeed, colCap []int) error {
 	n := len(profit)
 	if n == 0 {
@@ -70,20 +71,11 @@ func validateTransport(profit [][]float64, rowNeed, colCap []int) error {
 // maximised. Cells equal to Forbidden are never matched (conflicts of
 // interest or reviewers already in the paper's group).
 //
-// It returns, for every row, the sorted list of matched column indices, and
-// uses the default Dijkstra solver; callers that need to re-solve the same
-// instance under changing capacities, or to warm-start a sequence of related
-// instances, should hold a Transport instead.
+// It returns, for every row, the sorted list of matched column indices;
+// callers that need to re-solve the same instance under changing capacities,
+// or to warm-start a sequence of related instances, should hold a Transport
+// instead.
 func MaxProfitTransport(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
-	return MaxProfitTransportWith(Dijkstra, profit, rowNeed, colCap)
-}
-
-// MaxProfitTransportWith is MaxProfitTransport with an explicit solver
-// selection.
-func MaxProfitTransportWith(s Solver, profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
-	if s == Legacy {
-		return legacyMaxProfitTransport(profit, rowNeed, colCap)
-	}
 	var t Transport
 	return t.Solve(profit, rowNeed, colCap)
 }
@@ -119,9 +111,9 @@ type pathStep struct {
 // beyond raw speed:
 //
 //   - all state — the CSR instance, flow, potentials and search scratch —
-//     lives in flat buffers that are reused across calls, so SDGA's δp stage
-//     re-solves through one Transport run allocation-free apart from their
-//     result slices; and
+//     lives in flat buffers that are reused across calls, so the re-solves
+//     of an SDGA stage through its Transport run allocation-free apart from
+//     their result slices; and
 //   - it is incremental: Resolve re-solves the current instance after a
 //     column-capacity change, and ResolveRows after per-row profit or demand
 //     edits, warm-starting from the residual flow and potentials of the
@@ -172,8 +164,13 @@ type Transport struct {
 	rowFull []bool
 	// stuck collects the deficit rows whose shortest-path search failed in
 	// the current attempt — the densification candidates.
-	stuck    []int32
-	denseBuf []float64
+	stuck []int32
+	// reached collects, once each (reachedMark), the candidate-limited rows
+	// that the failed searches of already-full stuck rows labeled: the
+	// densification candidates once no stuck row is left to widen.
+	reached     []int32
+	reachedMark []bool
+	denseBuf    []float64
 	// Spare CSR buffers for rebuildSparseCSR (swapped with the live arrays on
 	// every densification so repeated rebuilds do not allocate).
 	rowStartTmp []int32
@@ -1200,6 +1197,10 @@ func (t *Transport) run() error {
 			spare += t.colCap[j] - len(t.colPairs[j])
 		}
 		t.stuck = t.stuck[:0]
+		for _, x := range t.reached {
+			t.reachedMark[x] = false
+		}
+		t.reached = t.reached[:0]
 		for _, i32 := range t.deficitRows {
 			i := int(i32)
 			for t.rowFlow[i] < t.rowNeed[i] && spare > 0 {
@@ -1213,6 +1214,9 @@ func (t *Transport) run() error {
 					// continues from. In sparse mode the row is also the
 					// densification candidate of the retry below.
 					t.stuck = append(t.stuck, i32)
+					if t.sparse && t.rowFull[i] {
+						t.noteReached()
+					}
 					break
 				}
 				t.augmentParentChain(jStar)
@@ -1228,11 +1232,29 @@ func (t *Transport) run() error {
 	}
 }
 
+// noteReached records the candidate-limited rows labeled by the failed
+// search that just ended (the rows of t.touched), each once per attempt.
+func (t *Transport) noteReached() {
+	if len(t.reachedMark) < t.n {
+		t.reachedMark = make([]bool, t.n)
+	}
+	for _, x := range t.touched {
+		if int(x) < t.n && !t.rowFull[x] && !t.reachedMark[x] {
+			t.reachedMark[x] = true
+			t.reached = append(t.reached, x)
+		}
+	}
+}
+
 // densifyStuck is the sparse escape hatch: it widens every not-yet-full
 // stuck row to the full column width (costs via the DenseRow callback),
-// rebuilds the CSR and restarts the flow from cold duals. It reports whether
+// rebuilds the CSR and restarts the flow from cold duals. When every stuck
+// row is already full, it widens the candidate-limited rows their failed
+// searches reached instead: an augmenting path of the dense instance may
+// leave through a column outside such a row's candidates. It reports whether
 // anything was widened — false means densification cannot help (dense mode,
-// no callback, or every stuck row already full) and the caller fails with
+// no callback, or a stuck row whose whole reachable set is full width, which
+// proves the dense instance infeasible) and the caller fails with
 // ErrInfeasible. The flow reset it forces is acceptable because saturated
 // candidate sets are the rare tail case the escape hatch exists for, not the
 // steady state.
@@ -1246,6 +1268,12 @@ func (t *Transport) densifyStuck() bool {
 			t.rowFull[i32] = true
 			newly++
 		}
+	}
+	if newly == 0 {
+		for _, i32 := range t.reached {
+			t.rowFull[i32] = true
+		}
+		newly = len(t.reached)
 	}
 	if newly == 0 {
 		return false
@@ -1490,12 +1518,12 @@ func (t *Transport) searchWorkers() int {
 // at the current capacities: residual reachability accounts for every
 // possible rerouting of the placed flow).
 func (t *Transport) shortestPathFrom(root int) (jStar int, ok bool) {
+	t.beginPhase()
 	if math.IsInf(t.u[root], -1) {
 		// Every cell of the row is Forbidden (dense mode keeps them at +Inf
 		// cost), so the sink is unreachable.
 		return -1, false
 	}
-	t.beginPhase()
 	n := t.n
 	t.label(int32(root), 0, -1, -1)
 	distT := math.Inf(1)

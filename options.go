@@ -5,19 +5,15 @@ import (
 	"time"
 
 	"repro/internal/cra"
-	"repro/internal/flow"
 )
 
-// Option configures a Solver (and, through the deprecated AssignOptions
-// shim, the one-shot entry points). All defaults are resolved in one place —
-// resolveOptions — so every path (NewSolver, Assign, Refine) agrees on them:
-// method sdga-sra, Dijkstra transport, ω=10, seed 1, no refinement budget.
+// Option configures a Solver. All defaults are resolved in one place —
+// resolveOptions: method sdga-sra, ω=10, seed 1, no refinement budget.
 type Option func(*options)
 
 // options is the resolved configuration of a Solver.
 type options struct {
 	method           Method
-	transport        TransportSolver
 	omega            int
 	refinementBudget time.Duration
 	seed             int64
@@ -33,7 +29,6 @@ type options struct {
 func resolveOptions(opts []Option) options {
 	o := options{
 		method:        MethodSDGASRA,
-		transport:     TransportDijkstra,
 		omega:         10,
 		seed:          1,
 		snapshotEvery: 4096,
@@ -45,9 +40,8 @@ func resolveOptions(opts []Option) options {
 	return o
 }
 
-// sra builds the stochastic-refinement configuration from the resolved
-// options; the single constructor both Refine and the SDGA-SRA pipelines
-// share, so their defaults can never diverge.
+// sra builds the stochastic-refinement configuration of the SDGA-SRA
+// pipeline from the resolved options.
 func (o options) sra() cra.SRA {
 	return cra.SRA{Omega: o.omega, TimeBudget: o.refinementBudget, Seed: o.seed, Shards: o.shards,
 		CandidateCap: o.candidateCap}
@@ -55,11 +49,6 @@ func (o options) sra() cra.SRA {
 
 // WithMethod selects the assignment algorithm (default MethodSDGASRA).
 func WithMethod(m Method) Option { return func(o *options) { o.method = m } }
-
-// WithTransport selects the transportation solver used by the flow-based
-// methods (default TransportDijkstra). Selecting TransportLegacy disables
-// the warm re-solve path: every Resolve runs cold through the SPFA solver.
-func WithTransport(t TransportSolver) Option { return func(o *options) { o.transport = t } }
 
 // WithOmega sets the convergence threshold ω of the stochastic refinement
 // (default 10, the paper's setting). Non-positive values fall back to the
@@ -116,8 +105,8 @@ func WithShards(n int) Option {
 // the candidate truncation, a measured epsilon at paper scale (see the
 // README's candidate-pruning section). The default 0 (and any non-positive
 // value, and any k at or above the pool size) keeps the exact dense path and
-// bit-identical results. Ignored by the non-flow methods and the legacy
-// transport.
+// bit-identical results. Ignored by the baseline methods (greedy, brgg, sm,
+// ilp).
 func WithCandidateCap(k int) Option {
 	return func(o *options) {
 		if k > 0 {
@@ -156,81 +145,22 @@ func WithFsyncInterval(d time.Duration) Option {
 	return func(o *options) { o.fsyncInterval = d }
 }
 
-// algorithmParts maps the resolved options to a cold construction algorithm
-// plus an optional refinement flag — the execution path of the baseline
-// methods and of the legacy-transport ablation (the session methods run
-// through cra.Session instead). Keeping the refiner separate lets the
-// Solver emit a construction snapshot between the phases and wire the
-// refinement's improvement hook.
-func (o options) algorithmParts() (base cra.Algorithm, refine bool, err error) {
+// baseline maps the resolved method to the cold construction algorithm of
+// the four baseline methods, which re-run cold on every solve. The
+// SDGA-based methods run through cra.Session instead: nil, nil.
+func (o options) baseline() (cra.Algorithm, error) {
 	switch o.method {
-	case MethodSDGASRA:
-		return cra.SDGA{Transport: o.transport, Shards: o.shards, CandidateCap: o.candidateCap}, true, nil
-	case MethodSDGA:
-		return cra.SDGA{Transport: o.transport, Shards: o.shards, CandidateCap: o.candidateCap}, false, nil
+	case MethodSDGASRA, MethodSDGA:
+		return nil, nil
 	case MethodGreedy:
-		return cra.Greedy{}, false, nil
+		return cra.Greedy{}, nil
 	case MethodBRGG:
-		return cra.BRGG{}, false, nil
+		return cra.BRGG{}, nil
 	case MethodStableMatching:
-		return cra.StableMatching{}, false, nil
+		return cra.StableMatching{}, nil
 	case MethodPairILP:
-		return cra.PairILP{Transport: o.transport}, false, nil
+		return cra.PairILP{}, nil
 	default:
-		return nil, false, fmt.Errorf("%w: %q", ErrUnknownMethod, o.method)
+		return nil, fmt.Errorf("%w: %q", ErrUnknownMethod, o.method)
 	}
-}
-
-// sessionable reports whether the configuration runs through the warm
-// cra.Session path: the SDGA-based methods on the default Dijkstra
-// transport.
-func (o options) sessionable() bool {
-	return (o.method == MethodSDGASRA || o.method == MethodSDGA) &&
-		o.transport != flow.Legacy
-}
-
-// AssignOptions configure the deprecated one-shot entry points.
-//
-// Deprecated: use NewSolver with functional options (WithMethod,
-// WithTransport, WithOmega, WithRefinementBudget, WithSeed). AssignOptions
-// remains as a thin shim: it converts to the same resolved options, so the
-// documented defaults (method sdga-sra, ω=10, seed 1) are identical on both
-// paths.
-type AssignOptions struct {
-	// Method selects the algorithm (default MethodSDGASRA).
-	Method Method
-	// Transport selects the transportation solver used by the flow-based
-	// methods (default TransportDijkstra).
-	Transport TransportSolver
-	// Omega is the convergence threshold of the stochastic refinement
-	// (default 10; only used by MethodSDGASRA).
-	Omega int
-	// RefinementBudget optionally caps the wall-clock refinement time. With
-	// AssignContext it is unified with the context deadline: the refinement
-	// stops at whichever comes first and returns the best assignment found.
-	RefinementBudget time.Duration
-	// Seed makes stochastic steps reproducible (default 1).
-	Seed int64
-}
-
-// asOptions converts the legacy struct to functional options; zero fields
-// keep the shared defaults.
-func (a AssignOptions) asOptions() []Option {
-	var opts []Option
-	if a.Method != "" {
-		opts = append(opts, WithMethod(a.Method))
-	}
-	if a.Transport != TransportDijkstra {
-		opts = append(opts, WithTransport(a.Transport))
-	}
-	if a.Omega > 0 {
-		opts = append(opts, WithOmega(a.Omega))
-	}
-	if a.RefinementBudget > 0 {
-		opts = append(opts, WithRefinementBudget(a.RefinementBudget))
-	}
-	if a.Seed != 0 {
-		opts = append(opts, WithSeed(a.Seed))
-	}
-	return opts
 }

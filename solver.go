@@ -59,17 +59,16 @@ type Snapshot struct {
 // deadlock), but View, Progress, the mutators and ResolveAsync are all
 // callback-safe.
 type Solver struct {
-	// mu is the solve lock: it guards the session, the non-session algorithm
+	// mu is the solve lock: it guards the session, the baseline-method
 	// state (lastA, edited), start, editsSince and applyErr. Lock order is
 	// always mu → pendMu; pendMu is never held while acquiring mu.
-	mu        sync.Mutex
-	opts      options
-	sess      *cra.Session
-	alg       cra.Algorithm // cold construction of the non-session methods
-	algRefine bool          // run the stochastic refinement after alg
-	solved    bool
+	mu     sync.Mutex
+	opts   options
+	sess   *cra.Session
+	alg    cra.Algorithm // cold construction of the baseline methods
+	solved bool
 	// edited and lastA implement the no-edit Resolve fast path for the
-	// non-session methods (the session keeps its own equivalent state).
+	// baseline methods (the session keeps its own equivalent state).
 	edited bool
 	lastA  *core.Assignment
 	// start is the wall-clock origin of the running Solve/Resolve, read by
@@ -149,15 +148,13 @@ func newSolver(in *Instance, o options) (*Solver, error) {
 		fn := o.progress
 		s.progress.Store(&fn)
 	}
-	if !o.sessionable() {
-		alg, refine, err := o.algorithmParts()
-		if err != nil {
-			return nil, err
-		}
-		s.alg, s.algRefine = alg, refine
+	alg, err := o.baseline()
+	if err != nil {
+		return nil, err
 	}
+	s.alg = alg
 	cfg := cra.SessionConfig{
-		Refine:       o.method == MethodSDGASRA && o.sessionable(),
+		Refine:       o.method == MethodSDGASRA,
 		SRA:          o.sra(),
 		Shards:       o.shards,
 		CandidateCap: o.candidateCap,
@@ -390,12 +387,11 @@ func (s *Solver) run(ctx context.Context, cold bool) (*Result, error) {
 	return res, nil
 }
 
-// runBaseline executes a non-session method cold: on an unedited paper set
-// it runs directly on the session instance; with withdrawals it materialises
+// runBaseline executes a baseline method cold: on an unedited paper set it
+// runs directly on the session instance; with withdrawals it materialises
 // the compacted instance and scatters the result back to original indices.
 // The progress stream works here too: one construction snapshot after the
-// base algorithm, plus per-improvement snapshots when the configuration
-// refines (MethodSDGASRA on the legacy transport).
+// algorithm.
 func (s *Solver) runBaseline(ctx context.Context) (*core.Assignment, error) {
 	in := s.sess.Instance()
 	P := in.NumPapers()
@@ -405,11 +401,6 @@ func (s *Solver) runBaseline(ctx context.Context) (*core.Assignment, error) {
 			return nil, err
 		}
 		s.constructHook()(a.Clone())
-		if s.algRefine {
-			sra := s.opts.sra()
-			sra.OnImprovement = s.improvementHook()
-			return sra.RefineContext(ctx, in, a)
-		}
 		return a, nil
 	}
 	var papers []Paper
@@ -440,30 +431,13 @@ func (s *Solver) runBaseline(ctx context.Context) (*core.Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	// scatter copies the compact groups back onto the original paper
-	// indices; slices are cloned so snapshots stay private copies even while
-	// the compact assignment keeps being refined.
-	scatter := func(a *core.Assignment) *core.Assignment {
-		full := core.NewAssignment(P)
-		for np, g := range a.Groups {
-			full.Groups[idx[np]] = append([]int(nil), g...)
-		}
-		return full
+	// Copy the compact groups back onto the original paper indices.
+	full := core.NewAssignment(P)
+	for np, g := range compact.Groups {
+		full.Groups[idx[np]] = g
 	}
-	s.constructHook()(scatter(compact))
-	if s.algRefine {
-		sra := s.opts.sra()
-		hook := s.improvementHook()
-		sra.OnImprovement = func(round int, best *core.Assignment, score float64, elapsed time.Duration) {
-			hook(round, scatter(best), score, elapsed)
-		}
-		refined, err := sra.RefineContext(ctx, sub, compact)
-		if err != nil {
-			return nil, err
-		}
-		compact = refined
-	}
-	return scatter(compact), nil
+	s.constructHook()(full.Clone())
+	return full, nil
 }
 
 // activeScore sums the group scores of the active papers.

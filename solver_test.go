@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -347,16 +348,15 @@ func TestSolverProgressStream(t *testing.T) {
 	}
 }
 
-// TestSolverProgressBaselineMethods: non-session configurations still emit
-// at least the construction snapshot (and refinement snapshots when the
-// legacy-transport SDGA-SRA pipeline improves).
+// TestSolverProgressBaselineMethods: the baseline methods, which run cold
+// outside the session, still emit the construction snapshot.
 func TestSolverProgressBaselineMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	papers, reviewers := randomProblem(rng, 16, 12, 8)
 	in := NewInstance(papers, reviewers, 3, 0)
 	for _, opts := range [][]Option{
 		{WithMethod(MethodGreedy)},
-		{WithMethod(MethodSDGASRA), WithTransport(TransportLegacy), WithOmega(5)},
+		{WithMethod(MethodPairILP)},
 	} {
 		var snaps []Snapshot
 		s, err := NewSolver(in, append(opts, WithProgress(func(sn Snapshot) { snaps = append(snaps, sn) }))...)
@@ -505,37 +505,18 @@ func TestSolverSingleSessionMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestOptionDefaultsUnified: the resolved-options path gives Assign, Refine
-// and NewSolver identical documented defaults (method sdga-sra, ω=10,
-// seed 1), and the deprecated AssignOptions shim converts losslessly.
+// TestOptionDefaultsUnified: the resolved options carry the documented
+// defaults (method sdga-sra, ω=10, seed 1, no refinement budget), invalid
+// explicit values fall back to them, and a Solver built with no options
+// solves exactly like one given the defaults spelled out.
 func TestOptionDefaultsUnified(t *testing.T) {
 	def := resolveOptions(nil)
-	if def.method != MethodSDGASRA || def.omega != 10 || def.seed != 1 ||
-		def.transport != TransportDijkstra || def.refinementBudget != 0 {
+	if def.method != MethodSDGASRA || def.omega != 10 || def.seed != 1 || def.refinementBudget != 0 {
 		t.Fatalf("resolved defaults = %+v", def)
 	}
 	sra := def.sra()
 	if sra.Omega != 10 || sra.Seed != 1 || sra.TimeBudget != 0 {
 		t.Fatalf("default SRA = %+v", sra)
-	}
-	// The legacy struct's zero value resolves to the same configuration.
-	legacy := resolveOptions(AssignOptions{}.asOptions())
-	if legacy.method != def.method || legacy.transport != def.transport ||
-		legacy.omega != def.omega || legacy.seed != def.seed ||
-		legacy.refinementBudget != def.refinementBudget {
-		t.Fatalf("AssignOptions{} resolves to %+v, want %+v", legacy, def)
-	}
-	// Non-zero legacy fields survive the conversion.
-	full := resolveOptions(AssignOptions{
-		Method:           MethodGreedy,
-		Transport:        TransportLegacy,
-		Omega:            4,
-		RefinementBudget: time.Second,
-		Seed:             7,
-	}.asOptions())
-	if full.method != MethodGreedy || full.transport != TransportLegacy ||
-		full.omega != 4 || full.refinementBudget != time.Second || full.seed != 7 {
-		t.Fatalf("converted options = %+v", full)
 	}
 	// Invalid explicit values fall back to the defaults instead of
 	// diverging (the historical Refine bug class this test pins down).
@@ -544,50 +525,19 @@ func TestOptionDefaultsUnified(t *testing.T) {
 		t.Fatalf("clamped options = %+v", clamped)
 	}
 
-	// Behavioral check: Refine with zero options equals Refine with the
-	// documented defaults spelled out.
 	rng := rand.New(rand.NewSource(131))
 	papers, reviewers := randomProblem(rng, 12, 8, 6)
 	in := NewInstance(papers, reviewers, 2, 0)
-	base, err := Assign(in, AssignOptions{Method: MethodGreedy})
+	r1, err := solve(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := Refine(in, base.Assignment, AssignOptions{})
+	r2, err := solve(context.Background(), in, WithMethod(MethodSDGASRA), WithOmega(10), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := Refine(in, base.Assignment, AssignOptions{Omega: 10, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(in.AssignmentScore(a1)-in.AssignmentScore(a2)) > 1e-12 {
-		t.Fatal("zero-value Refine diverges from the documented defaults")
-	}
-}
-
-// TestSolverShimEquivalence: the deprecated one-shot Assign must return the
-// same assignment as an explicit session Solve with equivalent options.
-func TestSolverShimEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(137))
-	papers, reviewers := randomProblem(rng, 15, 10, 7)
-	in := NewInstance(papers, reviewers, 3, 0)
-	for _, m := range []Method{MethodSDGA, MethodSDGASRA, MethodGreedy} {
-		shim, err := Assign(in, AssignOptions{Method: m, Omega: 4, Seed: 11})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		s, err := NewSolver(in, WithMethod(m), WithOmega(4), WithSeed(11))
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		sess, err := s.Solve(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if math.Abs(shim.Score-sess.Score) > 1e-12 {
-			t.Fatalf("%s: shim score %v != session score %v", m, shim.Score, sess.Score)
-		}
+	if !reflect.DeepEqual(r1.Assignment.Sorted(), r2.Assignment.Sorted()) {
+		t.Fatal("zero-option Solver diverges from the documented defaults")
 	}
 }
 

@@ -68,9 +68,6 @@
 // For single-paper (journal) assignment, AssignJournalContext returns the
 // exact optimum via branch and bound and TopReviewerGroupsContext the k best
 // groups.
-//
-// The one-shot Assign/Refine entry points remain as deprecated shims over
-// the session API.
 package wgrap
 
 import (
@@ -79,7 +76,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/flow"
 	"repro/internal/jra"
 )
 
@@ -151,23 +147,6 @@ func Methods() []Method {
 	return []Method{MethodSDGASRA, MethodSDGA, MethodGreedy, MethodBRGG, MethodStableMatching, MethodPairILP}
 }
 
-// TransportSolver selects the min-cost transportation engine used by the
-// flow-based methods (SDGA's Stage-WGRAP solves and the ARAP/pair-ILP
-// baseline).
-type TransportSolver = flow.Solver
-
-// Transportation solvers.
-const (
-	// TransportDijkstra is the default: a CSR-stored
-	// Dijkstra-with-potentials solver that augments along maximal sets of
-	// tight paths and warm-starts stage and session re-solves.
-	TransportDijkstra TransportSolver = flow.Dijkstra
-	// TransportLegacy is the original SPFA successive-shortest-paths solver,
-	// kept for parity testing and the transport ablation benchmark. It has
-	// no warm path: sessions configured with it re-solve cold.
-	TransportLegacy TransportSolver = flow.Legacy
-)
-
 // Result is the outcome of a conference assignment.
 type Result struct {
 	// Assignment holds, for every paper index, the assigned reviewer
@@ -227,52 +206,4 @@ func OptimalityRatio(in *Instance, a *Assignment) float64 {
 func SuperiorityRatio(in *Instance, x, y *Assignment) (betterOrEqual, ties float64) {
 	s := eval.SuperiorityRatio(in, x, y)
 	return s.BetterOrEqual, s.Ties
-}
-
-// Assign computes a conference assignment with the selected method (the
-// general WGRAP of Definition 3).
-//
-// Deprecated: use NewSolver and Solver.Solve — the session API reuses solver
-// state across calls and supports incremental edits with warm re-solves.
-// Assign remains as a thin shim: one throwaway session per call.
-func Assign(in *Instance, opts AssignOptions) (*Result, error) {
-	return AssignContext(context.Background(), in, opts)
-}
-
-// AssignContext computes a conference assignment under a context: cancelling
-// ctx (or letting its deadline pass) aborts the construction phase with the
-// context's error and gracefully stops the refinement phase of
-// MethodSDGASRA, which is an anytime algorithm and returns the best
-// assignment found so far. A ctx deadline and opts.RefinementBudget compose;
-// the earlier one stops the refinement.
-//
-// Deprecated: use NewSolver and Solver.Solve (see Assign).
-func AssignContext(ctx context.Context, in *Instance, opts AssignOptions) (*Result, error) {
-	s, err := NewSolver(in, opts.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(ctx)
-}
-
-// Refine improves an existing assignment with the stochastic refinement of
-// Section 4.4 and returns the refined copy (never worse than the input).
-//
-// Deprecated: configure a Solver with MethodSDGASRA instead; Refine remains
-// for callers that produce assignments out-of-band. It resolves its
-// defaults (ω=10, seed 1) through the same path as every other entry point.
-func Refine(in *Instance, a *Assignment, opts AssignOptions) (*Assignment, error) {
-	return RefineContext(context.Background(), in, a, opts)
-}
-
-// RefineContext improves an existing assignment under a context. Refinement
-// is an anytime process: when ctx is done (or opts.RefinementBudget expires,
-// whichever comes first) the best assignment found so far is returned —
-// never worse than the input.
-//
-// Deprecated: see Refine.
-func RefineContext(ctx context.Context, in *Instance, a *Assignment, opts AssignOptions) (*Assignment, error) {
-	o := resolveOptions(opts.asOptions())
-	refined, err := o.sra().RefineContext(ctx, in, a)
-	return refined, wrapErr(err)
 }

@@ -29,6 +29,15 @@ func randVec(rng *rand.Rand, t int) Vector {
 	return v.Normalized()
 }
 
+// solve runs one cold Solve of a fresh Solver over in.
+func solve(ctx context.Context, in *Instance, opts ...Option) (*Result, error) {
+	s, err := NewSolver(in, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(ctx)
+}
+
 func TestNewInstanceDefaultsWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	papers, reviewers := randomProblem(rng, 10, 4, 5)
@@ -48,7 +57,7 @@ func TestAssignAllMethods(t *testing.T) {
 	in := NewInstance(papers, reviewers, 3, 0)
 	var scores []float64
 	for _, m := range Methods() {
-		res, err := Assign(in, AssignOptions{Method: m, Omega: 3})
+		res, err := solve(context.Background(), in, WithMethod(m), WithOmega(3))
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -80,7 +89,7 @@ func TestAssignDefaultsToSDGASRA(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	papers, reviewers := randomProblem(rng, 8, 6, 5)
 	in := NewInstance(papers, reviewers, 2, 0)
-	res, err := Assign(in, AssignOptions{Omega: 3})
+	res, err := solve(context.Background(), in, WithOmega(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,25 +102,8 @@ func TestAssignUnknownMethod(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	papers, reviewers := randomProblem(rng, 4, 4, 3)
 	in := NewInstance(papers, reviewers, 2, 0)
-	if _, err := Assign(in, AssignOptions{Method: "nope"}); err == nil {
-		t.Fatal("unknown method accepted")
-	}
-}
-
-func TestRefineNeverWorse(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	papers, reviewers := randomProblem(rng, 10, 6, 5)
-	in := NewInstance(papers, reviewers, 2, 0)
-	base, err := Assign(in, AssignOptions{Method: MethodGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := Refine(in, base.Assignment, AssignOptions{Omega: 5, RefinementBudget: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.AssignmentScore(refined) < base.Score-1e-9 {
-		t.Fatal("refinement decreased the score")
+	if _, err := solve(context.Background(), in, WithMethod("nope")); !errors.Is(err, ErrUnknownMethod) {
+		t.Fatalf("unknown method: err = %v, want ErrUnknownMethod", err)
 	}
 }
 
@@ -147,11 +139,11 @@ func TestMetricsFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	papers, reviewers := randomProblem(rng, 8, 6, 5)
 	in := NewInstance(papers, reviewers, 2, 0)
-	good, err := Assign(in, AssignOptions{Method: MethodSDGA})
+	good, err := solve(context.Background(), in, WithMethod(MethodSDGA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad, err := Assign(in, AssignOptions{Method: MethodStableMatching})
+	bad, err := solve(context.Background(), in, WithMethod(MethodStableMatching))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +214,7 @@ func TestNoMethodAssignsConflictedReviewer(t *testing.T) {
 				t.Fatal("test instance has no conflicts; raise conflictFrac")
 			}
 			for _, m := range Methods() {
-				res, err := Assign(in, AssignOptions{Method: m, Omega: 3})
+				res, err := solve(context.Background(), in, WithMethod(m), WithOmega(3))
 				if err != nil {
 					t.Fatalf("%s: %v", m, err)
 				}
@@ -242,7 +234,8 @@ func TestNoMethodAssignsConflictedReviewer(t *testing.T) {
 }
 
 // TestAssignContextCancellation: a pre-cancelled context aborts every
-// construction method with context.Canceled.
+// construction method with context.Canceled, while the anytime refinement of
+// MethodSDGASRA stops at a deadline and keeps a valid assignment.
 func TestAssignContextCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	papers, reviewers := randomProblem(rng, 12, 8, 6)
@@ -250,41 +243,16 @@ func TestAssignContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, m := range []Method{MethodSDGA, MethodGreedy, MethodBRGG, MethodStableMatching, MethodPairILP} {
-		if _, err := AssignContext(ctx, in, AssignOptions{Method: m}); !errors.Is(err, context.Canceled) {
+		if _, err := solve(ctx, in, WithMethod(m)); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", m, err)
 		}
-	}
-}
-
-// TestRefineContextAnytime: refinement under an already-expired deadline
-// still returns a valid assignment no worse than its input (anytime
-// semantics), and the RefinementBudget path remains equivalent.
-func TestRefineContextAnytime(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	papers, reviewers := randomProblem(rng, 10, 6, 5)
-	in := NewInstance(papers, reviewers, 2, 0)
-	base, err := Assign(in, AssignOptions{Method: MethodGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	refined, err := RefineContext(ctx, in, base.Assignment, AssignOptions{Omega: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.ValidateAssignment(refined); err != nil {
-		t.Fatal(err)
-	}
-	if in.AssignmentScore(refined) < base.Score-1e-9 {
-		t.Fatal("cancelled refinement returned a worse assignment")
 	}
 	// SDGA-SRA under a deadline: refinement stops at the deadline and the
 	// result is still valid. (On a heavily loaded runner the deadline can
 	// expire during construction, which legitimately errors — accept that.)
 	dctx, dcancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer dcancel()
-	res, err := AssignContext(dctx, in, AssignOptions{Method: MethodSDGASRA, Omega: 1000, Seed: 7})
+	res, err := solve(dctx, in, WithMethod(MethodSDGASRA), WithOmega(1000), WithSeed(7))
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
 			t.Skip("deadline expired during construction; anytime path not reached")
@@ -293,42 +261,5 @@ func TestRefineContextAnytime(t *testing.T) {
 	}
 	if err := in.ValidateAssignment(res.Assignment); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestAssignTransportSolverOption runs the flow-based methods with both
-// transportation solvers: assignments must stay valid and the ARAP optimum —
-// solver-independent by construction — must agree to 1e-9.
-func TestAssignTransportSolverOption(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	papers, reviewers := randomProblem(rng, 12, 8, 6)
-	in := NewInstance(papers, reviewers, 3, 0)
-	pairObjective := func(a *Assignment) float64 {
-		s := 0.0
-		for p := range a.Groups {
-			for _, r := range a.Groups[p] {
-				s += in.PairScore(r, p)
-			}
-		}
-		return s
-	}
-	for _, m := range []Method{MethodSDGA, MethodPairILP} {
-		var objectives []float64
-		for _, tr := range []TransportSolver{TransportDijkstra, TransportLegacy} {
-			res, err := Assign(in, AssignOptions{Method: m, Transport: tr})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", m, tr, err)
-			}
-			if err := in.ValidateAssignment(res.Assignment); err != nil {
-				t.Fatalf("%s/%v produced an invalid assignment: %v", m, tr, err)
-			}
-			objectives = append(objectives, pairObjective(res.Assignment))
-		}
-		// The ARAP (pair-additive) optimum is solver-independent; coverage
-		// scores may differ across tie-equivalent optima, the pair objective
-		// of MethodPairILP may not.
-		if m == MethodPairILP && math.Abs(objectives[0]-objectives[1]) > 1e-9 {
-			t.Fatalf("%s: solvers disagree: %v vs %v", m, objectives[0], objectives[1])
-		}
 	}
 }
