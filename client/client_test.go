@@ -16,6 +16,7 @@ import (
 	wgrap "repro"
 	"repro/client"
 	"repro/internal/serve"
+	"repro/internal/tenant"
 	"repro/internal/wire"
 )
 
@@ -215,7 +216,7 @@ func TestClientDuality(t *testing.T) {
 	defer mem.Close()
 	memOut := runScript(t, mem)
 
-	reg, err := serve.NewRegistry("")
+	reg, err := tenant.NewRegistry("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestMemDurable(t *testing.T) {
 // every reader overwrites the groups it gets, which the race detector
 // reports if two callers were handed the same slices.
 func TestViewRevalidationConcurrent(t *testing.T) {
-	reg, err := serve.NewRegistry("")
+	reg, err := tenant.NewRegistry("")
 	if err != nil {
 		t.Fatal(err)
 	}

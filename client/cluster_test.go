@@ -15,6 +15,7 @@ import (
 	"repro/client"
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/tenant"
 	"repro/internal/wire"
 )
 
@@ -314,7 +315,7 @@ func TestClusterClientEditReconciliation(t *testing.T) {
 type testClusterNode struct {
 	id     string
 	addr   string
-	reg    *serve.Registry
+	reg    *tenant.Registry
 	member *cluster.Member
 	srv    *http.Server
 	ln     net.Listener
@@ -350,7 +351,7 @@ func startTestCluster(t *testing.T, size int) []*testClusterNode {
 		infos = append(infos, wire.NodeInfo{ID: id, Addr: nodes[i].addr, Alive: true})
 	}
 	for _, n := range nodes {
-		reg, err := serve.NewRegistry(t.TempDir())
+		reg, err := tenant.NewRegistry(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	wgrap "repro"
 	"repro/client"
 	"repro/internal/serve"
+	"repro/internal/tenant"
 	"repro/internal/wire"
 )
 
@@ -39,7 +40,7 @@ type serveConfig struct {
 // loopback TCP round trip, and JSON encoding except where a view read is
 // answered 304 (all views of a cycle but the first).
 func runServe(stdout io.Writer, cfg serveConfig) (map[string]Result, error) {
-	reg, err := serve.NewRegistry("")
+	reg, err := tenant.NewRegistry("")
 	if err != nil {
 		return nil, err
 	}

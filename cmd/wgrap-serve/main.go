@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/serve"
+	"repro/internal/tenant"
 )
 
 func main() {
@@ -108,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 
-	reg, err := serve.NewRegistry(*data)
+	reg, err := tenant.NewRegistry(*data)
 	if err != nil {
 		fmt.Fprintln(stderr, "wgrap-serve:", err)
 		return 1

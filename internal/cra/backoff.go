@@ -22,15 +22,15 @@ import (
 // them one stage at a time — all but the last, then all but the last two,
 // down to none — and tries to fill every active paper's remaining
 // δp − |group| slots with one transportation over the reviewers' remaining
-// workloads, at the marginal gains against the prefix groups (plus bonus,
-// weighted by gainWeight as in ProfitSpec). Pairs already assigned,
-// conflicts and withdrawn papers are excluded. The empty prefix is the whole
-// instance as one transportation, which has a plan whenever the instance is
-// feasible. The first prefix that completes wins.
+// workloads, at the marginal gains against the prefix groups plus bonus
+// (nil for none), as in ProfitSpec. Pairs already assigned, conflicts and
+// withdrawn papers are excluded. The empty prefix is the whole instance as
+// one transportation, which has a plan whenever the instance is feasible.
+// The first prefix that completes wins.
 //
 // withdrawn may be nil (no paper withdrawn); cands, when non-nil, selects
 // the sparse candidate path with its densify escape hatch, as in the stages.
-func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perStage [][]int, withdrawn []bool, cands [][]int32, bonus func(p, r int) float64, gainWeight float64, workers int) *core.Assignment {
+func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perStage [][]int, withdrawn []bool, cands [][]int32, bonus func(p, r int) float64, workers int) *core.Assignment {
 	if ctx.Err() != nil || !errors.Is(stageErr, flow.ErrInfeasible) {
 		return nil
 	}
@@ -78,7 +78,6 @@ func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perSt
 			},
 			ForbiddenValue: flow.Forbidden,
 			Bonus:          bonus,
-			GainWeight:     gainWeight,
 		}
 		var rows [][]int
 		var err error
@@ -91,7 +90,7 @@ func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perSt
 				rows, _, err = tr.SolveSparse(m.Rows(), cands, R, need, rem)
 			}
 		} else if err = eng.FillProfit(ctx, &m, spec); err == nil {
-			rows, _, err = tr.Solve(m.Rows(), need, rem)
+			rows, _, err = tr.SolveDense(m.Rows(), need, rem)
 		}
 		if err == nil {
 			for p, cols := range rows {

@@ -54,7 +54,7 @@ func allAlgorithms() []Algorithm {
 	return []Algorithm{
 		StableMatching{},
 		PairILP{},
-		PairILP{ViaILP: true},
+		exactPairILP{},
 		Greedy{},
 		Greedy{Naive: true},
 		BRGG{},

@@ -12,29 +12,18 @@ import (
 // than δp reviewers, by solving one transportation problem over the open
 // slots: every under-filled paper demands its missing reviewers, reviewers
 // offer their remaining capacity, and the total marginal gain is maximised.
-// The profit matrix is built in parallel by the gain oracle into m (reused
-// across calls, e.g. across SRA rounds), and the transportation solve runs
-// through tr so its flat buffers are also reused (nil = a one-shot solver).
-// Papers outside the active mask (nil = all) demand nothing and stay
-// untouched. It returns, per paper, the reviewers that were added (empty for
-// papers that needed none); it is a no-op for complete assignments.
-func fillMissingSlots(ctx context.Context, eng *engine.Oracle, a *core.Assignment, rem []int, m *engine.Matrix, tr *flow.Transport, active []bool) ([][]int, error) {
+// It is a no-op for complete assignments.
+func fillMissingSlots(ctx context.Context, eng *engine.Oracle, a *core.Assignment, rem []int) error {
 	in := eng.Instance()
 	P := in.NumPapers()
 	need := make([]int, P)
 	total := 0
 	for p := 0; p < P; p++ {
-		if active != nil && !active[p] {
-			continue
-		}
-		need[p] = in.GroupSize - len(a.Groups[p])
-		if need[p] < 0 {
-			need[p] = 0
-		}
+		need[p] = max(in.GroupSize-len(a.Groups[p]), 0)
 		total += need[p]
 	}
 	if total == 0 {
-		return make([][]int, P), nil
+		return nil
 	}
 	groupVecs := make([]core.Vector, P)
 	for p := 0; p < P; p++ {
@@ -47,15 +36,13 @@ func fillMissingSlots(ctx context.Context, eng *engine.Oracle, a *core.Assignmen
 		},
 		ForbiddenValue: flow.Forbidden,
 	}
-	if err := eng.FillProfit(ctx, m, spec); err != nil {
-		return nil, err
+	var m engine.Matrix
+	if err := eng.FillProfit(ctx, &m, spec); err != nil {
+		return err
 	}
-	if tr == nil {
-		tr = flow.NewTransport()
-	}
-	rows, _, err := tr.Solve(m.Rows(), need, rem)
+	rows, _, err := flow.MaxProfitTransport(m.Rows(), need, rem)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for p, cols := range rows {
 		for _, r := range cols {
@@ -63,7 +50,7 @@ func fillMissingSlots(ctx context.Context, eng *engine.Oracle, a *core.Assignmen
 			rem[r]--
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // completeAssignment fills every open slot of a partial assignment. It first
@@ -73,8 +60,7 @@ func fillMissingSlots(ctx context.Context, eng *engine.Oracle, a *core.Assignmen
 // swap-based repair: move a loaded reviewer from another paper to the stuck
 // one and backfill the donor paper with a reviewer that still has capacity.
 func completeAssignment(ctx context.Context, eng *engine.Oracle, a *core.Assignment, rem []int) error {
-	var m engine.Matrix
-	_, err := fillMissingSlots(ctx, eng, a, rem, &m, nil, nil)
+	err := fillMissingSlots(ctx, eng, a, rem)
 	if err == nil {
 		return nil
 	}

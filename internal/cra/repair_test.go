@@ -99,8 +99,7 @@ func TestFillMissingSlotsNoOpOnCompleteAssignment(t *testing.T) {
 	full.Assign(1, 2)
 	rem := []int{1, 0, 0}
 	before := full.Clone()
-	var m engine.Matrix
-	if _, err := fillMissingSlots(context.Background(), engine.New(in), full, rem, &m, nil, nil); err != nil {
+	if err := fillMissingSlots(context.Background(), engine.New(in), full, rem); err != nil {
 		t.Fatal(err)
 	}
 	for p := range before.Groups {

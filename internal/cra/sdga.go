@@ -16,9 +16,10 @@ import (
 //
 // Each call is a cold Solve of a throwaway Session over a clone of the
 // instance, so SDGA runs the session's stage loop: the fused gain oracle of
-// internal/engine fills each stage's profit matrix in parallel, and each
-// stage is one transportation solve. The session's tie-break (see tieBreak)
-// makes every stage optimum unique, so SDGA returns exactly the assignment a
+// internal/engine fills each stage's profit matrix with the marginal gains
+// in parallel, and each stage is one transportation solve. The only term
+// added to a gain is the session's tie-break (see tieBreak), which makes
+// every stage optimum unique, so SDGA returns exactly the assignment a
 // session solve of the same instance returns.
 type SDGA struct {
 	// Shards bounds the goroutines the stage transport uses to load and seed
@@ -28,15 +29,6 @@ type SDGA struct {
 	// passes write disjoint per-paper state; everything order-sensitive stays
 	// serial), so sharding is on by default.
 	Shards int
-	// PairBonus optionally adds a modular per-pair term to the marginal gain
-	// used by every stage (e.g. reviewer bids, see internal/bids). A modular
-	// bonus keeps the overall objective submodular, so the approximation
-	// guarantee is preserved for the blended objective. Called concurrently
-	// during the matrix build; it must be safe for concurrent use.
-	PairBonus func(r, p int) float64
-	// GainWeight scales the coverage part of the marginal gain when a
-	// PairBonus is supplied (0 means 1, i.e. plain coverage).
-	GainWeight float64
 	// CandidateCap, when positive, restricts every stage to the top-k
 	// candidate reviewers per paper (by approximate coverage score, via the
 	// inverted topic index), making the matrix build and each stage solve
@@ -61,12 +53,7 @@ func (s SDGA) AssignContext(ctx context.Context, instance *core.Instance) (*core
 	if err != nil {
 		return nil, err
 	}
-	cfg := SessionConfig{Shards: s.Shards, CandidateCap: s.CandidateCap}
-	if s.PairBonus != nil {
-		cfg.Bonus = func(p, r int) float64 { return s.PairBonus(r, p) }
-		cfg.GainWeight = s.GainWeight
-	}
-	sess, err := NewSession(in.Clone(), cfg)
+	sess, err := NewSession(in.Clone(), SessionConfig{Shards: s.Shards, CandidateCap: s.CandidateCap})
 	if err != nil {
 		return nil, err
 	}

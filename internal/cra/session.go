@@ -17,7 +17,8 @@ import (
 // assignment can exist for it.
 var ErrConflictSaturated = errors.New("cra: conflicts leave a paper with fewer candidates than the group size")
 
-// SessionConfig configures a long-lived solver session.
+// SessionConfig configures a long-lived solver session. Every stage's profit
+// cell is the marginal gain of Definition 9 plus the session's tieBreak.
 type SessionConfig struct {
 	// Refine runs the stochastic refinement after SDGA (the paper's SDGA-SRA
 	// pipeline). Off = construction only.
@@ -37,14 +38,6 @@ type SessionConfig struct {
 	// session edit except reviewer additions (a structural rebuild
 	// recomputes them). 0 keeps the exact dense path.
 	CandidateCap int
-	// Bonus optionally adds a modular per-pair term to every stage's
-	// marginal gain of adding reviewer r to paper p (see SDGA.PairBonus); the
-	// session's tieBreak is added on top. Called concurrently during the
-	// matrix builds; it must be safe for concurrent use.
-	Bonus func(p, r int) float64
-	// GainWeight scales the coverage part of every stage gain against Bonus
-	// (0 means 1, i.e. plain coverage).
-	GainWeight float64
 	// OnConstruct, when set, receives a private copy of the construction
 	// (SDGA) assignment before refinement starts.
 	OnConstruct func(a *core.Assignment)
@@ -76,9 +69,6 @@ type Session struct {
 	in  *core.Instance // owned by the session
 	eng *engine.Oracle
 	cfg SessionConfig
-	// bonus is the per-pair term of every stage's profit cells: tieBreak,
-	// plus cfg.Bonus when one is configured.
-	bonus func(p, r int) float64
 
 	withdrawn []bool
 	activeN   int
@@ -138,10 +128,6 @@ func NewSession(in *core.Instance, cfg SessionConfig) (*Session, error) {
 		dirty:      make(map[int]struct{}),
 		structural: true,
 		version:    in.Version(),
-		bonus:      tieBreak,
-	}
-	if b := cfg.Bonus; b != nil {
-		s.bonus = func(p, r int) float64 { return b(p, r) + tieBreak(p, r) }
 	}
 	// Conflict saturation is not part of core.Validate (it is a solver-level
 	// concern): detect it here so sessions fail with a typed error up front
@@ -406,7 +392,7 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 			for k := range perStage {
 				perStage[k] = s.stages[k].perPaper
 			}
-			if b := stageBackOff(ctx, err, s.eng, perStage, s.withdrawn, s.cands, s.bonus, s.cfg.GainWeight, workers); b != nil {
+			if b := stageBackOff(ctx, err, s.eng, perStage, s.withdrawn, s.cands, tieBreak, workers); b != nil {
 				a, err, backedOff = b, nil, true
 			}
 		}
@@ -472,8 +458,7 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 			return s.withdrawn[p] || a.Contains(p, r) || in.IsConflict(r, p)
 		},
 		ForbiddenValue: flow.Forbidden,
-		Bonus:          s.bonus,
-		GainWeight:     s.cfg.GainWeight,
+		Bonus:          tieBreak,
 	}
 
 	if s.cands != nil {

@@ -124,7 +124,8 @@ func deferredAcceptance(ctx context.Context, eng *engine.Oracle) (*core.Assignme
 
 // BlockingPairs returns the reviewer-paper pairs that would both prefer each
 // other over someone they are currently matched with; a stable matching has
-// none. Exported for tests and for the examples that explain the SM baseline.
+// none. Only the package tests call it: it checks the stable-matching phase
+// of the SM baseline.
 func BlockingPairs(in *core.Instance, a *core.Assignment) []core.Conflict {
 	var out []core.Conflict
 	loads := a.ReviewerLoads(in.NumReviewers())

@@ -71,7 +71,7 @@ func TestPairILPTransportSolversAgree(t *testing.T) {
 		objectives := make([]float64, 0, 2)
 		for _, alg := range []Algorithm{
 			PairILP{},
-			PairILP{ViaILP: true},
+			exactPairILP{},
 		} {
 			a, err := alg.Assign(in)
 			if err != nil {

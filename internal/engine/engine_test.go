@@ -161,7 +161,6 @@ func TestFillProfitParity(t *testing.T) {
 			Forbidden:      func(p, r int) bool { return in.IsConflict(r, p) },
 			ForbiddenValue: forbidden,
 			Bonus:          bonus,
-			GainWeight:     2,
 		}
 		if err := o.FillProfit(context.Background(), &m, spec); err != nil {
 			t.Fatal(err)
@@ -170,7 +169,7 @@ func TestFillProfitParity(t *testing.T) {
 			for r := 0; r < in.NumReviewers(); r++ {
 				want := forbidden
 				if !in.IsConflict(r, p) {
-					want = 2*in.GainWithVector(p, groupVecs[p], r) + bonus(p, r)
+					want = in.GainWithVector(p, groupVecs[p], r) + bonus(p, r)
 				}
 				if math.Abs(m.At(p, r)-want) > 1e-12 {
 					t.Fatalf("trial %d: cell (%d,%d) = %g, want %g", trial, p, r, m.At(p, r), want)

@@ -128,7 +128,7 @@ func (j *fillJob) weightedRow(sc *rowScratch, row []float64, p int, cand []int32
 			gain = row[i] / den
 		}
 		if spec.Bonus != nil {
-			gain = j.w*gain + spec.Bonus(p, r)
+			gain += spec.Bonus(p, r)
 		}
 		row[i] = gain
 	}

@@ -64,14 +64,14 @@ func kernelGroupVecs(rng *rand.Rand, in *core.Instance) []core.Vector {
 }
 
 // kernelSpecs lists the profit specs of the kernel tests: gains and pair
-// scores, each plain and with forbidden cells plus a weighted bonus.
+// scores, each plain and with forbidden cells plus a bonus.
 func kernelSpecs(rng *rand.Rand, in *core.Instance) map[string]ProfitSpec {
 	gv := kernelGroupVecs(rng, in)
 	forbidden := func(p, r int) bool { return (p*7+r*3)%5 == 0 || in.IsConflict(r, p) }
 	bonus := func(p, r int) float64 { return 1e-3 * float64((p*31+r*17)%11) }
 	return map[string]ProfitSpec{
 		"gain":              {GroupVecs: gv},
-		"gain-forbid-bonus": {GroupVecs: gv, Forbidden: forbidden, ForbiddenValue: -1e18, Bonus: bonus, GainWeight: 0.7},
+		"gain-forbid-bonus": {GroupVecs: gv, Forbidden: forbidden, ForbiddenValue: -1e18, Bonus: bonus},
 		"pair":              {},
 		"pair-forbid-bonus": {Forbidden: forbidden, ForbiddenValue: math.Inf(-1), Bonus: bonus},
 	}
@@ -83,11 +83,7 @@ func refCell(o *Oracle, spec ProfitSpec, p, r int) float64 {
 	if spec.GroupVecs != nil {
 		gv = spec.GroupVecs[p]
 	}
-	w := spec.GainWeight
-	if w == 0 {
-		w = 1
-	}
-	return o.profitCell(p, r, gv, &spec, w)
+	return o.profitCell(p, r, gv, &spec)
 }
 
 // differ reports whether got and want differ in any bit.

@@ -118,12 +118,9 @@ type ProfitSpec struct {
 	// ForbiddenValue is the sentinel stored in forbidden cells (callers pass
 	// the marker their downstream solver expects, e.g. flow.Forbidden).
 	ForbiddenValue float64
-	// Bonus optionally adds a modular per-pair term to the gain (e.g.
-	// reviewer bids). When set, the cell is GainWeight·gain + Bonus(p, r).
+	// Bonus optionally adds a modular per-pair term to the gain (the
+	// session's stage tie-break). When set, the cell is gain + Bonus(p, r).
 	Bonus func(p, r int) float64
-	// GainWeight scales the coverage gain when a Bonus is supplied
-	// (0 means 1, i.e. plain coverage).
-	GainWeight float64
 }
 
 // fillRowBlock is the number of rows one fill unit covers: the worker pool
@@ -134,8 +131,8 @@ const fillRowBlock = 64
 // It is the fill path of the reviewer-coverage, paper-coverage, dot-product
 // and custom scores, and the reference the weighted-coverage row kernel
 // (weightedRow) is tested against bit for bit. gv is the paper's group
-// vector (nil for pair scores), w the resolved gain weight.
-func (o *Oracle) profitCell(p, r int, gv core.Vector, spec *ProfitSpec, w float64) float64 {
+// vector (nil for pair scores).
+func (o *Oracle) profitCell(p, r int, gv core.Vector, spec *ProfitSpec) float64 {
 	if spec.Forbidden != nil && spec.Forbidden(p, r) {
 		return spec.ForbiddenValue
 	}
@@ -146,7 +143,7 @@ func (o *Oracle) profitCell(p, r int, gv core.Vector, spec *ProfitSpec, w float6
 		gain = o.Gain(p, gv, r)
 	}
 	if spec.Bonus != nil {
-		gain = w*gain + spec.Bonus(p, r)
+		gain += spec.Bonus(p, r)
 	}
 	return gain
 }
@@ -159,7 +156,6 @@ type fillJob struct {
 	ctx  context.Context
 	m    *Matrix
 	spec ProfitSpec
-	w    float64
 	pn   *topicPanel // nil unless the score is weighted coverage
 	// rows lists the rows of a FillProfitRows refill; nil for full fills,
 	// whose units are blocks of fillRowBlock rows.
@@ -169,15 +165,10 @@ type fillJob struct {
 	wg    sync.WaitGroup
 }
 
-// newJob draws a job from the pool and resolves spec's gain weight and the
-// reviewer panel for it.
+// newJob draws a job from the pool and resolves the reviewer panel for it.
 func (o *Oracle) newJob(ctx context.Context, m *Matrix, spec *ProfitSpec, rows []int, units int) *fillJob {
 	j := o.jobPool.Get().(*fillJob)
 	j.o, j.ctx, j.m, j.spec, j.rows, j.units = o, ctx, m, *spec, rows, units
-	j.w = spec.GainWeight
-	if j.w == 0 {
-		j.w = 1
-	}
 	j.pn = nil
 	if o.kind == kindWeighted {
 		j.pn = o.panelFor()
@@ -206,12 +197,12 @@ func (j *fillJob) fillRow(sc *rowScratch, row []float64, p int, cand []int32) {
 	}
 	if cand != nil {
 		for x, r := range cand {
-			row[x] = j.o.profitCell(p, int(r), gv, &j.spec, j.w)
+			row[x] = j.o.profitCell(p, int(r), gv, &j.spec)
 		}
 		return
 	}
 	for i := range row {
-		row[i] = j.o.profitCell(p, i, gv, &j.spec, j.w)
+		row[i] = j.o.profitCell(p, i, gv, &j.spec)
 	}
 }
 

@@ -45,7 +45,7 @@ func BenchmarkTransportSolve(b *testing.B) {
 		b.ReportAllocs()
 		var tr Transport
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.Solve(profit, need, caps); err != nil {
+			if _, _, err := tr.SolveDense(profit, need, caps); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -87,7 +87,7 @@ func BenchmarkTransportStageSequencePaperScale(b *testing.B) {
 		totals := make([]float64, stages)
 		var tr Transport
 		for s := 0; s < stages; s++ {
-			_, total, err := tr.Solve(profits[s], need, caps)
+			_, total, err := tr.SolveDense(profits[s], need, caps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func BenchmarkTransportStageSequencePaperScale(b *testing.B) {
 		totals := make([]float64, stages)
 		tr := Transport{Workers: runtime.GOMAXPROCS(0)}
 		for s := 0; s < stages; s++ {
-			_, total, err := tr.Solve(profits[s], need, caps)
+			_, total, err := tr.SolveDense(profits[s], need, caps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func BenchmarkTransportResolve(b *testing.B) {
 		b.ReportAllocs()
 		var tr Transport
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.Solve(profit, need, tight); err != nil {
+			if _, _, err := tr.SolveDense(profit, need, tight); err != nil {
 				b.Fatal(err)
 			}
 			if _, _, err := tr.Resolve(relaxed); err != nil {
@@ -182,11 +182,11 @@ func BenchmarkTransportResolve(b *testing.B) {
 		b.ReportAllocs()
 		var tr Transport
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.Solve(profit, need, tight); err != nil {
+			if _, _, err := tr.SolveDense(profit, need, tight); err != nil {
 				b.Fatal(err)
 			}
 			var fresh Transport
-			if _, _, err := fresh.Solve(profit, need, relaxed); err != nil {
+			if _, _, err := fresh.SolveDense(profit, need, relaxed); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -209,7 +209,7 @@ func TestNegativeColumnCapacityRejected(t *testing.T) {
 		}
 	}
 	var tr Transport
-	if _, _, err := tr.Solve(profit, []int{1}, []int{1, 1}); err != nil {
+	if _, _, err := tr.SolveDense(profit, []int{1}, []int{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := tr.Resolve([]int{1, -1}); err == nil || err == ErrInfeasible {
@@ -233,7 +233,7 @@ func TestResolveMatchesFreshSolve(t *testing.T) {
 		m := 1 + rng.Intn(6)
 		profit, need, caps := randomInstance(rng, n, m, 2, 2, 0.15)
 		var tr Transport
-		_, _, err := tr.Solve(profit, need, caps)
+		_, _, err := tr.SolveDense(profit, need, caps)
 		if err != nil && err != ErrInfeasible {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestResolveAfterInfeasibleSolve(t *testing.T) {
 		{0.7, 0.2},
 	}
 	var tr Transport
-	if _, _, err := tr.Solve(profit, []int{1, 1, 1}, []int{1, 1}); err != ErrInfeasible {
+	if _, _, err := tr.SolveDense(profit, []int{1, 1, 1}, []int{1, 1}); err != ErrInfeasible {
 		t.Fatalf("tight caps err = %v, want ErrInfeasible", err)
 	}
 	rows, total, err := tr.Resolve([]int{2, 1})
@@ -304,7 +304,7 @@ func TestWarmStartAcrossStages(t *testing.T) {
 				}
 			}
 		}
-		warmRows, warmTotal, warmErr := tr.Solve(profit, need, caps)
+		warmRows, warmTotal, warmErr := tr.SolveDense(profit, need, caps)
 		freshRows, freshTotal, freshErr := MaxProfitTransport(profit, need, caps)
 		if (warmErr == nil) != (freshErr == nil) {
 			t.Fatalf("stage %d: warm err=%v, fresh err=%v", stage, warmErr, freshErr)
@@ -332,7 +332,7 @@ func TestTransportStageSequenceMatchesSPFA(t *testing.T) {
 	var tr Transport
 	for s := 0; s < stages; s++ {
 		profit := benchProfit(rng, P, R)
-		_, got, err := tr.Solve(profit, need, caps)
+		_, got, err := tr.SolveDense(profit, need, caps)
 		if err != nil {
 			t.Fatalf("stage %d: %v", s, err)
 		}
@@ -355,7 +355,7 @@ func TestTransportReuseAcrossShapes(t *testing.T) {
 		n := 1 + rng.Intn(6)
 		m := 1 + rng.Intn(7)
 		profit, need, caps := randomInstance(rng, n, m, 2, 2, 0.2)
-		rows, total, err := tr.Solve(profit, need, caps)
+		rows, total, err := tr.SolveDense(profit, need, caps)
 		fRows, fTotal, fErr := legacyMaxProfitTransport(profit, need, caps)
 		if (err == nil) != (fErr == nil) {
 			t.Fatalf("trial %d: err=%v legacy=%v", trial, err, fErr)
@@ -383,10 +383,10 @@ func TestShardedLoadDeterminism(t *testing.T) {
 		m := 600 + rng.Intn(200)
 		profit, need, caps := randomInstance(rng, n, m, 1, 1, 0.05)
 		serial := Transport{Workers: 1}
-		sRows, sTotal, sErr := serial.Solve(profit, need, caps)
+		sRows, sTotal, sErr := serial.SolveDense(profit, need, caps)
 		for _, workers := range []int{2, 4, 7} {
 			sharded := Transport{Workers: workers}
-			pRows, pTotal, pErr := sharded.Solve(profit, need, caps)
+			pRows, pTotal, pErr := sharded.SolveDense(profit, need, caps)
 			if (sErr == nil) != (pErr == nil) {
 				t.Fatalf("trial %d workers %d: err=%v vs serial err=%v", trial, workers, pErr, sErr)
 			}

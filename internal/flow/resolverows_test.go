@@ -6,35 +6,52 @@ import (
 	"testing"
 )
 
-// TestSolveDenseMatchesSolve: the dense CSR (Forbidden cells kept at +Inf
-// cost) must produce the same objective as the sparse Solve on instances
-// with conflicts, spare capacity and zero-capacity columns.
-func TestSolveDenseMatchesSolve(t *testing.T) {
+// TestSolveDenseMatchesSPFA: the dense CSR keeps every cell, Forbidden ones
+// at +Inf cost, and must match the SPFA reference on instances with
+// conflicts, spare capacity, zero-capacity columns and zero-demand rows whose
+// every cell is Forbidden — the rows fillMissingSlots and stageBackOff load
+// for papers that need nothing.
+func TestSolveDenseMatchesSPFA(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 25; trial++ {
+	feasible, idle := 0, 0
+	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(12)
 		m := n + rng.Intn(12)
 		profit := benchProfit(rng, n, m)
 		need := make([]int, n)
 		for i := range need {
 			need[i] = 1 + rng.Intn(2)
+			if rng.Intn(4) == 0 {
+				need[i] = 0
+				for j := range profit[i] {
+					profit[i][j] = Forbidden
+				}
+				idle++
+			}
 		}
 		caps := make([]int, m)
 		for j := range caps {
 			caps[j] = rng.Intn(3)
 		}
-		var sparse, dense Transport
-		_, so, serr := sparse.Solve(profit, need, caps)
-		_, do, derr := dense.SolveDense(profit, need, caps)
-		if (serr == nil) != (derr == nil) {
-			t.Fatalf("trial %d: feasibility disagrees: sparse=%v dense=%v", trial, serr, derr)
+		var tr Transport
+		rows, got, err := tr.SolveDense(profit, need, caps)
+		_, want, lErr := legacyMaxProfitTransport(profit, need, caps)
+		if err != lErr {
+			t.Fatalf("trial %d: feasibility disagrees: dense=%v spfa=%v", trial, err, lErr)
 		}
-		if serr != nil {
+		if err != nil {
 			continue
 		}
-		if math.Abs(so-do) > 1e-9 {
-			t.Fatalf("trial %d: objective mismatch: sparse=%v dense=%v", trial, so, do)
+		feasible++
+		if sum := checkFeasible(t, profit, need, caps, rows); math.Abs(sum-got) > 1e-9 {
+			t.Fatalf("trial %d: dense reported %v but its plan sums to %v", trial, got, sum)
 		}
+		if math.Abs(got-want) > 1e-9 {
+			t.Fatalf("trial %d: objective mismatch: dense=%v spfa=%v", trial, got, want)
+		}
+	}
+	if feasible == 0 || idle == 0 {
+		t.Fatalf("draws untested: %d feasible, %d zero-demand rows", feasible, idle)
 	}
 }
 
@@ -53,7 +70,7 @@ func TestResolveRowsParity(t *testing.T) {
 		t.Fatal(err)
 	} else {
 		var fresh Transport
-		_, coldObj, err := fresh.Solve(profit, need, caps)
+		_, coldObj, err := fresh.SolveDense(profit, need, caps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +112,7 @@ func TestResolveRowsParity(t *testing.T) {
 			t.Fatalf("trial %d: warm resolve: %v", trial, err)
 		}
 		var fresh Transport
-		_, coldObj, err := fresh.Solve(profit, need, caps)
+		_, coldObj, err := fresh.SolveDense(profit, need, caps)
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
@@ -133,7 +150,7 @@ func TestResolveRowsPlanMatchesColdPlan(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		var fresh Transport
-		coldRows, _, err := fresh.Solve(profit, need, caps)
+		coldRows, _, err := fresh.SolveDense(profit, need, caps)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -271,13 +288,6 @@ func TestResolveRowsErrors(t *testing.T) {
 	var unsolved Transport
 	if _, _, err := unsolved.ResolveRows(profit, nil, need, caps); err == nil {
 		t.Fatal("ResolveRows before Solve accepted")
-	}
-	var sparse Transport
-	if _, _, err := sparse.Solve(profit, need, caps); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sparse.ResolveRows(profit, nil, need, caps); err == nil {
-		t.Fatal("ResolveRows after sparse Solve accepted")
 	}
 	var dense Transport
 	if _, _, err := dense.SolveDense(profit, need, caps); err != nil {

@@ -70,7 +70,7 @@ func TestSolveSparseAllColumnsMatchesSolve(t *testing.T) {
 		profit, need, caps := randomInstance(rng, 3+rng.Intn(5), 3+rng.Intn(5), 2, 2, 0.2)
 		vals, cols := sparseFromDense(rng, profit, len(profit[0]))
 		var dense, sparse Transport
-		dRows, dTotal, dErr := dense.Solve(profit, need, caps)
+		dRows, dTotal, dErr := dense.SolveDense(profit, need, caps)
 		sRows, sTotal, sErr := sparse.SolveSparse(vals, cols, len(profit[0]), need, caps)
 		if (dErr == nil) != (sErr == nil) {
 			t.Fatalf("trial %d: dense err=%v sparse err=%v", trial, dErr, sErr)
@@ -104,7 +104,7 @@ func TestSolveSparseSubsetMatchesMaskedDense(t *testing.T) {
 
 		var sp, dn, full Transport
 		sRows, sTotal, sErr := sp.SolveSparse(vals, cols, m, need, caps)
-		_, mTotal, mErr := dn.Solve(masked, need, caps)
+		_, mTotal, mErr := dn.SolveDense(masked, need, caps)
 		if (sErr == nil) != (mErr == nil) {
 			t.Fatalf("trial %d: sparse err=%v masked dense err=%v", trial, sErr, mErr)
 		}
@@ -118,7 +118,7 @@ func TestSolveSparseSubsetMatchesMaskedDense(t *testing.T) {
 		if got := checkFeasible(t, masked, need, caps, sRows); math.Abs(got-sTotal) > 1e-9 {
 			t.Fatalf("trial %d: sparse reported %v but plan sums to %v", trial, sTotal, got)
 		}
-		if _, fTotal, fErr := full.Solve(profit, need, caps); fErr == nil && sTotal > fTotal+1e-9 {
+		if _, fTotal, fErr := full.SolveDense(profit, need, caps); fErr == nil && sTotal > fTotal+1e-9 {
 			t.Fatalf("trial %d: sparse %v beats dense optimum %v", trial, sTotal, fTotal)
 		}
 	}
@@ -399,7 +399,7 @@ func FuzzSolveSparseFeasible(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		profit, need, caps, vals, cols := sparseFeasibilityInstance(seed)
 		var dense, sparse Transport
-		_, dTotal, dErr := dense.Solve(profit, need, caps)
+		_, dTotal, dErr := dense.SolveDense(profit, need, caps)
 		sparse.DenseRow = func(i int, buf []float64) []float64 {
 			copy(buf, profit[i])
 			return buf

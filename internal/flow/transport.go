@@ -8,15 +8,17 @@
 //     pair-additive objective makes the relaxation integral, so min-cost flow
 //     yields the exact optimum.
 //
-// The solver is Transport: costs are reduced to non-negative with
-// Johnson-style node potentials, each phase runs one heap-frontier Dijkstra
-// over the CSR-stored bipartite residual graph and augments along every
-// tight path it exposes (many units per search), and Resolve/ResolveRows
-// warm-start from the potentials and residual flow of the previous solve
-// (SDGA's stage-capacity fallback and the session's warm re-solves). The
-// original generic min-cost max-flow solver (successive shortest paths with
-// SPFA, one search per unit of flow) lives on in the package tests as the
-// parity reference.
+// The solver is Transport. An instance is loaded in one of two CSR layouts:
+// dense (SolveDense, every cell of the profit matrix) or candidate rows
+// (SolveSparse, one cell per candidate column). Costs are reduced to
+// non-negative with Johnson-style node potentials, each phase runs one
+// heap-frontier Dijkstra over the CSR-stored bipartite residual graph and
+// augments along every tight path it exposes (many units per search), and
+// Resolve/ResolveRows warm-start from the potentials and residual flow of the
+// previous solve (SDGA's stage-capacity fallback and the session's warm
+// re-solves). The original generic min-cost max-flow solver (successive
+// shortest paths with SPFA, one search per unit of flow) lives on in the
+// package tests as the parity reference.
 package flow
 
 import (
@@ -77,7 +79,7 @@ func validateTransport(profit [][]float64, rowNeed, colCap []int) error {
 // instead.
 func MaxProfitTransport(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
 	var t Transport
-	return t.Solve(profit, rowNeed, colCap)
+	return t.SolveDense(profit, rowNeed, colCap)
 }
 
 // tightEps is the tolerance under which a residual reduced cost counts as
@@ -124,12 +126,12 @@ type pathStep struct {
 // setting Workers > 1 only shards the internal instance-load passes, the
 // external contract is unchanged.
 type Transport struct {
-	// Workers bounds the goroutines used by Solve/SolveDense to load the
-	// instance (CSR build, cold duals, seed candidates) sharded across rows.
-	// 0 or 1 means serial. The solved plan and objective are identical for
-	// every value: the parallel passes write disjoint per-row state computed
-	// from immutable inputs, and the claim order that consumes them stays
-	// serial in row order.
+	// Workers bounds the goroutines used by SolveDense/SolveSparse to load
+	// the instance (CSR build, cold duals, seed candidates) sharded across
+	// rows. 0 or 1 means serial. The solved plan and objective are identical
+	// for every value: the parallel passes write disjoint per-row state
+	// computed from immutable inputs, and the claim order that consumes them
+	// stays serial in row order.
 	Workers int
 
 	// DenseRow, when set, supplies the full-width profit row of row i on
@@ -138,25 +140,22 @@ type Transport struct {
 	// saturate (conflicted or at capacity), the solver widens that one row to
 	// full width instead of failing, so candidate pruning can never make a
 	// feasible instance infeasible. The callback must stay consistent with
-	// the last loaded instance until the next SolveSparse/Solve/SolveDense,
+	// the last loaded instance until the next SolveSparse/SolveDense,
 	// and — with Workers > 1 — must be safe to call from multiple goroutines
 	// for distinct rows (the ResolveRows read phase is sharded).
 	DenseRow func(row int, buf []float64) []float64
 
 	n, m int
 
-	// CSR of the usable cells: row i's cells are
-	// colIdx[rowStart[i]:rowStart[i+1]], cost holds the negated profit.
-	// Solve drops Forbidden cells from the CSR; SolveDense keeps every cell
-	// (Forbidden ones carry +Inf cost), making the sparsity pattern
-	// edit-stable so ResolveRows can re-cost any row in place. SolveSparse
-	// keeps one cell per candidate column (Forbidden candidates carry +Inf
-	// cost), so its P×k pattern is edit-stable the same way.
+	// CSR of the loaded cells: row i's cells are
+	// colIdx[rowStart[i]:rowStart[i+1]], cost holds the negated profit, so a
+	// Forbidden (−Inf) cell carries +Inf cost. SolveDense keeps every cell of
+	// the profit matrix, SolveSparse one cell per candidate column; either
+	// pattern is edit-stable, so ResolveRows can re-cost any row in place.
 	rowStart []int32
 	colIdx   []int32
 	cost     []float64
 	assigned []bool
-	dense    bool
 	sparse   bool
 	// rowFull marks sparse rows widened to full width by the densification
 	// escape hatch; their CSR segment covers every column (position == column
@@ -246,7 +245,6 @@ type Transport struct {
 	// cand holds seedCands tight candidate edges per row (-1 padded),
 	// produced by the instance-load pass and consumed once by seed.
 	cand      []int32
-	rowCnt    []int32
 	seedReady bool
 }
 
@@ -273,28 +271,16 @@ type relaxCand struct {
 	e int32
 }
 
-// NewTransport returns an empty reusable solver (equivalent to new(Transport)).
-func NewTransport() *Transport { return &Transport{} }
-
-// Solve loads the instance into the solver's flat buffers and computes an
-// optimal transportation plan, returning the per-row matched columns (sorted)
-// and the total profit. On ErrInfeasible the partial maximum flow is
-// retained, so a following Resolve with enlarged capacities continues from
-// it instead of starting over.
-func (t *Transport) Solve(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
-	return t.solve(profit, rowNeed, colCap, false)
-}
-
-// SolveDense is Solve with a dense CSR: every cell is kept, Forbidden cells
-// with +Inf cost, so the sparsity pattern survives any later per-row profit
-// edit. Sessions use it so ResolveRows can warm-start re-solves after
-// conflict additions, withdrawals or score changes; the solved plan and
-// objective are identical to Solve's (a +Inf-cost edge is never used).
+// SolveDense loads the instance into the solver's flat buffers and computes
+// an optimal transportation plan, returning the per-row matched columns
+// (sorted) and the total profit. The CSR is dense: every cell is kept,
+// Forbidden cells with +Inf cost (a +Inf-cost edge is never used), so the
+// sparsity pattern survives any later per-row profit edit and ResolveRows
+// can warm-start re-solves after conflict additions, withdrawals or score
+// changes. On ErrInfeasible the partial maximum flow is retained, so a
+// following Resolve with enlarged capacities continues from it instead of
+// starting over.
 func (t *Transport) SolveDense(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
-	return t.solve(profit, rowNeed, colCap, true)
-}
-
-func (t *Transport) solve(profit [][]float64, rowNeed, colCap []int, dense bool) ([][]int, float64, error) {
 	if err := validateTransport(profit, rowNeed, colCap); err != nil {
 		return nil, 0, err
 	}
@@ -306,13 +292,35 @@ func (t *Transport) solve(profit [][]float64, rowNeed, colCap []int, dense bool)
 	}
 	m := len(profit[0])
 	t.n, t.m = n, m
-	t.dense = dense
 	t.sparse = false
+	t.rowStart = growInt32(t.rowStart, n+1)
+	for i := 0; i <= n; i++ {
+		t.rowStart[i] = int32(i * m)
+	}
+	t.colIdx = growInt32(t.colIdx, n*m)
+	t.cost = growFloat(t.cost, n*m)
+	shardRows(t.loadWorkers(), n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			base := i * m
+			for j, p := range profit[i] {
+				t.colIdx[base+j] = int32(j)
+				t.cost[base+j] = -p
+			}
+		}
+	})
+	t.load(rowNeed, colCap)
+	if err := t.run(); err != nil {
+		return nil, 0, err
+	}
+	return t.extract()
+}
 
-	t.buildCSR(profit, dense)
+// load resets the solver state of a freshly built CSR: demands, capacities,
+// zero flow and cold duals.
+func (t *Transport) load(rowNeed, colCap []int) {
+	n, m := t.n, t.m
 	t.assigned = growBool(t.assigned, len(t.colIdx))
 	clear(t.assigned)
-
 	t.rowNeed = growInt(t.rowNeed, n)
 	copy(t.rowNeed, rowNeed)
 	t.colCap = growInt(t.colCap, m)
@@ -344,91 +352,6 @@ func (t *Transport) solve(profit [][]float64, rowNeed, colCap []int, dense bool)
 	t.u = growFloat(t.u, n)
 	t.resetDualsForEmptyFlow()
 	t.solved = true
-
-	if err := t.run(); err != nil {
-		return nil, 0, err
-	}
-	return t.extract()
-}
-
-// buildCSR loads the profit matrix into the flat CSR arrays; when Workers > 1
-// the per-row segments are filled by a pool of goroutines (each row's
-// segment is disjoint, so the result is identical to the serial build).
-func (t *Transport) buildCSR(profit [][]float64, dense bool) {
-	n, m := t.n, t.m
-	t.rowStart = growInt32(t.rowStart, n+1)
-	workers := t.loadWorkers()
-	if dense {
-		for i := 0; i <= n; i++ {
-			t.rowStart[i] = int32(i * m)
-		}
-		t.colIdx = growInt32(t.colIdx, n*m)
-		t.cost = growFloat(t.cost, n*m)
-		shardRows(workers, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				base := i * m
-				for j, p := range profit[i] {
-					t.colIdx[base+j] = int32(j)
-					if math.IsInf(p, -1) {
-						t.cost[base+j] = math.Inf(1)
-					} else {
-						t.cost[base+j] = -p
-					}
-				}
-			}
-		})
-		return
-	}
-	if workers <= 1 {
-		t.colIdx = t.colIdx[:0]
-		t.cost = t.cost[:0]
-		t.rowStart[0] = 0
-		for i, row := range profit {
-			for j, p := range row {
-				if math.IsInf(p, -1) {
-					continue
-				}
-				t.colIdx = append(t.colIdx, int32(j))
-				t.cost = append(t.cost, -p)
-			}
-			t.rowStart[i+1] = int32(len(t.colIdx))
-		}
-		return
-	}
-	// Sparse parallel build: count usable cells per row, prefix-sum the row
-	// starts, then fill each row's segment in place.
-	t.rowCnt = growInt32(t.rowCnt, n)
-	shardRows(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := int32(0)
-			for _, p := range profit[i] {
-				if !math.IsInf(p, -1) {
-					c++
-				}
-			}
-			t.rowCnt[i] = c
-		}
-	})
-	t.rowStart[0] = 0
-	for i := 0; i < n; i++ {
-		t.rowStart[i+1] = t.rowStart[i] + t.rowCnt[i]
-	}
-	total := int(t.rowStart[n])
-	t.colIdx = growInt32(t.colIdx, total)
-	t.cost = growFloat(t.cost, total)
-	shardRows(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := t.rowStart[i]
-			for j, p := range profit[i] {
-				if math.IsInf(p, -1) {
-					continue
-				}
-				t.colIdx[e] = int32(j)
-				t.cost[e] = -p
-				e++
-			}
-		}
-	})
 }
 
 // validateTransportSparse checks the preconditions of the sparse-row mode:
@@ -478,40 +401,19 @@ func validateTransportSparse(vals [][]float64, cols [][]int32, m int, rowNeed, c
 // DenseRow callback and retries (see Transport.DenseRow) — with the callback
 // set, SolveSparse is infeasible only when the underlying dense instance is.
 func (t *Transport) SolveSparse(vals [][]float64, cols [][]int32, m int, rowNeed, colCap []int) ([][]int, float64, error) {
-	if err := t.LoadSparse(vals, cols, m, rowNeed, colCap); err != nil {
-		return nil, 0, err
-	}
-	if t.n == 0 {
-		return nil, 0, nil
-	}
-	if err := t.run(); err != nil {
-		return nil, 0, err
-	}
-	return t.extract()
-}
-
-// LoadSparse validates and loads a sparse-row instance into the solver's
-// flat buffers — CSR from the candidate lists (sharded across rows when
-// Workers > 1), capacities, zero flow and cold duals — without running the
-// solve. SolveSparse is LoadSparse followed by the augmentation run;
-// LoadSparse is exposed for callers that stage instance loading separately
-// (and for tests of the construction pass).
-func (t *Transport) LoadSparse(vals [][]float64, cols [][]int32, m int, rowNeed, colCap []int) error {
 	if err := validateTransportSparse(vals, cols, m, rowNeed, colCap); err != nil {
-		return err
+		return nil, 0, err
 	}
 	n := len(vals)
 	if n == 0 {
 		t.n, t.m = 0, 0
 		t.solved = true
-		return nil
+		return nil, 0, nil
 	}
 	t.n, t.m = n, m
-	t.dense = false
 	t.sparse = true
 	t.rowFull = growBool(t.rowFull, n)
 	clear(t.rowFull)
-
 	t.rowStart = growInt32(t.rowStart, n+1)
 	t.rowStart[0] = 0
 	for i := 0; i < n; i++ {
@@ -525,41 +427,15 @@ func (t *Transport) LoadSparse(vals [][]float64, cols [][]int32, m int, rowNeed,
 			base := int(t.rowStart[i])
 			copy(t.colIdx[base:base+len(cols[i])], cols[i])
 			for x, p := range vals[i] {
-				if math.IsInf(p, -1) {
-					t.cost[base+x] = math.Inf(1)
-				} else {
-					t.cost[base+x] = -p
-				}
+				t.cost[base+x] = -p
 			}
 		}
 	})
-	t.assigned = growBool(t.assigned, total)
-	clear(t.assigned)
-
-	t.rowNeed = growInt(t.rowNeed, n)
-	copy(t.rowNeed, rowNeed)
-	t.colCap = growInt(t.colCap, m)
-	copy(t.colCap, colCap)
-	t.rowFlow = growInt(t.rowFlow, n)
-	clear(t.rowFlow)
-	t.deficit = 0
-	for _, need := range rowNeed {
-		t.deficit += need
+	t.load(rowNeed, colCap)
+	if err := t.run(); err != nil {
+		return nil, 0, err
 	}
-	if cap(t.colPairs) < m {
-		t.colPairs = make([][]colArc, m)
-	}
-	t.colPairs = t.colPairs[:m]
-	for j := range t.colPairs {
-		t.colPairs[j] = t.colPairs[j][:0]
-	}
-
-	t.v = growFloat(t.v, m)
-	clear(t.v)
-	t.u = growFloat(t.u, n)
-	t.resetDualsForEmptyFlow()
-	t.solved = true
-	return nil
+	return t.extract()
 }
 
 // loadWorkers returns the effective worker count for the instance-load
@@ -634,15 +510,16 @@ func shardRowsID(workers, n int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// Resolve re-solves the instance of the preceding Solve after a column
-// capacity change, warm-starting from the current residual flow and
-// potentials: columns whose capacity grew simply regain spare slots, columns
-// now over capacity have the surplus units cancelled (the affected rows are
-// fully released and their dual repaired), and only the resulting deficits
-// are re-augmented. Profits and row demands are those of the last Solve.
+// Resolve re-solves the instance of the preceding SolveDense or SolveSparse
+// after a column capacity change, warm-starting from the current residual
+// flow and potentials: columns whose capacity grew simply regain spare
+// slots, columns now over capacity have the surplus units cancelled (the
+// affected rows are fully released and their dual repaired), and only the
+// resulting deficits are re-augmented. Profits and row demands are those of
+// the last solve.
 func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 	if !t.solved {
-		return nil, 0, errors.New("flow: Resolve called before Solve")
+		return nil, 0, errors.New("flow: Resolve called before a solve")
 	}
 	if len(colCap) != t.m {
 		return nil, 0, errors.New("flow: dimension mismatch")
@@ -679,7 +556,7 @@ func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 // repaired, its demand is updated from rowNeed, and column capacities are
 // updated as in Resolve. Only the released units are re-augmented unless the
 // sink-side dual turns infeasible, in which case the flow restarts from cold
-// duals on the kept CSR (still far cheaper than a cold Solve, which would
+// duals on the kept CSR (still far cheaper than a cold solve, which would
 // also rescan every clean row).
 //
 // profit rows are position-aligned with the loaded CSR: the full dense row
@@ -702,10 +579,7 @@ func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 // instance load, so the plan is bit-identical for every worker count.
 func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap []int) ([][]int, float64, error) {
 	if !t.solved {
-		return nil, 0, errors.New("flow: ResolveRows called before Solve")
-	}
-	if !t.dense && !t.sparse {
-		return nil, 0, errors.New("flow: ResolveRows requires SolveDense or SolveSparse")
+		return nil, 0, errors.New("flow: ResolveRows called before a solve")
 	}
 	if len(profit) != t.n || len(rowNeed) != t.n || len(colCap) != t.m {
 		return nil, 0, errors.New("flow: dimension mismatch")
@@ -777,9 +651,6 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 				for x, p := range rowVals {
 					e := base + x
 					nc := -p
-					if math.IsInf(p, -1) {
-						nc = math.Inf(1)
-					}
 					if t.assigned[e] {
 						if nc != t.cost[e] {
 							keep = false
@@ -796,11 +667,7 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 			// Re-cost the row's CSR segment in place; the pattern (one edge
 			// per column / per candidate) is unchanged by construction.
 			for x, p := range rowVals {
-				if math.IsInf(p, -1) {
-					t.cost[base+x] = math.Inf(1)
-				} else {
-					t.cost[base+x] = -p
-				}
+				t.cost[base+x] = -p
 			}
 			t.rrKeep[k] = keep
 			if !keep {
@@ -864,7 +731,7 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 // anything. Only when a flowed column genuinely out-prices a spare one —
 // flow placed elsewhere would profitably reroute into the freed slots —
 // does the flow restart from cold duals (the CSR instance is kept, so no
-// matrix pass is repeated — still far cheaper than a cold Solve).
+// matrix pass is repeated — still far cheaper than a cold solve).
 func (t *Transport) repairSinkDual() {
 	// Edit-sized repairs (a withdrawal, one shrunk column) need zero to a
 	// couple of cycles; a repair that is still not pinnable after several is
@@ -1093,8 +960,8 @@ func (t *Transport) rowDualsAndCands(lo, hi int) {
 	}
 }
 
-// resetFlow discards the placed flow and restarts from cold duals (see
-// solve: spread column duals serialise zero-flow augmentation), keeping the
+// resetFlow discards the placed flow and restarts from cold duals (see load:
+// spread column duals serialise zero-flow augmentation), keeping the
 // CSR instance so no matrix pass is repeated.
 func (t *Transport) resetFlow() {
 	if resetFlowHook != nil {
@@ -1252,7 +1119,7 @@ func (t *Transport) noteReached() {
 // row is already full, it widens the candidate-limited rows their failed
 // searches reached instead: an augmenting path of the dense instance may
 // leave through a column outside such a row's candidates. It reports whether
-// anything was widened — false means densification cannot help (dense mode,
+// anything was widened — false means densification cannot help (a dense load,
 // no callback, or a stuck row whose whole reachable set is full width, which
 // proves the dense instance infeasible) and the caller fails with
 // ErrInfeasible. The flow reset it forces is acceptable because saturated
@@ -1314,11 +1181,7 @@ func (t *Transport) rebuildSparseCSR() {
 			row := t.DenseRow(i, t.denseBuf[:m])
 			for j := 0; j < m; j++ {
 				newIdx[base+j] = int32(j)
-				if p := row[j]; math.IsInf(p, -1) {
-					newCost[base+j] = math.Inf(1)
-				} else {
-					newCost[base+j] = -p
-				}
+				newCost[base+j] = -row[j]
 			}
 			continue
 		}
@@ -1418,7 +1281,7 @@ func (t *Transport) relaxNode(x int32, bd float64) {
 		}
 		c := t.cost[e]
 		if math.IsInf(c, 1) {
-			continue // Forbidden cell of a dense CSR
+			continue // Forbidden cell, kept at +Inf cost
 		}
 		j := t.colIdx[e]
 		y := int32(n) + j
@@ -1474,7 +1337,7 @@ func (t *Transport) relaxScan(wi, w int, x int32, bd, ur float64, lo, hi int32) 
 		}
 		c := t.cost[e]
 		if math.IsInf(c, 1) {
-			continue // Forbidden cell of a dense CSR
+			continue // Forbidden cell, kept at +Inf cost
 		}
 		j := t.colIdx[e]
 		y := int32(n) + j
@@ -1520,7 +1383,7 @@ func (t *Transport) searchWorkers() int {
 func (t *Transport) shortestPathFrom(root int) (jStar int, ok bool) {
 	t.beginPhase()
 	if math.IsInf(t.u[root], -1) {
-		// Every cell of the row is Forbidden (dense mode keeps them at +Inf
+		// Every cell of the row is Forbidden (the CSR keeps them at +Inf
 		// cost), so the sink is unreachable.
 		return -1, false
 	}

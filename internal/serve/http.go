@@ -1,8 +1,9 @@
 // Package serve is the HTTP front of the serving stack: a thin transport
 // over the transport-agnostic tenant core (internal/tenant), which owns the
-// registry, tenant lifecycle and edit/solve semantics. The same core also
-// backs the client package's in-process mem:// backend — the HTTP layer
-// adds only encoding, routing and (when configured) cluster ownership
+// registry, tenant lifecycle and edit/solve semantics. Callers build the
+// registry with tenant.NewRegistry and hand it to Handler. The same core
+// also backs the client package's in-process mem:// backend — the HTTP
+// layer adds only encoding, routing and (when configured) cluster ownership
 // guards, so both fronts expose identical behaviour.
 //
 // With WithCluster the handler becomes one node of a shard-aware cluster
@@ -26,23 +27,6 @@ import (
 	"repro/internal/wire"
 )
 
-// Compatibility aliases: the registry and tenant types moved to
-// internal/tenant when the core was split out of the HTTP layer; existing
-// importers (client/mem.go, cmd/wgrap-serve) keep working unchanged.
-type (
-	Registry = tenant.Registry
-	Tenant   = tenant.Tenant
-)
-
-var (
-	ErrTenantExists   = tenant.ErrTenantExists
-	ErrTenantNotFound = tenant.ErrTenantNotFound
-	ErrBadTenantID    = tenant.ErrBadTenantID
-)
-
-// NewRegistry builds a tenant registry (see tenant.NewRegistry).
-func NewRegistry(dataDir string) (*Registry, error) { return tenant.NewRegistry(dataDir) }
-
 // Option configures the handler.
 type Option func(*handler)
 
@@ -53,7 +37,7 @@ func WithCluster(m *cluster.Member) Option {
 }
 
 type handler struct {
-	reg     *Registry
+	reg     *tenant.Registry
 	cluster *cluster.Member
 }
 
@@ -84,7 +68,7 @@ type handler struct {
 // local (possibly stale-bounded) copy, which is what lets a standby serve
 // reads and answer for tickets it issued. /cluster/map and the journal
 // shipping endpoints are mounted alongside.
-func Handler(reg *Registry, opts ...Option) http.Handler {
+func Handler(reg *tenant.Registry, opts ...Option) http.Handler {
 	h := &handler{reg: reg}
 	for _, o := range opts {
 		o(h)
@@ -97,7 +81,7 @@ func Handler(reg *Registry, opts ...Option) http.Handler {
 	mux.HandleFunc("GET /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, wire.TenantList{Tenants: reg.List()})
 	})
-	mux.HandleFunc("GET /v1/tenants/{id}", h.owned(func(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	mux.HandleFunc("GET /v1/tenants/{id}", h.owned(func(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 		writeJSON(w, http.StatusOK, tenant.StatusOf(t))
 	}))
 	mux.HandleFunc("DELETE /v1/tenants/{id}", h.ownedID(func(w http.ResponseWriter, r *http.Request, id string) {
@@ -108,7 +92,7 @@ func Handler(reg *Registry, opts ...Option) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
 	}))
 	mux.HandleFunc("POST /v1/tenants/{id}/edits", h.owned(h.handleEdits))
-	mux.HandleFunc("POST /v1/tenants/{id}/solve", h.owned(func(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	mux.HandleFunc("POST /v1/tenants/{id}/solve", h.owned(func(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 		res, err := t.Solver.Solve(r.Context())
 		if err != nil {
 			writeErr(w, err)
@@ -116,7 +100,7 @@ func Handler(reg *Registry, opts ...Option) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, tenant.ResultOf(res))
 	}))
-	mux.HandleFunc("POST /v1/tenants/{id}/resolve", h.owned(func(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	mux.HandleFunc("POST /v1/tenants/{id}/resolve", h.owned(func(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 		res, err := t.Solver.Resolve(r.Context())
 		if err != nil {
 			writeErr(w, err)
@@ -124,16 +108,16 @@ func Handler(reg *Registry, opts ...Option) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, tenant.ResultOf(res))
 	}))
-	mux.HandleFunc("POST /v1/tenants/{id}/resolve-async", h.owned(func(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	mux.HandleFunc("POST /v1/tenants/{id}/resolve-async", h.owned(func(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 		token := reg.NewTicket(t, t.Solver.ResolveAsync())
 		writeJSON(w, http.StatusAccepted, wire.Ticket{Ticket: token})
 	}))
 	mux.HandleFunc("GET /v1/tenants/{id}/tickets/{ticket}", h.local(handleTicket))
 	mux.HandleFunc("GET /v1/tenants/{id}/view", h.local(handleView))
-	mux.HandleFunc("GET /v1/tenants/{id}/result", h.local(func(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	mux.HandleFunc("GET /v1/tenants/{id}/result", h.local(func(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 		res := t.Solver.Result()
 		if res == nil {
-			writeErr(w, fmt.Errorf("%w: tenant has no published result yet", ErrTenantNotFound))
+			writeErr(w, fmt.Errorf("%w: tenant has no published result yet", tenant.ErrTenantNotFound))
 			return
 		}
 		writeJSON(w, http.StatusOK, tenant.ResultOf(res))
@@ -186,7 +170,7 @@ func (h *handler) ownedID(fn func(http.ResponseWriter, *http.Request, string)) h
 
 // owned resolves {id} on mutating routes: cluster ownership first, then the
 // local registry.
-func (h *handler) owned(fn func(http.ResponseWriter, *http.Request, *Tenant)) http.HandlerFunc {
+func (h *handler) owned(fn func(http.ResponseWriter, *http.Request, *tenant.Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if h.cluster != nil && !h.cluster.IsOwner(id) {
@@ -206,7 +190,7 @@ func (h *handler) owned(fn func(http.ResponseWriter, *http.Request, *Tenant)) ht
 // ownership — a replication follower serves its stale-bounded copy. Only
 // when the tenant is not local at all does cluster mode answer not_owner so
 // the client retries at the owner.
-func (h *handler) local(fn func(http.ResponseWriter, *http.Request, *Tenant)) http.HandlerFunc {
+func (h *handler) local(fn func(http.ResponseWriter, *http.Request, *tenant.Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		t, err := h.reg.Get(id)
@@ -228,7 +212,7 @@ func (h *handler) local(fn func(http.ResponseWriter, *http.Request, *Tenant)) ht
 // many were accepted so the client can resume. In cluster mode the accepted
 // records are pushed to the tenant's replication follower before the batch
 // is acknowledged, so an acknowledged edit survives the owner's death.
-func (h *handler) handleEdits(w http.ResponseWriter, r *http.Request, t *Tenant) {
+func (h *handler) handleEdits(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	var req wire.EditRequest
 	if !readJSON(w, r, &req) {
 		return
@@ -246,10 +230,10 @@ func (h *handler) handleEdits(w http.ResponseWriter, r *http.Request, t *Tenant)
 
 // handleTicket reports an async resolve's state without blocking: done-ness
 // is a non-blocking read of the ticket's completion channel.
-func handleTicket(w http.ResponseWriter, r *http.Request, t *Tenant) {
+func handleTicket(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	tk, ok := t.Ticket(r.PathValue("ticket"))
 	if !ok {
-		writeErr(w, fmt.Errorf("%w: ticket %q", ErrTenantNotFound, r.PathValue("ticket")))
+		writeErr(w, fmt.Errorf("%w: ticket %q", tenant.ErrTenantNotFound, r.PathValue("ticket")))
 		return
 	}
 	st := wire.TicketStatus{}
@@ -273,7 +257,7 @@ func handleTicket(w http.ResponseWriter, r *http.Request, t *Tenant) {
 // and Cache-Control: no-cache, so a client revalidates instead of trusting
 // its copy; an If-None-Match naming the current ETag gets 304 Not Modified
 // with no body.
-func handleView(w http.ResponseWriter, r *http.Request, t *Tenant) {
+func handleView(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	ev, err := t.EncodedView()
 	if err != nil {
 		writeErr(w, err)
@@ -327,7 +311,7 @@ func noneMatch(values []string, etag string) bool {
 // Events until the client disconnects or the tenant shuts down. Events are
 // metrics-only (wire.Progress); assignments travel through the view
 // endpoint.
-func handleProgress(w http.ResponseWriter, r *http.Request, t *Tenant) {
+func handleProgress(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, errors.New("serve: streaming unsupported by this connection"))

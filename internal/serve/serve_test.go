@@ -43,13 +43,13 @@ func testWireInstance(p, r, t int, seed int64) *wire.Instance {
 
 type testServer struct {
 	t   *testing.T
-	reg *Registry
+	reg *tenant.Registry
 	srv *httptest.Server
 }
 
 func newTestServer(t *testing.T, dataDir string) *testServer {
 	t.Helper()
-	reg, err := NewRegistry(dataDir)
+	reg, err := tenant.NewRegistry(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestServerConcurrentClients(t *testing.T) {
 func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	reg, err := NewRegistry(t.TempDir())
+	reg, err := tenant.NewRegistry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestServerDeleteDuringAsyncSolve(t *testing.T) {
 			if durableTenant {
 				dir = t.TempDir()
 			}
-			reg, err := NewRegistry(dir)
+			reg, err := tenant.NewRegistry(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -532,7 +532,7 @@ func (ts *testServer) getView(id string, ifNoneMatch ...string) (*http.Response,
 }
 
 // perRequestView is the view body as a per-request encoding writes it.
-func perRequestView(t *testing.T, reg *Registry, id string) []byte {
+func perRequestView(t *testing.T, reg *tenant.Registry, id string) []byte {
 	t.Helper()
 	tn, err := reg.Get(id)
 	if err != nil {

@@ -180,35 +180,6 @@ func TestFitATMRejectsEmptyCorpus(t *testing.T) {
 	}
 }
 
-func TestFitLDASeparatesTopics(t *testing.T) {
-	c, _, _ := syntheticCorpus(10)
-	// A small alpha keeps the per-document smoothing from washing out the
-	// concentration on such short synthetic documents.
-	res, err := FitLDA(c, LDAConfig{Topics: 2, Alpha: 0.1, Iterations: 120, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Documents by author 0 (indices 0,3,6,...) should be concentrated on a
-	// single topic, and documents by author 1 on the other one.
-	top := func(row []float64) int {
-		best := 0
-		for t := range row {
-			if row[t] > row[best] {
-				best = t
-			}
-		}
-		return best
-	}
-	tA := top(res.DocTopic[0])
-	tB := top(res.DocTopic[1])
-	if tA == tB {
-		t.Fatalf("disjoint-vocabulary documents mapped to the same topic")
-	}
-	if res.DocTopic[0][tA] < 0.7 || res.DocTopic[1][tB] < 0.7 {
-		t.Fatalf("documents not concentrated: %v %v", res.DocTopic[0], res.DocTopic[1])
-	}
-}
-
 func TestInferDocument(t *testing.T) {
 	c, wordsA, wordsB := syntheticCorpus(12)
 	res, err := FitATM(c, ATMConfig{Topics: 2, Iterations: 150, Seed: 3})

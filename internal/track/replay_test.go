@@ -9,6 +9,7 @@ import (
 
 	"repro/client"
 	"repro/internal/serve"
+	"repro/internal/tenant"
 	"repro/internal/track"
 	"repro/internal/wire"
 )
@@ -37,7 +38,7 @@ func replayOn(t *testing.T, backend string, tr *track.Track) *track.Report {
 // full wire path.
 func liveServer(t *testing.T) string {
 	t.Helper()
-	reg, err := serve.NewRegistry("")
+	reg, err := tenant.NewRegistry("")
 	if err != nil {
 		t.Fatal(err)
 	}
