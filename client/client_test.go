@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"slices"
@@ -15,10 +17,27 @@ import (
 
 	wgrap "repro"
 	"repro/client"
+	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 )
+
+// loneHandler serves reg as a ring of one, the way a wgrap-serve started
+// without -peers does. The node advertises an address where nothing listens,
+// so a client that dialed the advertised address instead of the URL it was
+// opened with would fail.
+func loneHandler(t *testing.T, reg *tenant.Registry) http.Handler {
+	t.Helper()
+	m, err := cluster.NewMember(reg, cluster.Config{
+		Self:  "n1",
+		Nodes: []wire.NodeInfo{{ID: "n1", Addr: "127.0.0.1:1", Alive: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serve.Handler(reg, m)
+}
 
 func testWireInstance(p, r, t int, seed int64) *wire.Instance {
 	rng := rand.New(rand.NewSource(seed))
@@ -221,7 +240,7 @@ func TestClientDuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	srv := httptest.NewServer(serve.Handler(reg))
+	srv := httptest.NewServer(loneHandler(t, reg))
 	defer srv.Close()
 	remote, err := client.Open(srv.URL)
 	if err != nil {
@@ -321,7 +340,7 @@ func TestViewRevalidationConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	srv := httptest.NewServer(serve.Handler(reg))
+	srv := httptest.NewServer(loneHandler(t, reg))
 	defer srv.Close()
 	c, err := client.Open(srv.URL)
 	if err != nil {
@@ -418,5 +437,107 @@ func TestViewRevalidationConcurrent(t *testing.T) {
 	final := viewGroups(ctx, t, c, "venue")
 	if !reflect.DeepEqual(final, res.Groups) {
 		t.Fatalf("final view %v, last resolve %v", final, res.Groups)
+	}
+}
+
+// TestClientOutlivesServerRestart: a long-lived client keeps working across a
+// restart of its whole ring. After a failed call the client has marked the
+// lone node dead, so the next call must refetch the map (which lifts the
+// mark) instead of failing without trying anything.
+func TestClientOutlivesServerRestart(t *testing.T) {
+	reg, err := tenant.NewRegistry("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	h := loneHandler(t, reg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln)
+
+	c, err := client.Open("http://" + addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := c.CreateTenant(ctx, &wire.CreateRequest{
+		ID: "v", Instance: testWireInstance(10, 8, 4, 3), Config: wire.TenantConfig{Omega: 2, Seed: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv.Close()
+	t0 := time.Now()
+	if _, err := c.Status(ctx, "v"); err == nil {
+		t.Fatal("status against a stopped server succeeded")
+	}
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Fatalf("a call to a stopped lone server took %v to fail", d)
+	}
+
+	ln, err = net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = &http.Server{Handler: h}
+	go srv.Serve(ln)
+	defer srv.Close()
+	if _, err := c.Status(ctx, "v"); err != nil {
+		t.Fatalf("status after restart: %v", err)
+	}
+	resp, err := c.Edit(ctx, "v", wire.Edit{Op: wire.OpWithdraw, P: 1})
+	if err != nil {
+		t.Fatalf("edit after restart: %v", err)
+	}
+	if resp.Accepted != 1 || resp.Seq != 1 {
+		t.Fatalf("edit after restart: %+v", resp)
+	}
+}
+
+// TestFirstEditSendsOneRequest: CreateTenant's response carries the tenant's
+// edit sequence, so the first Edit needs no Status round trip first.
+func TestFirstEditSendsOneRequest(t *testing.T) {
+	reg, err := tenant.NewRegistry("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	h := loneHandler(t, reg)
+	var mu sync.Mutex
+	var reqs []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		reqs = append(reqs, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	c, err := client.Open(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.CreateTenant(ctx, &wire.CreateRequest{
+		ID: "v", Instance: testWireInstance(10, 8, 4, 3), Config: wire.TenantConfig{Omega: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	reqs = nil
+	mu.Unlock()
+	if _, err := c.Edit(ctx, "v", wire.Edit{Op: wire.OpWithdraw, P: 1}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"POST /v1/tenants/v/edits"}; !reflect.DeepEqual(reqs, want) {
+		t.Fatalf("first edit sent %q, want %q", reqs, want)
 	}
 }

@@ -366,7 +366,7 @@ func startTestCluster(t *testing.T, size int) []*testClusterNode {
 			t.Fatal(err)
 		}
 		n.reg, n.member = reg, member
-		n.srv = &http.Server{Handler: serve.Handler(reg, serve.WithCluster(member))}
+		n.srv = &http.Server{Handler: serve.Handler(reg, member)}
 		go n.srv.Serve(n.ln)
 		member.Start()
 	}

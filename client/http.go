@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/wire"
 )
 
@@ -19,23 +20,22 @@ import (
 // fromWireError maps back onto the sentinel errors, so callers cannot tell
 // the backends apart by error behavior.
 //
-// Against a clustered deployment (the bootstrap node serves /cluster/map)
-// the client turns shard-aware: it computes each venue's owner from the
-// epoch-stamped shard map with the same consistent hashing the servers use,
-// routes per-venue, follows not_owner redirects, refreshes the map on epoch
-// mismatch, and fails over to the promoted follower when a node dies —
-// including reconciling a mid-flight edit batch against the survivor's
-// journal sequence. All of that is invisible at the Client interface:
-// Open("http://…") callers are untouched.
+// Every wgrap-serve is a ring (a lone daemon is a ring of one), so the
+// client routes every call by the epoch-stamped shard map: it computes each
+// venue's owner with the same consistent hashing the servers use, follows
+// not_owner redirects, refreshes the map on epoch mismatch, and fails over
+// to the promoted follower when a node dies — including reconciling a
+// mid-flight edit batch against the survivor's journal sequence. None of
+// that shows at the Client interface.
 type httpClient struct {
 	base string
 	hc   *http.Client
 
-	// Cluster routing state; see cluster.go. All nil/empty against a
-	// single-node server.
+	// Routing state; see cluster.go.
 	cmu     sync.Mutex
-	probed  bool
-	cv      *clusterView
+	cv      *wire.ShardMap       // nil until the first map fetch
+	boot    string               // id of the node the bootstrap URL reaches
+	ring    *cluster.Ring        // cv's alive nodes minus the dead marks
 	dead    map[string]uint64    // node id -> epoch at which we marked it dead
 	seqs    map[string]uint64    // tenant id -> last acknowledged edit seq
 	tickets map[string]ticketRef // ticket token -> issuing node + remote token
@@ -71,11 +71,6 @@ func openHTTP(base string) Client {
 		tickets: make(map[string]ticketRef),
 		views:   make(map[string]heldView),
 	}
-}
-
-// call issues one JSON request against the bootstrap base URL.
-func (c *httpClient) call(ctx context.Context, method, path string, body, out any) error {
-	return c.callAt(ctx, method, c.base, path, body, out)
 }
 
 // callAt issues one JSON request against an explicit node base URL. Failures
@@ -140,11 +135,8 @@ func (c *httpClient) CreateTenant(ctx context.Context, req *wire.CreateRequest) 
 	if _, err := c.routedCall(ctx, req.ID, "POST", "/v1/tenants", req, st); err != nil {
 		return nil, err
 	}
+	c.setSeq(st.ID, st.Seq) // spares the first Edit a Status round trip
 	return st, nil
-}
-
-func (c *httpClient) Tenants(ctx context.Context) ([]string, error) {
-	return c.clusterTenants(ctx)
 }
 
 func (c *httpClient) Status(ctx context.Context, id string) (*wire.Status, error) {
@@ -161,10 +153,6 @@ func (c *httpClient) DeleteTenant(ctx context.Context, id string) error {
 		c.forgetTenant(id)
 	}
 	return err
-}
-
-func (c *httpClient) Edit(ctx context.Context, id string, edits ...wire.Edit) (*wire.EditResponse, error) {
-	return c.clusterEdit(ctx, id, edits)
 }
 
 func (c *httpClient) Solve(ctx context.Context, id string) (*wire.Result, error) {
@@ -185,16 +173,12 @@ func (c *httpClient) Resolve(ctx context.Context, id string) (*wire.Result, erro
 
 func (c *httpClient) ResolveAsync(ctx context.Context, id string) (string, error) {
 	var tk wire.Ticket
-	addr, err := c.tenantCall(ctx, id, "POST", "/resolve-async", nil, &tk)
+	base, err := c.tenantCall(ctx, id, "POST", "/resolve-async", nil, &tk)
 	if err != nil {
 		return "", err
 	}
-	c.rememberTicket(tk.Ticket, addr, tk.Ticket)
+	c.rememberTicket(tk.Ticket, base, tk.Ticket)
 	return tk.Ticket, nil
-}
-
-func (c *httpClient) Ticket(ctx context.Context, id, token string) (*wire.TicketStatus, error) {
-	return c.clusterTicket(ctx, id, token)
 }
 
 // View revalidates the view held for id: the request carries its ETag, a
@@ -221,18 +205,12 @@ func (c *httpClient) View(ctx context.Context, id string) (*wire.View, error) {
 
 // Progress subscribes to the tenant's SSE stream. The reader goroutine
 // parses "data:" lines into wire.Progress events and closes the channel when
-// the stream ends (context cancelled, stop called, or server shutdown). In
-// cluster mode the stream attaches to the venue's current owner.
+// the stream ends (context cancelled, stop called, or server shutdown). The
+// stream attaches to the venue's current owner.
 func (c *httpClient) Progress(ctx context.Context, id string) (<-chan wire.Progress, func(), error) {
-	base := c.base
-	if cv, err := c.clusterView(ctx); err != nil {
+	base, err := c.ownerBase(ctx, id)
+	if err != nil {
 		return nil, nil, err
-	} else if cv != nil {
-		_, addr := c.ownerOf(id)
-		if addr == "" {
-			return nil, nil, fmt.Errorf("client: no alive node owns tenant %q", id)
-		}
-		base = "http://" + addr
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	req, err := http.NewRequestWithContext(ctx, "GET", base+"/v1/tenants/"+id+"/progress", nil)

@@ -115,28 +115,16 @@ func (c *memClient) ResolveAsync(_ context.Context, id string) (string, error) {
 	return c.reg.NewTicket(t, t.Solver.ResolveAsync()), nil
 }
 
-func (c *memClient) Ticket(ctx context.Context, id, token string) (*wire.TicketStatus, error) {
+func (c *memClient) Ticket(_ context.Context, id, token string) (*wire.TicketStatus, error) {
 	t, err := c.reg.Get(id)
 	if err != nil {
 		return nil, memErr(err)
 	}
-	tk, ok := t.Ticket(token)
+	st, ok := t.TicketStatus(token)
 	if !ok {
 		return nil, fmt.Errorf("%w (ticket %q)", ErrNotFound, token)
 	}
-	st := &wire.TicketStatus{}
-	select {
-	case <-tk.Done():
-		st.Done = true
-		res, err := tk.Wait(ctx) // completed: returns immediately
-		if err != nil {
-			st.Error = tenant.ToWireError(err)
-		} else {
-			st.Version = tk.Version()
-			st.Result = ownGroups(tenant.ResultOf(res))
-		}
-	default:
-	}
+	ownGroups(st.Result)
 	return st, nil
 }
 

@@ -12,6 +12,7 @@ import (
 
 	wgrap "repro"
 	"repro/client"
+	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/tenant"
 	"repro/internal/wire"
@@ -49,7 +50,15 @@ func runServe(stdout io.Writer, cfg serveConfig) (map[string]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: serve.Handler(reg)}
+	member, err := cluster.NewMember(reg, cluster.Config{
+		Self:  "n1",
+		Nodes: []wire.NodeInfo{{ID: "n1", Addr: ln.Addr().String(), Alive: true}},
+	})
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
+	srv := &http.Server{Handler: serve.Handler(reg, member)}
 	serr := make(chan error, 1)
 	go func() { serr <- srv.Serve(ln) }()
 	defer srv.Close()

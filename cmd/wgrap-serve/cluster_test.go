@@ -1,12 +1,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"math"
 	"net"
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -36,41 +33,6 @@ func freeLoopbackAddrs(t *testing.T, n int) []string {
 		ln.Close()
 	}
 	return addrs
-}
-
-// startClusterDaemon boots one cluster-mode child server and waits for its
-// readiness line. The node listens on its advertised peer address.
-func startClusterDaemon(t *testing.T, nodeID, peers, dataDir string) *daemon {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], "-node-id", nodeID, "-peers", peers, "-data", dataDir)
-	cmd.Env = append(os.Environ(), "WGRAP_SERVE_CHILD=1")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	urlc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), "wgrap-serve: listening on "); ok {
-				urlc <- rest
-			}
-		}
-	}()
-	select {
-	case url := <-urlc:
-		d := &daemon{cmd: cmd, url: url}
-		t.Cleanup(func() { d.kill() })
-		return d
-	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
-		t.Fatalf("cluster node %s never reported its listening address", nodeID)
-		return nil
-	}
 }
 
 // TestClusterFailover is the scale-out acceptance property: a real 3-node
@@ -105,7 +67,8 @@ func TestClusterFailover(t *testing.T) {
 	peers := strings.Join(peerList, ",")
 	daemons := make(map[string]*daemon, len(ids))
 	for _, id := range ids {
-		daemons[id] = startClusterDaemon(t, id, peers, t.TempDir())
+		// Each node listens on its advertised peer address.
+		daemons[id] = startDaemon(t, "-node-id", id, "-peers", peers, "-data", t.TempDir())
 	}
 
 	ownerID, succID := cluster.NewRing(ids, cluster.DefaultVNodes).OwnerAndSuccessor(tenantID)

@@ -35,11 +35,11 @@ type daemon struct {
 	url string
 }
 
-// startDaemon boots a child server on a free loopback port and waits for its
-// readiness line.
-func startDaemon(t *testing.T, dataDir string) *daemon {
+// startDaemon boots a child server with args and waits for its readiness
+// line.
+func startDaemon(t *testing.T, args ...string) *daemon {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-data", dataDir)
+	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "WGRAP_SERVE_CHILD=1")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -65,7 +65,7 @@ func startDaemon(t *testing.T, dataDir string) *daemon {
 		return d
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
-		t.Fatal("daemon never reported its listening address")
+		t.Fatalf("daemon %q never reported its listening address", args)
 		return nil
 	}
 }
@@ -130,7 +130,8 @@ func TestCrashRecovery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	d1 := startDaemon(t, dataDir)
+	d1 := startDaemon(t, "-addr", "127.0.0.1:0", "-data", dataDir)
+	assertRingOfOne(t, d1.url)
 	c, err := client.Open(d1.url)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +172,7 @@ func TestCrashRecovery(t *testing.T) {
 	// in the journal and no graceful close.
 	d1.kill()
 
-	d2 := startDaemon(t, dataDir)
+	d2 := startDaemon(t, "-addr", "127.0.0.1:0", "-data", dataDir)
 	c2, err := client.Open(d2.url)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +225,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("graceful shutdown failed: %v", err)
 	}
 
-	d3 := startDaemon(t, dataDir)
+	d3 := startDaemon(t, "-addr", "127.0.0.1:0", "-data", dataDir)
 	c3, err := client.Open(d3.url)
 	if err != nil {
 		t.Fatal(err)

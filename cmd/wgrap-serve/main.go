@@ -10,12 +10,13 @@
 // as the uninterrupted session (the crash-recovery CI job asserts this
 // end to end, SIGKILL included).
 //
-// With -node-id and -peers the daemon becomes one node of a shard-aware
-// cluster (internal/cluster): venues are consistent-hashed onto the alive
-// nodes, the epoch-stamped shard map is served at /cluster/map, requests for
-// venues owned elsewhere answer not_owner with the owner's address, and each
-// tenant's edit journal is replicated to its ring successor, which replays
-// it into a warm standby and takes ownership when the owner dies.
+// Every daemon is a node of a shard-aware cluster (internal/cluster). Without
+// -peers it is a ring of one, named -node-id (default n1), at its resolved
+// listen address. With -peers, venues are consistent-hashed onto the alive
+// nodes, the shard map is served at /cluster/map, requests for venues owned
+// elsewhere answer not_owner, and each tenant's journal is replicated to its
+// ring successor, which takes ownership when the owner dies; more than one
+// peer requires -data.
 //
 // Examples:
 //
@@ -44,6 +45,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/tenant"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -56,45 +58,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wgrap-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-	data := fs.String("data", "", "data directory for durable tenants (empty: in-memory only)")
+	data := fs.String("data", "", "data directory for durable tenants (empty: in-memory only; required with more than one peer)")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout")
-	nodeID := fs.String("node-id", "", "cluster node id (requires -peers and -data)")
-	peers := fs.String("peers", "", "static cluster membership: id=host:port,id=host:port,…")
+	nodeID := fs.String("node-id", "n1", "this node's id in the ring")
+	peers := fs.String("peers", "", "static cluster membership: id=host:port,id=host:port,… (empty: a ring of one at the listen address)")
 	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "cluster peer health-probe interval")
 	replicaPoll := fs.Duration("replica-poll", 500*time.Millisecond, "cluster replication catch-up poll interval")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if (*nodeID == "") != (*peers == "") {
-		fmt.Fprintln(stderr, "wgrap-serve: -node-id and -peers go together")
-		return 2
-	}
 
-	var clusterCfg *cluster.Config
-	if *nodeID != "" {
-		if *data == "" {
-			fmt.Fprintln(stderr, "wgrap-serve: cluster mode requires -data (journal replication ships the data directory)")
-			return 2
-		}
-		nodes, err := cluster.ParsePeers(*peers)
-		if err != nil {
+	var nodes []wire.NodeInfo
+	if *peers != "" {
+		var err error
+		if nodes, err = cluster.ParsePeers(*peers); err != nil {
 			fmt.Fprintln(stderr, "wgrap-serve:", err)
 			return 2
-		}
-		clusterCfg = &cluster.Config{
-			Self:          *nodeID,
-			Nodes:         nodes,
-			ProbeInterval: *probeInterval,
-			ReplicaPoll:   *replicaPoll,
 		}
 		// Unless -addr was given explicitly, listen on this node's advertised
 		// peer address so a 3-line peer list is the whole cluster config.
 		explicitAddr := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "addr" {
-				explicitAddr = true
-			}
-		})
+		fs.Visit(func(f *flag.Flag) { explicitAddr = explicitAddr || f.Name == "addr" })
 		if !explicitAddr {
 			for _, n := range nodes {
 				if n.ID == *nodeID {
@@ -108,6 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the boot must drain, not kill.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 
 	reg, err := tenant.NewRegistry(*data)
 	if err != nil {
@@ -123,28 +108,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "wgrap-serve:", err)
 		return 1
 	}
-	var opts []serve.Option
-	var member *cluster.Member
-	if clusterCfg != nil {
-		clusterCfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(stdout, "wgrap-serve: "+format+"\n", args...)
-		}
-		member, err = cluster.NewMember(reg, *clusterCfg)
-		if err != nil {
-			fmt.Fprintln(stderr, "wgrap-serve:", err)
-			reg.Close()
-			return 1
-		}
-		opts = append(opts, serve.WithCluster(member))
+	if nodes == nil {
+		nodes = []wire.NodeInfo{{ID: *nodeID, Addr: ln.Addr().String(), Alive: true}}
 	}
-	srv := &http.Server{Handler: serve.Handler(reg, opts...)}
+	member, err := cluster.NewMember(reg, cluster.Config{
+		Self:          *nodeID,
+		Nodes:         nodes,
+		ProbeInterval: *probeInterval,
+		ReplicaPoll:   *replicaPoll,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(stdout, "wgrap-serve: "+format+"\n", args...)
+		},
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "wgrap-serve:", err)
+		ln.Close()
+		reg.Close()
+		return 2
+	}
+	srv := &http.Server{Handler: serve.Handler(reg, member)}
 	// The listening line is the readiness signal scripts and the CI crash
 	// test wait for; it carries the resolved address so -addr :0 is usable.
 	fmt.Fprintf(stdout, "wgrap-serve: listening on http://%s\n", ln.Addr())
-	if member != nil {
-		member.Start()
-		fmt.Fprintf(stdout, "wgrap-serve: cluster node %s (%d peers)\n", clusterCfg.Self, len(clusterCfg.Nodes))
-	}
+	member.Start()
+	fmt.Fprintf(stdout, "wgrap-serve: node %s of a ring of %d\n", *nodeID, len(nodes))
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -154,9 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wgrap-serve: %v, draining\n", sig)
 	case err := <-errc:
 		fmt.Fprintln(stderr, "wgrap-serve:", err)
-		if member != nil {
-			member.Close()
-		}
+		member.Close()
 		reg.Close()
 		return 1
 	}
@@ -176,9 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// journals), and close every tenant last: journals flush and close only
 	// after the in-flight requests drained, so an acknowledged edit is never
 	// dropped by a graceful shutdown.
-	if member != nil {
-		member.Close()
-	}
+	member.Close()
 	if err := reg.Close(); err != nil {
 		fmt.Fprintln(stderr, "wgrap-serve:", err)
 		code = 1

@@ -96,13 +96,14 @@ type replica struct {
 
 // NewMember validates cfg and builds the member. Start launches the prober
 // and the replication loop; until then the member answers ownership from
-// the all-alive ring.
+// the all-alive ring. A ring of one has no successor to ship journals to,
+// so only a membership of more than one node requires a durable registry.
 func NewMember(reg *tenant.Registry, cfg Config) (*Member, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: missing self node id")
 	}
-	if !reg.Durable() {
-		return nil, errors.New("cluster: members require a durable registry (journal replication ships the data directory)")
+	if len(cfg.Nodes) > 1 && !reg.Durable() {
+		return nil, errors.New("cluster: a membership of more than one node requires a durable registry (journal replication ships the data directory)")
 	}
 	if cfg.VNodes <= 0 {
 		cfg.VNodes = DefaultVNodes

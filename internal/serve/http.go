@@ -1,16 +1,16 @@
 // Package serve is the HTTP front of the serving stack: a thin transport
 // over the transport-agnostic tenant core (internal/tenant), which owns the
 // registry, tenant lifecycle and edit/solve semantics. Callers build the
-// registry with tenant.NewRegistry and hand it to Handler. The same core
-// also backs the client package's in-process mem:// backend — the HTTP
-// layer adds only encoding, routing and (when configured) cluster ownership
-// guards, so both fronts expose identical behaviour.
+// registry with tenant.NewRegistry and a cluster.Member over it, and hand
+// both to Handler. The same core also backs the client package's in-process
+// mem:// backend — the HTTP layer adds only encoding, routing and the
+// member's ownership guards, so both fronts expose identical behaviour.
 //
-// With WithCluster the handler becomes one node of a shard-aware cluster
-// (internal/cluster): write routes are refused with a not_owner envelope
-// when the venue hashes to another node, read routes are answered from a
-// local replica when one exists, and /cluster/* (shard map, journal
-// shipping) is mounted alongside /v1/*.
+// Every handler is one node of a shard-aware cluster (internal/cluster); a
+// lone daemon is a ring of one, which owns every venue. Write routes are
+// refused with a not_owner envelope when the venue hashes to another node,
+// read routes are answered from a local replica when one exists, and
+// /cluster/* (shard map, journal shipping) is mounted alongside /v1/*.
 package serve
 
 import (
@@ -26,15 +26,6 @@ import (
 	"repro/internal/tenant"
 	"repro/internal/wire"
 )
-
-// Option configures the handler.
-type Option func(*handler)
-
-// WithCluster makes the handler cluster-aware: ownership guards on write
-// routes, replica-served reads, and the /cluster/* routes of m.
-func WithCluster(m *cluster.Member) Option {
-	return func(h *handler) { h.cluster = m }
-}
 
 type handler struct {
 	reg     *tenant.Registry
@@ -59,7 +50,7 @@ type handler struct {
 //	GET    /v1/tenants/{id}/result              latest Result (lock-free)
 //	GET    /v1/tenants/{id}/progress            SSE stream of anytime snapshots
 //
-// Cluster mode (WithCluster) splits the tenant routes into two classes.
+// The member m splits the tenant routes into two classes.
 // Mutating routes (create, delete, edits, solve, resolve, resolve-async,
 // status, progress) are owner-only: a node that does not own the venue
 // answers 421 with a not_owner envelope naming the owner, and a client
@@ -68,11 +59,8 @@ type handler struct {
 // local (possibly stale-bounded) copy, which is what lets a standby serve
 // reads and answer for tickets it issued. /cluster/map and the journal
 // shipping endpoints are mounted alongside.
-func Handler(reg *tenant.Registry, opts ...Option) http.Handler {
-	h := &handler{reg: reg}
-	for _, o := range opts {
-		o(h)
-	}
+func Handler(reg *tenant.Registry, m *cluster.Member) http.Handler {
+	h := &handler{reg: reg, cluster: m}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -123,20 +111,18 @@ func Handler(reg *tenant.Registry, opts ...Option) http.Handler {
 		writeJSON(w, http.StatusOK, tenant.ResultOf(res))
 	}))
 	mux.HandleFunc("GET /v1/tenants/{id}/progress", h.owned(handleProgress))
-	if h.cluster != nil {
-		mux.Handle("/cluster/", h.cluster.Routes())
-	}
+	mux.Handle("/cluster/", m.Routes())
 	return mux
 }
 
-// handleCreate registers a new tenant. In cluster mode creation is routed
-// like any write: only the owner of the requested id accepts it.
+// handleCreate registers a new tenant. Creation is routed like any write:
+// only the owner of the requested id accepts it.
 func (h *handler) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req wire.CreateRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if h.cluster != nil && req.ID != "" && !h.cluster.IsOwner(req.ID) {
+	if req.ID != "" && !h.cluster.IsOwner(req.ID) {
 		h.cluster.WriteNotOwner(w, req.ID)
 		return
 	}
@@ -145,22 +131,19 @@ func (h *handler) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if h.cluster != nil {
-		// Stand the follower up before acknowledging the create: from the
-		// first accepted edit on, replication is synchronous with the ack,
-		// and that only protects anything if the replica already exists.
-		h.cluster.EnsureFollower(t.ID)
-	}
+	// Stand the follower up before acknowledging the create: from the first
+	// accepted edit on, replication is synchronous with the ack, and that
+	// only protects anything if the replica already exists.
+	h.cluster.EnsureFollower(t.ID)
 	writeJSON(w, http.StatusCreated, tenant.StatusOf(t))
 }
 
-// ownedID guards a mutating route that needs only the id (delete): in
-// cluster mode a non-owner answers not_owner instead of touching the local
-// registry.
+// ownedID guards a mutating route that needs only the id (delete): a
+// non-owner answers not_owner instead of touching the local registry.
 func (h *handler) ownedID(fn func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
-		if h.cluster != nil && !h.cluster.IsOwner(id) {
+		if !h.cluster.IsOwner(id) {
 			h.cluster.WriteNotOwner(w, id)
 			return
 		}
@@ -168,34 +151,29 @@ func (h *handler) ownedID(fn func(http.ResponseWriter, *http.Request, string)) h
 	}
 }
 
-// owned resolves {id} on mutating routes: cluster ownership first, then the
-// local registry.
+// owned resolves {id} on mutating routes: ownership first, then the local
+// registry.
 func (h *handler) owned(fn func(http.ResponseWriter, *http.Request, *tenant.Tenant)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if h.cluster != nil && !h.cluster.IsOwner(id) {
-			h.cluster.WriteNotOwner(w, id)
-			return
-		}
+	return h.ownedID(func(w http.ResponseWriter, r *http.Request, id string) {
 		t, err := h.reg.Get(id)
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
 		fn(w, r, t)
-	}
+	})
 }
 
 // local resolves {id} on read routes from the local registry regardless of
 // ownership — a replication follower serves its stale-bounded copy. Only
-// when the tenant is not local at all does cluster mode answer not_owner so
+// when the tenant is not local at all does a non-owner answer not_owner so
 // the client retries at the owner.
 func (h *handler) local(fn func(http.ResponseWriter, *http.Request, *tenant.Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		t, err := h.reg.Get(id)
 		if err != nil {
-			if h.cluster != nil && !h.cluster.IsOwner(id) {
+			if !h.cluster.IsOwner(id) {
 				h.cluster.WriteNotOwner(w, id)
 				return
 			}
@@ -209,16 +187,17 @@ func (h *handler) local(fn func(http.ResponseWriter, *http.Request, *tenant.Tena
 // handleEdits applies one edit batch in order. The batch is not atomic —
 // edits before the failing one stay accepted (and journaled), exactly like a
 // sequence of mutator calls on the embedded Solver; the response reports how
-// many were accepted so the client can resume. In cluster mode the accepted
-// records are pushed to the tenant's replication follower before the batch
-// is acknowledged, so an acknowledged edit survives the owner's death.
+// many were accepted so the client can resume. The accepted records are
+// pushed to the tenant's replication follower, if the ring has one, before
+// the batch is acknowledged, so an acknowledged edit survives the owner's
+// death.
 func (h *handler) handleEdits(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	var req wire.EditRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
 	resp, err := tenant.ApplyEdits(t, req.Edits)
-	if h.cluster != nil && resp.Accepted > 0 {
+	if resp.Accepted > 0 {
 		h.cluster.NotifyWrite(t.ID)
 	}
 	if err != nil {
@@ -228,26 +207,12 @@ func (h *handler) handleEdits(w http.ResponseWriter, r *http.Request, t *tenant.
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleTicket reports an async resolve's state without blocking: done-ness
-// is a non-blocking read of the ticket's completion channel.
+// handleTicket reports an async resolve's state without blocking.
 func handleTicket(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
-	tk, ok := t.Ticket(r.PathValue("ticket"))
+	st, ok := t.TicketStatus(r.PathValue("ticket"))
 	if !ok {
 		writeErr(w, fmt.Errorf("%w: ticket %q", tenant.ErrTenantNotFound, r.PathValue("ticket")))
 		return
-	}
-	st := wire.TicketStatus{}
-	select {
-	case <-tk.Done():
-		st.Done = true
-		res, err := tk.Wait(r.Context()) // completed: returns immediately
-		if err != nil {
-			st.Error = tenant.ToWireError(err)
-		} else {
-			st.Version = tk.Version()
-			st.Result = tenant.ResultOf(res)
-		}
-	default:
 	}
 	writeJSON(w, http.StatusOK, st)
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	wgrap "repro"
+	"repro/internal/cluster"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 )
@@ -41,6 +42,20 @@ func testWireInstance(p, r, t int, seed int64) *wire.Instance {
 	return in
 }
 
+// loneHandler serves reg as a ring of one, the way a wgrap-serve started
+// without -peers does.
+func loneHandler(t *testing.T, reg *tenant.Registry) http.Handler {
+	t.Helper()
+	m, err := cluster.NewMember(reg, cluster.Config{
+		Self:  "n1",
+		Nodes: []wire.NodeInfo{{ID: "n1", Addr: "127.0.0.1:1", Alive: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Handler(reg, m)
+}
+
 type testServer struct {
 	t   *testing.T
 	reg *tenant.Registry
@@ -53,7 +68,7 @@ func newTestServer(t *testing.T, dataDir string) *testServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(loneHandler(t, reg))
 	t.Cleanup(func() { srv.Close(); reg.Close() })
 	return &testServer{t: t, reg: reg, srv: srv}
 }
@@ -188,6 +203,26 @@ func TestServerLifecycle(t *testing.T) {
 	// Delete, then 404.
 	ts.do("DELETE", "/v1/tenants/icde", nil, nil, http.StatusOK)
 	ts.do("GET", "/v1/tenants/icde", nil, nil, http.StatusNotFound)
+}
+
+// TestLoneNodeRefusesReplicationWrites: a ring of one owns every venue, so
+// it is never a follower, and the journal-shipping writes a follower accepts
+// answer not_owner. The shard map lists the one node.
+func TestLoneNodeRefusesReplicationWrites(t *testing.T) {
+	ts := newTestServer(t, "")
+	ts.createTenant("vldb", testWireInstance(8, 6, 4, 3), wire.TenantConfig{Omega: 2})
+	var sm wire.ShardMap
+	ts.do("GET", "/cluster/map", nil, &sm, http.StatusOK)
+	if sm.Self != "n1" || len(sm.Nodes) != 1 || sm.Nodes[0].ID != "n1" || !sm.Nodes[0].Alive {
+		t.Fatalf("lone node's shard map: %+v", sm)
+	}
+	for _, path := range []string{"/cluster/tenants/vldb/records", "/cluster/tenants/vldb/follow"} {
+		var we wire.Error
+		ts.do("POST", path, cluster.RecordChunk{}, &we, http.StatusMisdirectedRequest)
+		if we.Code != wire.CodeNotOwner || we.Owner != "n1" {
+			t.Fatalf("POST %s: %+v, want not_owner naming n1", path, we)
+		}
+	}
 }
 
 func TestServerAsyncTicket(t *testing.T) {
@@ -376,7 +411,7 @@ func TestCleanShutdownNoGoroutineLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler(reg))
+	srv := httptest.NewServer(loneHandler(t, reg))
 	ts := &testServer{t: t, reg: reg, srv: srv}
 	ts.createTenant("leak", testWireInstance(14, 10, 5, 6), wire.TenantConfig{Omega: 3, FsyncIntervalNS: int64(time.Millisecond)})
 
@@ -456,7 +491,7 @@ func TestServerDeleteDuringAsyncSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := httptest.NewServer(Handler(reg))
+			srv := httptest.NewServer(loneHandler(t, reg))
 			ts := &testServer{t: t, reg: reg, srv: srv}
 			in := testWireInstance(40, 30, 8, 7)
 			// A real refinement budget keeps the async solve in flight when the

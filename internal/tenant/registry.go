@@ -16,6 +16,7 @@
 package tenant
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -372,14 +373,32 @@ func (r *Registry) NewTicket(t *Tenant, tk *wgrap.Ticket) string {
 	return token
 }
 
-// Ticket looks a ticket up by token. Completed tickets stay queryable until
-// the tenant is deleted (they are O(1) each; a venue's edit stream is far
-// smaller than memory).
-func (t *Tenant) Ticket(token string) (*wgrap.Ticket, bool) {
+// TicketStatus reports the async resolve behind token without blocking:
+// done-ness is a non-blocking read of the ticket's completion channel, and a
+// completed ticket carries its result or error. ok is false for an unknown
+// token. Completed tickets stay queryable until the tenant is deleted (they
+// are O(1) each; a venue's edit stream is far smaller than memory).
+func (t *Tenant) TicketStatus(token string) (*wire.TicketStatus, bool) {
 	t.ticketMu.Lock()
-	defer t.ticketMu.Unlock()
 	tk, ok := t.tickets[token]
-	return tk, ok
+	t.ticketMu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	st := &wire.TicketStatus{}
+	select {
+	case <-tk.Done():
+		st.Done = true
+		res, err := tk.Wait(context.Background()) // completed: returns immediately
+		if err != nil {
+			st.Error = ToWireError(err)
+		} else {
+			st.Version = tk.Version()
+			st.Result = ResultOf(res)
+		}
+	default:
+	}
+	return st, true
 }
 
 // Subscribe attaches a progress subscriber to the tenant's SSE hub; the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/client"
+	"repro/internal/cluster"
 	"repro/internal/serve"
 	"repro/internal/tenant"
 	"repro/internal/track"
@@ -34,15 +35,22 @@ func replayOn(t *testing.T, backend string, tr *track.Track) *track.Report {
 }
 
 // liveServer starts an in-process wgrap-serve and returns its base URL — the
-// same serve.Handler wgrap-serve mounts, so http:// replays here exercise the
-// full wire path.
+// same serve.Handler over a ring of one that a lone wgrap-serve mounts, so
+// http:// replays here exercise the full wire path and the client's routing.
 func liveServer(t *testing.T) string {
 	t.Helper()
 	reg, err := tenant.NewRegistry("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(serve.Handler(reg))
+	m, err := cluster.NewMember(reg, cluster.Config{
+		Self:  "n1",
+		Nodes: []wire.NodeInfo{{ID: "n1", Addr: "127.0.0.1:1", Alive: true}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(serve.Handler(reg, m))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
