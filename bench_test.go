@@ -339,10 +339,13 @@ func BenchmarkProfitMatrixCI(b *testing.B) {
 
 // BenchmarkSDGALargeConference runs one full SDGA assignment at a larger
 // conference scale than BenchmarkSDGAConference; the end-to-end number the
-// profit-matrix speedup feeds into. (A CPU profile of a cold solve at the
-// paper's full P=1000, R=2000 put most of the time in the δp profit fills,
-// not in the per-stage transportation solves; the residual-topic fill of
-// internal/engine cut the fills roughly in half — see README.md.)
+// profit-matrix speedup feeds into. (A single-CPU profile of a cold solve
+// at the paper's full P=1000, R=2000 puts about two thirds of the time in
+// the per-stage transportation solves, mostly their shortest-path
+// searches, and under a third in the δp profit fills, after the
+// residual-topic fill and its AVX row step in internal/engine; within the
+// fills the per-cell finishing step now costs more than the row step — see
+// README.md.)
 func BenchmarkSDGALargeConference(b *testing.B) {
 	in := benchConferenceInstance(300, 600, 40, 3)
 	b.ResetTimer()

@@ -47,6 +47,22 @@
 // use the same kernel with every topic open and the term min(x_t, p_t). The
 // other three scores and custom ones fill cell by cell.
 //
+// On an amd64 CPU with AVX, a dense row's topic term runs eight columns at a
+// time in assembly (kernel_amd64.s): max(lo, min(x, p_t) − c) with VMINPD,
+// VSUBPD, VMAXPD and VADDPD, where a gain row passes c = c_t and lo = 0 and
+// a pair-score row c = 0 and lo = −Inf, which gives exactly min(x, p_t) for
+// finite x. The Go loop fills the last len(row) mod 8 columns, and the whole
+// row on other CPUs and architectures; the CPU picks the path once, with no
+// option to set. Sparse candidate rows gather through candidate ids and stay
+// scalar. The vector step keeps every bit. Its lanes run across columns, so
+// each cell still adds its open topics in ascending order. VMINPD and
+// VMAXPD differ from Go's min and max only on NaN, which is rejected as
+// above, and in which zero they return when both operands are ±0. A zero
+// term's sign cannot reach a sum: the row starts at +0, a sum that starts
+// at +0 never becomes −0, and adding ±0 to any other value leaves it
+// unchanged. Negative weights, which Validate accepts, fall under the same
+// argument.
+//
 // An Oracle is read-only with respect to its Instance and safe for
 // concurrent use, provided the instance is not mutated during a call.
 // Between calls a session may add conflicts (fills see them through

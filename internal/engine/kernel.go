@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+
 	"repro/internal/core"
 )
 
@@ -76,6 +78,33 @@ func (o *Oracle) openTopics(open []openTopic, p int, g core.Vector) []openTopic 
 	return open
 }
 
+// denseRow adds the open topics' terms, in ascending order, to every column
+// of a dense row (len(row) <= pn.cols): max(0, min(x_t, p_t) − c_t) for a
+// gain row, min(x_t, p_t) for a pair-score row, whose open topics carry
+// c_t = 0. vectorStep covers the leading columns; the Go loop covers the
+// rest, or the whole row without AVX.
+func (pn *topicPanel) denseRow(row []float64, open []openTopic, pair bool) {
+	lo := 0.0
+	if pair {
+		lo = math.Inf(-1)
+	}
+	for _, ot := range open {
+		pt, ct := ot.p, ot.c
+		x := pn.data[ot.t*pn.cols:][:len(row)]
+		n := vectorStep(row, x, pt, ct, lo)
+		tail := row[n:]
+		if pair {
+			for i, v := range x[n:] {
+				tail[i] += min(v, pt)
+			}
+			continue
+		}
+		for i, v := range x[n:] {
+			tail[i] += max(0, min(v, pt)-ct)
+		}
+	}
+}
+
 // weightedRow fills the weighted-coverage profit cells of row p: one per
 // reviewer in the dense layout (len(row) == R), or, when cand is non-nil,
 // one per candidate column of the sparse-row layout (len(cand) == len(row)).
@@ -91,25 +120,20 @@ func (j *fillJob) weightedRow(sc *rowScratch, row []float64, p int, cand []int32
 			gv = spec.GroupVecs[p]
 		}
 		sc.open = o.openTopics(sc.open, p, gv)
-		for _, ot := range sc.open {
-			pt, ct := ot.p, ot.c
-			base := pn.data[ot.t*pn.cols : (ot.t+1)*pn.cols]
-			switch {
-			case cand != nil && gv == nil:
-				for i, r := range cand {
-					row[i] += min(base[r], pt)
-				}
-			case cand != nil:
-				for i, r := range cand {
-					row[i] += max(0, min(base[r], pt)-ct)
-				}
-			case gv == nil:
-				for i, x := range base[:len(row)] {
-					row[i] += min(x, pt)
-				}
-			default:
-				for i, x := range base[:len(row)] {
-					row[i] += max(0, min(x, pt)-ct)
+		if cand == nil {
+			pn.denseRow(row, sc.open, gv == nil)
+		} else {
+			for _, ot := range sc.open {
+				pt, ct := ot.p, ot.c
+				base := pn.data[ot.t*pn.cols : (ot.t+1)*pn.cols]
+				if gv == nil {
+					for i, r := range cand {
+						row[i] += min(base[r], pt)
+					}
+				} else {
+					for i, r := range cand {
+						row[i] += max(0, min(base[r], pt)-ct)
+					}
 				}
 			}
 		}
