@@ -178,28 +178,6 @@ func BenchmarkAblationBBA(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGreedyHeap compares the lazy-heap greedy against the naive
-// rescan-everything variant.
-func BenchmarkAblationGreedyHeap(b *testing.B) {
-	in := benchConferenceInstance(100, 20, 30, 3)
-	variants := []struct {
-		name string
-		alg  cra.Greedy
-	}{
-		{"lazy-heap", cra.Greedy{}},
-		{"naive-rescan", cra.Greedy{Naive: true}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := v.alg.Assign(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSRAProbability compares the three probability models of
 // the stochastic refinement (Equations 9 and 10 and the uniform strawman).
 func BenchmarkAblationSRAProbability(b *testing.B) {

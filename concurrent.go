@@ -171,7 +171,7 @@ func (m *editMirror) check(op *pendingEdit) error {
 		if m.reviewers-m.conflictN[op.p] < m.groupSize {
 			return fmt.Errorf("%w (paper %d)", cra.ErrConflictSaturated, op.p)
 		}
-		if m.reviewers*m.workload < (m.activeN+1)*m.groupSize {
+		if !core.HasCapacity(m.reviewers, m.workload, (m.activeN+1)*m.groupSize) {
 			return cra.ErrInsufficientCapacity
 		}
 	case editReviewer:
@@ -185,7 +185,7 @@ func (m *editMirror) check(op *pendingEdit) error {
 		if op.workload <= 0 {
 			return fmt.Errorf("%w: workload δr must be positive, got %d", ErrInvalidEdit, op.workload)
 		}
-		if m.reviewers*op.workload < m.activeN*m.groupSize {
+		if !core.HasCapacity(m.reviewers, op.workload, m.activeN*m.groupSize) {
 			return cra.ErrInsufficientCapacity
 		}
 	}

@@ -346,16 +346,17 @@ func TestSolverProgressCallbackSafety(t *testing.T) {
 
 // TestSolverWithdrawWaveShardParity: the coalesced withdrawal-wave re-solve
 // (the shape ResolveAsync drains, and the one BenchmarkResolveAfterWithdraw
-// gates) must produce bit-identical assignments at any shard count, now that
-// Workers > 1 engages the sharded dirty-row read phase, the pooled relax
-// shards and the batched cycle cancellation. The instance is drawn wide
-// enough (R above the flow layer's parallel thresholds) that all three
+// gates) must produce bit-identical assignments at any GOMAXPROCS, now that
+// more than one worker engages the sharded dirty-row read phase, the pooled
+// relax shards and the batched cycle cancellation. The instance is drawn
+// wide enough (R above the flow layer's parallel thresholds) that all three
 // actually run.
 func TestSolverWithdrawWaveShardParity(t *testing.T) {
 	in := benchConferenceInstance(120, 1100, 12, 3)
 	const wave = 30
-	run := func(shards int) []*Result {
-		s, err := NewSolver(in, WithMethod(MethodSDGA), WithShards(shards), WithSeed(3))
+	run := func(procs int) []*Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := NewSolver(in, WithMethod(MethodSDGA), WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,14 +393,14 @@ func TestSolverWithdrawWaveShardParity(t *testing.T) {
 		return results
 	}
 	ref := run(1)
-	for _, shards := range []int{2, 4, 8} {
-		got := run(shards)
+	for _, procs := range []int{2, 4, 8} {
+		got := run(procs)
 		for step := range ref {
 			if got[step].Score != ref[step].Score {
-				t.Fatalf("shards %d step %d: score %v != serial %v", shards, step, got[step].Score, ref[step].Score)
+				t.Fatalf("GOMAXPROCS %d step %d: score %v != serial %v", procs, step, got[step].Score, ref[step].Score)
 			}
 			if !reflect.DeepEqual(got[step].Assignment, ref[step].Assignment) {
-				t.Fatalf("shards %d step %d: assignment differs from serial", shards, step)
+				t.Fatalf("GOMAXPROCS %d step %d: assignment differs from serial", procs, step)
 			}
 		}
 	}

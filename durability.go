@@ -61,7 +61,7 @@ func (s *Solver) initDurable(dir string, o options) error {
 // pipeline, and reattaches the journal for further appends. A torn journal
 // tail (the residue of a crash between a write and its fsync) is discarded;
 // everything acknowledged as synced is replayed. Options configure the
-// rebuilt session exactly like NewSolver (method, seed, shards, …) and
+// rebuilt session exactly like NewSolver (method, seed, candidate cap, …) and
 // should match the original configuration — the instance itself, its
 // conflicts, withdrawals and workload all come from the durable state.
 //

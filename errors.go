@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/cra"
 	"repro/internal/flow"
 	"repro/internal/jra"
@@ -67,7 +68,7 @@ func wrapInstanceErr(in *Instance, err error) error {
 	}
 	if len(in.Papers) > 0 && len(in.Reviewers) > 0 &&
 		in.GroupSize > 0 && in.Workload > 0 &&
-		in.NumReviewers()*in.Workload < in.NumPapers()*in.GroupSize {
+		!core.HasCapacity(in.NumReviewers(), in.Workload, in.NumPapers()*in.GroupSize) {
 		return fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 	return fmt.Errorf("%w: %v", ErrInvalidInstance, err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -261,23 +262,44 @@ func (m *Member) probeLoop() {
 }
 
 func (m *Member) probe(addr string) bool {
-	timeout := m.cfg.ProbeInterval
-	if timeout < 100*time.Millisecond {
-		timeout = 100 * time.Millisecond
+	code, err := m.peer("GET", addr, "/v1/healthz", max(m.cfg.ProbeInterval, 100*time.Millisecond), nil, nil)
+	return err == nil && code == http.StatusOK
+}
+
+// peer sends one request to the member at addr within timeout and returns
+// the answer's status code. A non-nil body goes out as JSON; a 200 answer
+// is decoded into out when out is non-nil. The response body is always
+// drained and closed, so the connection goes back to the pool.
+func (m *Member) peer(method, addr, path string, timeout time.Duration, body, out any) (int, error) {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return 0, err
+		}
+		rd = bytes.NewReader(raw)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", "http://"+addr+"/v1/healthz", nil)
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, rd)
 	if err != nil {
-		return false
+		return 0, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := m.hc.Do(req)
 	if err != nil {
-		return false
+		return 0, err
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	defer resp.Body.Close()
+	defer io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode == http.StatusOK && out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return resp.StatusCode, err
+		}
+	}
+	return resp.StatusCode, nil
 }
 
 // JournalChunk is the journal-shipping payload: the tenant's config, an

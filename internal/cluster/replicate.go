@@ -1,12 +1,8 @@
 package cluster
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -111,52 +107,26 @@ func (m *Member) EnsureFollower(id string) {
 }
 
 func (m *Member) requestFollow(addr, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST",
-		fmt.Sprintf("http://%s/cluster/tenants/%s/follow", addr, id), nil)
-	if err != nil {
-		return
-	}
-	resp, err := m.hc.Do(req)
-	if err != nil {
+	code, err := m.peer("POST", addr, "/cluster/tenants/"+id+"/follow", m.cfg.PushTimeout, nil, nil)
+	switch {
+	case err != nil:
 		m.logf("cluster: follow request %s -> %s: %v", id, addr, err)
-		return
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		m.logf("cluster: follow request %s -> %s: %s", id, addr, resp.Status)
+	case code != http.StatusOK:
+		m.logf("cluster: follow request %s -> %s: %d %s", id, addr, code, http.StatusText(code))
 	}
 }
 
 func (m *Member) pushRecords(addr, id string, recs []durable.Record) error {
-	body, err := json.Marshal(RecordChunk{Records: recs})
-	if err != nil {
+	code, err := m.peer("POST", addr, "/cluster/tenants/"+id+"/records", m.cfg.PushTimeout, RecordChunk{Records: recs}, nil)
+	switch {
+	case err != nil:
 		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "POST",
-		fmt.Sprintf("http://%s/cluster/tenants/%s/records", addr, id), bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := m.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusNotFound:
+	case code == http.StatusNotFound:
 		return errNotBootstrapped
-	default:
-		return fmt.Errorf("follower answered %s", resp.Status)
+	case code != http.StatusOK:
+		return fmt.Errorf("follower answered %d %s", code, http.StatusText(code))
 	}
+	return nil
 }
 
 // ingest applies shipped journal records to this node's replica of tenant
@@ -271,24 +241,13 @@ func (m *Member) syncOnce() {
 }
 
 func (m *Member) listTenants(addr string) ([]string, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", "http://"+addr+"/v1/tenants", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := m.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("listing tenants: %s", resp.Status)
-	}
 	var list wire.TenantList
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+	code, err := m.peer("GET", addr, "/v1/tenants", m.cfg.PushTimeout, nil, &list)
+	switch {
+	case err != nil:
 		return nil, err
+	case code != http.StatusOK:
+		return nil, fmt.Errorf("listing tenants: %d %s", code, http.StatusText(code))
 	}
 	return list.Tenants, nil
 }
@@ -296,35 +255,21 @@ func (m *Member) listTenants(addr string) ([]string, error) {
 // fetchJournal pulls a tenant's journal chunk from its owner. A nil chunk
 // with nil error means the owner no longer has the tenant (deleted).
 func (m *Member) fetchJournal(addr, id string, after uint64, bootstrap bool) (*JournalChunk, error) {
-	url := fmt.Sprintf("http://%s/cluster/tenants/%s/journal?after=%d", addr, id, after)
+	path := fmt.Sprintf("/cluster/tenants/%s/journal?after=%d", id, after)
 	if bootstrap {
-		url += "&bootstrap=1"
+		path += "&bootstrap=1"
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.PushTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
+	var chunk JournalChunk
+	code, err := m.peer("GET", addr, path, m.cfg.PushTimeout, nil, &chunk)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	resp, err := m.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var chunk JournalChunk
-		if err := json.NewDecoder(resp.Body).Decode(&chunk); err != nil {
-			return nil, err
-		}
-		return &chunk, nil
-	case http.StatusNotFound:
-		io.Copy(io.Discard, resp.Body)
+	case code == http.StatusNotFound:
 		return nil, nil // owner is alive and the tenant is gone: deleted
-	default:
-		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("journal fetch: %s", resp.Status)
+	case code != http.StatusOK:
+		return nil, fmt.Errorf("journal fetch: %d %s", code, http.StatusText(code))
 	}
+	return &chunk, nil
 }
 
 // bootstrap materialises a follower replica of tenant id from its owner's

@@ -179,12 +179,28 @@ func (in *Instance) MinWorkload() int {
 }
 
 // StageWorkload returns the per-stage reviewer workload ⌈δr/δp⌉ used by the
-// Stage Deepening Greedy Algorithm (Definition 9).
+// Stage Deepening Greedy Algorithm (Definition 9), computed as
+// (δr−1)/δp+1 so that no δr overflows it.
 func (in *Instance) StageWorkload() int {
-	if in.GroupSize == 0 {
+	if in.GroupSize <= 0 || in.Workload <= 0 {
 		return 0
 	}
-	return (in.Workload + in.GroupSize - 1) / in.GroupSize
+	return (in.Workload-1)/in.GroupSize + 1
+}
+
+// HasCapacity reports whether a pool of R reviewers, each taking at most
+// workload δr papers, can carry demand review slots: R·δr ≥ demand. It
+// compares δr with ⌈demand/R⌉ and never forms the product R·δr, which wraps
+// around once δr reaches 2⁶³/R; δr comes from outside the program, in create
+// and edit requests.
+func HasCapacity(reviewers, workload, demand int) bool {
+	if demand <= 0 {
+		return true
+	}
+	if reviewers <= 0 {
+		return false
+	}
+	return workload >= (demand-1)/reviewers+1
 }
 
 // Validate checks that the instance is well formed: consistent vector
@@ -226,9 +242,9 @@ func (in *Instance) Validate() error {
 	if in.GroupSize > in.NumReviewers() {
 		return fmt.Errorf("core: group size δp=%d exceeds reviewer pool R=%d", in.GroupSize, in.NumReviewers())
 	}
-	if in.NumReviewers()*in.Workload < in.NumPapers()*in.GroupSize {
-		return fmt.Errorf("core: insufficient capacity: R·δr=%d < P·δp=%d",
-			in.NumReviewers()*in.Workload, in.NumPapers()*in.GroupSize)
+	if !HasCapacity(in.NumReviewers(), in.Workload, in.NumPapers()*in.GroupSize) {
+		return fmt.Errorf("core: insufficient capacity: R=%d reviewers at δr=%d cannot carry P·δp=%d",
+			in.NumReviewers(), in.Workload, in.NumPapers()*in.GroupSize)
 	}
 	for c := range in.conflicts {
 		if c.Reviewer < 0 || c.Reviewer >= in.NumReviewers() || c.Paper < 0 || c.Paper >= in.NumPapers() {

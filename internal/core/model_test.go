@@ -67,6 +67,36 @@ func TestInstanceValidateErrors(t *testing.T) {
 	}
 }
 
+// TestHasCapacity: the capacity rule R·δr ≥ demand holds exactly at the
+// boundary and stays right where the product R·δr would wrap around.
+func TestHasCapacity(t *testing.T) {
+	cases := []struct {
+		r, w, demand int
+		want         bool
+	}{
+		{4, 3, 12, true}, {4, 3, 13, false}, {4, 4, 13, true},
+		{12, 4, 48, true}, {12, 3, 48, false},
+		{5, 0, 0, true}, {0, 7, 1, false}, {3, -1, 1, false},
+		{12, 1 << 62, 48, true},   // R·δr wraps to 0
+		{12, 1<<62 + 4, 48, true}, // R·δr wraps to 48
+		{3, math.MaxInt, math.MaxInt, true},
+		{4, math.MaxInt / 4, math.MaxInt, false},
+	}
+	for _, c := range cases {
+		if got := HasCapacity(c.r, c.w, c.demand); got != c.want {
+			t.Errorf("HasCapacity(%d, %d, %d) = %v, want %v", c.r, c.w, c.demand, got, c.want)
+		}
+	}
+	in := conferenceInstance()
+	in.Workload = math.MaxInt
+	if err := in.Validate(); err != nil {
+		t.Fatalf("δr = MaxInt: %v", err)
+	}
+	if got, want := in.StageWorkload(), (math.MaxInt-1)/in.GroupSize+1; got != want {
+		t.Fatalf("StageWorkload at δr = MaxInt = %d, want %d", got, want)
+	}
+}
+
 // withWeight returns a copy of v with weight t replaced by x.
 func withWeight(v Vector, t int, x float64) Vector {
 	c := v.Clone()

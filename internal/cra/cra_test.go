@@ -56,7 +56,7 @@ func allAlgorithms() []Algorithm {
 		PairILP{},
 		exactPairILP{},
 		Greedy{},
-		Greedy{Naive: true},
+		naiveGreedy{},
 		BRGG{},
 		SDGA{},
 		hungarianSDGA{},
@@ -184,7 +184,7 @@ func TestGreedyHeapMatchesNaive(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomConference(rng, 3+rng.Intn(10), 4+rng.Intn(6), 2+rng.Intn(6), 2)
 		a1, err1 := Greedy{}.Assign(in)
-		a2, err2 := Greedy{Naive: true}.Assign(in)
+		a2, err2 := naiveGreedy{}.Assign(in)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -406,7 +406,8 @@ func TestSRARefineContextNeverWorse(t *testing.T) {
 
 // TestSRARefineContextAnytime: refinement under an already-cancelled context
 // still returns a valid assignment no worse than its input, with a nil error
-// (anytime semantics).
+// (anytime semantics), and that assignment is a copy, never the caller's
+// start.
 func TestSRARefineContextAnytime(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	in := randomConference(rng, 10, 6, 5, 2)
@@ -419,6 +420,9 @@ func TestSRARefineContextAnytime(t *testing.T) {
 	refined, err := SRA{Omega: 5}.RefineContext(ctx, in, base)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if refined == base {
+		t.Fatal("cancelled refinement returned the caller's start assignment")
 	}
 	if err := in.ValidateAssignment(refined); err != nil {
 		t.Fatal(err)
@@ -581,7 +585,7 @@ func TestRegressionSeedGreedy(t *testing.T) {
 	rng := rand.New(rand.NewSource(seed))
 	in := randomConference(rng, 3+rng.Intn(10), 4+rng.Intn(6), 2+rng.Intn(6), 2)
 	a1, err1 := Greedy{}.Assign(in)
-	a2, err2 := Greedy{Naive: true}.Assign(in)
+	a2, err2 := naiveGreedy{}.Assign(in)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errs: %v %v", err1, err2)
 	}

@@ -18,12 +18,9 @@ import (
 // assignment grows (submodularity), a popped pair whose stored gain is stale
 // can simply be re-scored and pushed back. The initial P×R pair scores are
 // computed in parallel by the gain oracle; re-scores use its fused,
-// allocation-free gain. Setting Naive rescans every pair at every iteration
-// instead (the ablation of BenchmarkAblationGreedyHeap).
-type Greedy struct {
-	// Naive disables the lazy heap and rescans all pairs each iteration.
-	Naive bool
-}
+// allocation-free gain. The tests check the heap against a naive rescan of
+// every pair at every iteration, which BenchmarkAblationGreedyHeap times.
+type Greedy struct{}
 
 // Name implements Algorithm.
 func (Greedy) Name() string { return "Greedy" }
@@ -41,8 +38,9 @@ type pairHeap []pairItem
 
 func (h pairHeap) Len() int { return len(h) }
 
-// Less orders by descending gain and breaks ties by (paper, reviewer) so the
-// heap-based and naive implementations make identical choices.
+// Less orders by descending gain and breaks ties by (paper, reviewer), the
+// order a naive rescan of every pair picks in, so both make identical
+// choices.
 func (h pairHeap) Less(i, j int) bool {
 	if h[i].gain != h[j].gain {
 		return h[i].gain > h[j].gain
@@ -68,16 +66,12 @@ func (g Greedy) Assign(instance *core.Instance) (*core.Assignment, error) {
 }
 
 // AssignContext implements Algorithm.
-func (g Greedy) AssignContext(ctx context.Context, instance *core.Instance) (*core.Assignment, error) {
+func (Greedy) AssignContext(ctx context.Context, instance *core.Instance) (*core.Assignment, error) {
 	in, err := prepare(instance)
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(in)
-	if g.Naive {
-		return greedyNaive(ctx, eng)
-	}
-	return greedyHeap(ctx, eng)
+	return greedyHeap(ctx, engine.New(in))
 }
 
 // greedyCheckEvery bounds how many heap operations run between context
@@ -147,51 +141,6 @@ func greedyHeap(ctx context.Context, eng *engine.Oracle) (*core.Assignment, erro
 		if err := completeAssignment(ctx, eng, a, rem); err != nil {
 			return nil, err
 		}
-	}
-	return a, nil
-}
-
-func greedyNaive(ctx context.Context, eng *engine.Oracle) (*core.Assignment, error) {
-	in := eng.Instance()
-	P := in.NumPapers()
-	a := core.NewAssignment(P)
-	rem := make([]int, in.NumReviewers())
-	for r := range rem {
-		rem[r] = in.Workload
-	}
-	groupVecs := make([]core.Vector, P)
-	for p := range groupVecs {
-		groupVecs[p] = make(core.Vector, in.NumTopics())
-	}
-	need := P * in.GroupSize
-	for assigned := 0; assigned < need; assigned++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestGain := -1.0
-		bestR, bestP := -1, -1
-		for p := 0; p < P; p++ {
-			if len(a.Groups[p]) >= in.GroupSize {
-				continue
-			}
-			for r := 0; r < in.NumReviewers(); r++ {
-				if rem[r] <= 0 || a.Contains(p, r) || in.IsConflict(r, p) {
-					continue
-				}
-				if gain := eng.Gain(p, groupVecs[p], r); gain > bestGain {
-					bestGain, bestR, bestP = gain, r, p
-				}
-			}
-		}
-		if bestR == -1 {
-			if err := completeAssignment(ctx, eng, a, rem); err != nil {
-				return nil, err
-			}
-			break
-		}
-		a.Assign(bestP, bestR)
-		groupVecs[bestP].MaxInPlace(in.Reviewers[bestR].Topics)
-		rem[bestR]--
 	}
 	return a, nil
 }

@@ -2,7 +2,6 @@ package cra
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/core"
 )
@@ -20,15 +19,8 @@ import (
 // in parallel, and each stage is one transportation solve. The only term
 // added to a gain is the session's tie-break (see tieBreak), which makes
 // every stage optimum unique, so SDGA returns exactly the assignment a
-// session solve of the same instance returns.
+// session solve of the same instance returns, at any GOMAXPROCS.
 type SDGA struct {
-	// Shards bounds the goroutines the stage transport uses to load and seed
-	// each stage instance, sharded across papers — the same parallel axis the
-	// engine's profit-matrix build already exploits. 0 means GOMAXPROCS, 1
-	// serial. The assignment is identical for every value (the parallel
-	// passes write disjoint per-paper state; everything order-sensitive stays
-	// serial), so sharding is on by default.
-	Shards int
 	// CandidateCap, when positive, restricts every stage to the top-k
 	// candidate reviewers per paper (by approximate coverage score, via the
 	// inverted topic index), making the matrix build and each stage solve
@@ -53,23 +45,11 @@ func (s SDGA) AssignContext(ctx context.Context, instance *core.Instance) (*core
 	if err != nil {
 		return nil, err
 	}
-	sess, err := NewSession(in.Clone(), SessionConfig{Shards: s.Shards, CandidateCap: s.CandidateCap})
+	sess, err := NewSession(in.Clone(), SessionConfig{CandidateCap: s.CandidateCap})
 	if err != nil {
 		return nil, err
 	}
 	return sess.Solve(ctx)
-}
-
-// shardWorkers resolves a Shards setting: 0 means one worker per available
-// CPU, anything below 1 is serial.
-func shardWorkers(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // stageFallbackHook, when non-nil, is invoked whenever a stage falls back to

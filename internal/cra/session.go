@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"repro/internal/core"
@@ -19,6 +20,9 @@ var ErrConflictSaturated = errors.New("cra: conflicts leave a paper with fewer c
 
 // SessionConfig configures a long-lived solver session. Every stage's profit
 // cell is the marginal gain of Definition 9 plus the session's tieBreak.
+// The session runs every transport and the candidate build on
+// runtime.GOMAXPROCS(0) workers; the solved assignment is identical for
+// every worker count.
 type SessionConfig struct {
 	// Refine runs the stochastic refinement after SDGA (the paper's SDGA-SRA
 	// pipeline). Off = construction only.
@@ -26,17 +30,14 @@ type SessionConfig struct {
 	// SRA parameterises the refinement (defaults are applied internally:
 	// Omega 10, Lambda 0.1, MaxRounds 1000, Seed 1).
 	SRA SRA
-	// Shards bounds the goroutines each stage transport uses to load and
-	// seed its instance, sharded across papers (0 = GOMAXPROCS, 1 = serial;
-	// see cra.SDGA.Shards). The solved assignment is identical for every
-	// value.
-	Shards int
 	// CandidateCap, when positive, restricts every stage (and the
 	// refinement's pair scores and completions) to the top-k candidate
 	// reviewers per paper — the sparse solve path, see SDGA.CandidateCap.
-	// Candidate lists depend only on topic vectors, so they survive every
-	// session edit except reviewer additions (a structural rebuild
-	// recomputes them). 0 keeps the exact dense path.
+	// The refinement prices an assigned pair outside a paper's candidates
+	// with an exact on-demand score, so it degrades only by the candidate
+	// truncation itself. Candidate lists depend only on topic vectors, so
+	// they survive every session edit except reviewer additions (a
+	// structural rebuild recomputes them). 0 keeps the exact dense path.
 	CandidateCap int
 	// OnConstruct, when set, receives a private copy of the construction
 	// (SDGA) assignment before refinement starts.
@@ -214,7 +215,7 @@ func (s *Session) RestorePaper(p int) error {
 	if s.eligible(p) < s.in.GroupSize {
 		return fmt.Errorf("%w (paper %d)", ErrConflictSaturated, p)
 	}
-	if s.in.NumReviewers()*s.in.Workload < (s.activeN+1)*s.in.GroupSize {
+	if !core.HasCapacity(s.in.NumReviewers(), s.in.Workload, (s.activeN+1)*s.in.GroupSize) {
 		return ErrInsufficientCapacity
 	}
 	s.withdrawn[p] = false
@@ -248,7 +249,7 @@ func (s *Session) SetWorkload(workload int) error {
 	if workload <= 0 {
 		return fmt.Errorf("cra: workload δr must be positive, got %d", workload)
 	}
-	if s.in.NumReviewers()*workload < s.activeN*s.in.GroupSize {
+	if !core.HasCapacity(s.in.NumReviewers(), workload, s.activeN*s.in.GroupSize) {
 		return ErrInsufficientCapacity
 	}
 	if workload == s.in.Workload {
@@ -326,17 +327,9 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 			s.stages[i] = &sessionStage{}
 		}
 	}
-	workers := shardWorkers(s.cfg.Shards)
+	workers := runtime.GOMAXPROCS(0)
 	for _, st := range s.stages {
 		st.tr.Workers = workers
-	}
-	// The refinement transport follows the session-wide setting unless the
-	// SRA config pins its own shard count (mirroring what the same SRA value
-	// would do through SRA.RefineContext).
-	if s.cfg.SRA.Shards != 0 {
-		s.sraTr.Workers = shardWorkers(s.cfg.SRA.Shards)
-	} else {
-		s.sraTr.Workers = workers
 	}
 	structural := s.structural || s.last == nil
 	if structural {
@@ -413,7 +406,7 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 
 	result := a
 	if s.cfg.Refine {
-		refined, err := s.refineConstruction(ctx, a)
+		refined, err := s.refine(ctx, a)
 		if err != nil {
 			return nil, err
 		}
@@ -539,12 +532,14 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 	return nil
 }
 
-// refineConstruction runs the session's stochastic refinement on the
-// construction assignment, reusing the session pair-score matrix, completion
-// matrix and transportation solver. The stochastic stream restarts from the
-// configured seed on every call, so warm and cold runs of the same edited
-// instance follow the same trajectory.
-func (s *Session) refineConstruction(ctx context.Context, construction *core.Assignment) (*core.Assignment, error) {
+// refine runs the session's stochastic refinement from start (the
+// construction of a solve, or the input of SRA.RefineContext), reusing the
+// session pair-score matrix, completion matrix and transportation solver.
+// The stochastic stream restarts from the configured seed on every call, so
+// warm and cold runs of the same edited instance follow the same trajectory.
+// Like every Refiner it never returns start itself, not even from its
+// anytime exit.
+func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Assignment, error) {
 	cfg := s.cfg.SRA.withDefaults()
 	if cfg.TimeBudget > 0 {
 		var cancel context.CancelFunc
@@ -560,7 +555,7 @@ func (s *Session) refineConstruction(ctx context.Context, construction *core.Ass
 		}
 		if err != nil {
 			// Context exhausted before refinement: anytime semantics.
-			return construction, nil
+			return start.Clone(), nil
 		}
 		s.pairsValid = true
 	}
@@ -568,6 +563,7 @@ func (s *Session) refineConstruction(ctx context.Context, construction *core.Ass
 	for p := range active {
 		active[p] = !s.withdrawn[p]
 	}
+	s.sraTr.Workers = runtime.GOMAXPROCS(0)
 	run := sraRun{
 		cfg:           cfg,
 		eng:           s.eng,
@@ -579,7 +575,7 @@ func (s *Session) refineConstruction(ctx context.Context, construction *core.Ass
 		tr:            &s.sraTr,
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
-	return run.refine(ctx, construction)
+	return run.refine(ctx, start)
 }
 
 // tieBreak returns a deterministic, index-keyed perturbation in [0, 1e-7)

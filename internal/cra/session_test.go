@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -414,18 +415,21 @@ func firstWithdrawn(s *Session) int {
 // TestSessionBatchedEditParity is the batched-edit correctness requirement:
 // several edits (conflicts, withdrawals, workload changes, restores) are
 // applied before a single warm Resolve, which must match a cold Solve of the
-// identically edited instance to 1e-9. Shards is pinned above 1 so the
-// sharded stage solve is exercised even on single-CPU runners.
+// identically edited instance to 1e-9. The sharded cases pin GOMAXPROCS
+// above 1 so the sharded stage solve is exercised even on single-CPU
+// runners.
 func TestSessionBatchedEditParity(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		c    SessionConfig
+		name  string
+		procs int
+		c     SessionConfig
 	}{
-		{"sdga-sharded", SessionConfig{Shards: 4}},
-		{"sdga-sra-sharded", SessionConfig{Shards: 4, Refine: true, SRA: SRA{Omega: 3, MaxRounds: 20, Seed: 9, Shards: 4}}},
-		{"sdga-serial", SessionConfig{Shards: 1}},
+		{"sdga-sharded", 4, SessionConfig{}},
+		{"sdga-sra-sharded", 4, SessionConfig{Refine: true, SRA: SRA{Omega: 3, MaxRounds: 20, Seed: 9}}},
+		{"sdga-serial", 1, SessionConfig{}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cfg.procs))
 			rng := rand.New(rand.NewSource(53))
 			base := sessionInstance(rng, 36, 28, 10, 3)
 			warm, err := NewSession(base.Clone(), cfg.c)
@@ -510,13 +514,15 @@ func TestSessionDriftSaturationSurfaces(t *testing.T) {
 // TestSessionBatchedEditParityRandomized sweeps random instances, SRA seeds
 // and edit scripts: each batch applies four edits before a single warm
 // Resolve, which must match a cold Solve of the identically edited instance
-// to 1e-9 — with refinement enabled and the sharded stage solve forced on.
+// to 1e-9 — with refinement enabled and the sharded stage solve forced on
+// by pinning GOMAXPROCS above 1.
 func TestSessionBatchedEditParityRandomized(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	fail := 0
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(200 + seed))
 		base := sessionInstance(rng, 30+rng.Intn(20), 22+rng.Intn(14), 8+rng.Intn(6), 3)
-		cfg := SessionConfig{Refine: true, SRA: SRA{Omega: 3, MaxRounds: 15, Seed: seed + 1}, Shards: 3}
+		cfg := SessionConfig{Refine: true, SRA: SRA{Omega: 3, MaxRounds: 15, Seed: seed + 1}}
 		warm, err := NewSession(base.Clone(), cfg)
 		if err != nil {
 			continue

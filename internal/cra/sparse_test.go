@@ -170,18 +170,28 @@ func TestSDGACandidateCapTightCapacity(t *testing.T) {
 	}
 }
 
-// TestSRACandidateCapNeverDecreases: refinement under a candidate cap keeps
-// the SRA contract — the result is valid and never worse than the start.
+// TestSRACandidateCapNeverDecreases: a session's refinement under a
+// candidate cap keeps the SRA contract — the result is valid and never worse
+// than the capped construction it starts from.
 func TestSRACandidateCapNeverDecreases(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	in := randomConference(rng, 40, 32, 10, 3)
-	start, err := SDGA{CandidateCap: 10}.Assign(in)
+	var start *core.Assignment
+	sess, err := NewSession(in.Clone(), SessionConfig{
+		CandidateCap: 10,
+		Refine:       true,
+		SRA:          SRA{Omega: 5, MaxRounds: 40, Seed: 3},
+		OnConstruct:  func(a *core.Assignment) { start = a },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := SRA{Omega: 5, MaxRounds: 40, Seed: 3, CandidateCap: 10}.Refine(in, start)
+	refined, err := sess.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := in.ValidateAssignment(start); err != nil {
+		t.Fatalf("capped construction invalid: %v", err)
 	}
 	if err := in.ValidateAssignment(refined); err != nil {
 		t.Fatalf("refined assignment invalid: %v", err)

@@ -41,12 +41,15 @@ const (
 // the context passed to RefineContext is done (TimeBudget is folded into the
 // context deadline), always returning the best assignment found.
 //
-// The O(P·R) pair-score precomputation of the probability model runs through
-// the parallel gain oracle, the per-round completion reuses one flat profit
-// matrix and one transportation solver, and per-paper scores are re-evaluated
-// only for papers whose group actually changed in the round (delta
-// re-scoring: a round that removes and re-adds the same reviewer leaves the
-// cached score untouched).
+// Each call refines on a throwaway Session over a clone of the instance, so
+// RefineContext runs the session's refinement: the O(P·R) pair-score
+// precomputation of the probability model runs through the parallel gain
+// oracle, the per-round completion reuses one flat profit matrix and one
+// transportation solver, and per-paper scores are re-evaluated only for
+// papers whose group actually changed in the round (delta re-scoring: a
+// round that removes and re-adds the same reviewer leaves the cached score
+// untouched). A Solver refining its own construction follows the identical
+// trajectory for the same settings.
 type SRA struct {
 	// Omega is the convergence threshold ω (default 10, the paper's setting).
 	Omega int
@@ -62,19 +65,6 @@ type SRA struct {
 	Model ProbabilityModel
 	// Seed makes the stochastic process reproducible (default 1).
 	Seed int64
-	// Shards bounds the goroutines the per-round completion transport uses
-	// to load its instance (0 = GOMAXPROCS, 1 = serial; see SDGA.Shards).
-	// The refinement trajectory is identical for every value.
-	Shards int
-	// CandidateCap, when positive, restricts the pair-score precomputation
-	// and every per-round completion to the top-k candidate reviewers per
-	// paper (see SDGA.CandidateCap): the O(P·R) precomputation and each
-	// completion solve become O(P·k). Pairs outside a paper's candidates fall
-	// back to an exact on-demand score in the probability model, and the
-	// completion transport densifies papers whose candidates saturate, so
-	// refinement quality degrades only by the candidate truncation itself.
-	// 0 keeps the exact dense path.
-	CandidateCap int
 	// OnRound, when set, is called after every refinement round with the
 	// 1-based round number, the best score so far and the elapsed time; the
 	// refinement-progress experiment (Figure 12) uses it to record a trace.
@@ -113,7 +103,6 @@ func (s SRA) Refine(instance *core.Instance, start *core.Assignment) (*core.Assi
 // ctx is cancelled or its deadline (or TimeBudget) expires, the best
 // assignment found so far is returned with a nil error.
 func (s SRA) RefineContext(ctx context.Context, instance *core.Instance, start *core.Assignment) (*core.Assignment, error) {
-	s = s.withDefaults()
 	in, err := prepare(instance)
 	if err != nil {
 		return nil, err
@@ -121,60 +110,26 @@ func (s SRA) RefineContext(ctx context.Context, instance *core.Instance, start *
 	if err := in.ValidateAssignment(start); err != nil {
 		return nil, err
 	}
-	if s.TimeBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.TimeBudget)
-		defer cancel()
+	sess, err := NewSession(in.Clone(), SessionConfig{Refine: true, SRA: s})
+	if err != nil {
+		return nil, err
 	}
-	eng := engine.New(in)
-
-	// Pre-compute the pair coverage scores and the per-reviewer totals of the
-	// probability model (the denominator of Equation 9). O(P·R) work, filled
-	// in parallel by the oracle, as stated in the paper — O(P·k) under a
-	// candidate cap.
-	var cands [][]int32
-	if k := effectiveCandidateCap(in, s.CandidateCap); k > 0 {
-		cands = buildCandidates(in, k, shardWorkers(s.Shards))
-	}
-	var pairs engine.Matrix
-	var err2 error
-	if cands != nil {
-		err2 = eng.FillProfitSparse(ctx, &pairs, engine.ProfitSpec{}, cands)
-	} else {
-		err2 = eng.FillPairScores(ctx, &pairs)
-	}
-	if err2 != nil {
-		// Context already exhausted before the first round: anytime
-		// semantics, the input is the best known assignment.
-		return start.Clone(), nil
-	}
-	tr := &flow.Transport{Workers: shardWorkers(s.Shards)}
-	run := sraRun{
-		cfg:           s,
-		eng:           eng,
-		pairScore:     pairs.Rows(),
-		reviewerTotal: pairReviewerTotals(pairs.Rows(), nil, in.NumReviewers(), cands),
-		cands:         cands,
-		fill:          &engine.Matrix{},
-		tr:            tr,
-		rng:           rand.New(rand.NewSource(s.Seed)),
-	}
-	return run.refine(ctx, start)
+	return sess.refine(ctx, start)
 }
 
 // pairReviewerTotals sums each reviewer's pair scores over the active papers
-// (the denominator of Equation 9). A nil active mask means every paper; a
-// non-nil cands means pairScore rows are candidate-aligned (row p holds one
-// cell per entry of cands[p]), so totals run over candidate pairs only — the
-// truncated pairs carry exactly the score mass the pruning already deemed
-// negligible. Non-finite scores (a custom ScoreFunc gone wrong) are skipped
-// so one bad cell cannot poison a reviewer's whole denominator with NaN —
-// the probability model then degrades to the uniform floor for that reviewer
-// instead of producing a zero-mass removal distribution.
+// (the denominator of Equation 9). A non-nil cands means pairScore rows are
+// candidate-aligned (row p holds one cell per entry of cands[p]), so totals
+// run over candidate pairs only — the truncated pairs carry exactly the
+// score mass the pruning already deemed negligible. Non-finite scores (a
+// custom ScoreFunc gone wrong) are skipped so one bad cell cannot poison a
+// reviewer's whole denominator with NaN — the probability model then
+// degrades to the uniform floor for that reviewer instead of producing a
+// zero-mass removal distribution.
 func pairReviewerTotals(pairScore [][]float64, active []bool, R int, cands [][]int32) []float64 {
 	totals := make([]float64, R)
 	for p := range pairScore {
-		if active != nil && !active[p] {
+		if !active[p] {
 			continue
 		}
 		for x, c := range pairScore[p] {
@@ -191,17 +146,16 @@ func pairReviewerTotals(pairScore [][]float64, active []bool, R int, cands [][]i
 	return totals
 }
 
-// sraRun is one configured execution of the refinement loop, shared by
-// SRA.RefineContext (which builds its state fresh) and Session.Resolve
-// (which reuses the session's pair-score matrix, completion matrix and
-// transportation solver, and masks withdrawn papers).
+// sraRun is one configured execution of the refinement loop over a
+// session's state: its gain oracle, pair-score matrix, completion matrix and
+// transportation solver (see Session.refine).
 type sraRun struct {
 	cfg           SRA // defaults already applied
 	eng           *engine.Oracle
 	pairScore     [][]float64
 	reviewerTotal []float64
-	// active masks the papers that participate (nil = all); withdrawn papers
-	// keep empty groups and are never touched by removal or completion.
+	// active masks the papers that participate; withdrawn papers keep empty
+	// groups and are never touched by removal or completion.
 	active []bool
 	// cands, when non-nil, holds the per-paper candidate lists of the sparse
 	// mode; pairScore rows are then candidate-aligned.
@@ -304,7 +258,7 @@ func (run *sraRun) refine(ctx context.Context, start *core.Assignment) (*core.As
 		current.CloneInto(trial)
 		for p := 0; p < P; p++ {
 			victims[p] = -1
-			if run.active != nil && !run.active[p] {
+			if !run.active[p] {
 				continue
 			}
 			g := trial.Groups[p]
@@ -425,7 +379,7 @@ func (run *sraRun) complete(ctx context.Context, c *completion, trial *core.Assi
 	c.dirty = c.dirty[:0]
 	for p := 0; p < P; p++ {
 		need := 0
-		if run.active == nil || run.active[p] {
+		if run.active[p] {
 			need = in.GroupSize - len(trial.Groups[p])
 			if need < 0 {
 				need = 0

@@ -40,7 +40,9 @@ func readFrame(data []byte, off int) (payload []byte, next int, ok bool) {
 	}
 	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
 	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n < 0 || off+frameHeader+n > len(data) {
+	// Compared against the bytes left, not as off+frameHeader+n: with a
+	// 32-bit int a length field near 2³¹ would wrap that sum negative.
+	if n < 0 || n > len(data)-off-frameHeader {
 		return nil, off, false
 	}
 	payload = data[off+frameHeader : off+frameHeader+n]

@@ -1058,10 +1058,13 @@ func (t *Transport) run() error {
 		t.augmentTight(t.deficitRows)
 		// Every augmentation fills exactly one spare column slot, so once none
 		// are left the remaining deficit rows cannot possibly be served — skip
-		// their (individually failing) searches wholesale.
+		// their (individually failing) searches wholesale. At most deficit
+		// augmentations remain, so no column counts for more slots than that,
+		// which keeps the sum from overflowing at capacities near the int
+		// range.
 		spare := 0
 		for j := 0; j < t.m; j++ {
-			spare += t.colCap[j] - len(t.colPairs[j])
+			spare += min(t.colCap[j]-len(t.colPairs[j]), t.deficit)
 		}
 		t.stuck = t.stuck[:0]
 		for _, x := range t.reached {

@@ -205,6 +205,24 @@ func TestServerLifecycle(t *testing.T) {
 	ts.do("GET", "/v1/tenants/icde", nil, nil, http.StatusNotFound)
 }
 
+// TestServerCreateRefusesShards: the tenant config has no "shards" field
+// (the solver's worker count is the process's GOMAXPROCS), so a create body
+// that still sends one is refused like any other unknown field, with the
+// invalid-instance code, and creates nothing.
+func TestServerCreateRefusesShards(t *testing.T) {
+	ts := newTestServer(t, "")
+	in := testWireInstance(8, 6, 4, 5)
+	body := map[string]any{"id": "sigmod", "instance": in, "config": map[string]any{"omega": 2, "shards": 4}}
+	var we wire.Error
+	ts.do("POST", "/v1/tenants", body, &we, http.StatusBadRequest)
+	if we.Code != wire.CodeInvalidInstance || !strings.Contains(we.Message, "shards") {
+		t.Fatalf("create with shards: %+v, want %s naming the field", we, wire.CodeInvalidInstance)
+	}
+	ts.do("GET", "/v1/tenants/sigmod", nil, nil, http.StatusNotFound)
+	delete(body["config"].(map[string]any), "shards")
+	ts.do("POST", "/v1/tenants", body, nil, http.StatusCreated)
+}
+
 // TestLoneNodeRefusesReplicationWrites: a ring of one owns every venue, so
 // it is never a follower, and the journal-shipping writes a follower accepts
 // answer not_owner. The shard map lists the one node.

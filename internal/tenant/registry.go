@@ -136,9 +136,6 @@ func configOptions(cfg wire.TenantConfig) []wgrap.Option {
 	if cfg.RefinementBudget > 0 {
 		opts = append(opts, wgrap.WithRefinementBudget(time.Duration(cfg.RefinementBudget)))
 	}
-	if cfg.Shards > 0 {
-		opts = append(opts, wgrap.WithShards(cfg.Shards))
-	}
 	if cfg.CandidateCap > 0 {
 		opts = append(opts, wgrap.WithCandidateCap(cfg.CandidateCap))
 	}

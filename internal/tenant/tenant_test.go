@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -51,6 +53,60 @@ func newTestTenant(t *testing.T, id string, seed int64) *Tenant {
 		t.Fatal(err)
 	}
 	return tn
+}
+
+// TestRestoreIgnoresRetiredShards: a durable tenant whose config.json still
+// holds the retired "shards" field restores with every other setting it was
+// stored with, and solves exactly like a fresh session with those settings.
+func TestRestoreIgnoresRetiredShards(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := NewRegistry(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := testInstance(16, 12, 5, 4)
+	want := wire.TenantConfig{Method: "sdga-sra", Omega: 2, Seed: 7, CandidateCap: 8, SnapshotEvery: 64}
+	if _, err := reg.Create(&wire.CreateRequest{ID: "old", Instance: inst, Config: want}); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stored := `{"method":"sdga-sra","omega":2,"seed":7,"shards":4,"candidate_cap":8,"snapshot_every":64}`
+	if err := os.WriteFile(filepath.Join(dir, "old", configFile), []byte(stored), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg, err = NewRegistry(dir)
+	if err != nil {
+		t.Fatalf("reopening a config.json with shards: %v", err)
+	}
+	defer reg.Close()
+	tn, err := reg.Get("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tn.Config != want {
+		t.Fatalf("restored config %+v, want %+v", tn.Config, want)
+	}
+	got, err := tn.Solver.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := inst.ToInstance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := wgrap.NewSolver(in, configOptions(want)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := fresh.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Assignment, ref.Assignment) {
+		t.Fatal("restored tenant solves differently from a fresh session with its settings")
+	}
 }
 
 // decodeView decodes an encoded view and checks its ETag against the body.

@@ -11,6 +11,7 @@ import (
 
 	wgrap "repro"
 	"repro/client"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -350,7 +351,7 @@ func (g *gen) restore(p int) bool {
 	if g.pool()-g.conflictN[p] < g.d.groupSize {
 		return false // saturated while withdrawn
 	}
-	if g.pool()*g.d.workload < (g.activeN+1)*g.d.groupSize {
+	if !core.HasCapacity(g.pool(), g.d.workload, (g.activeN+1)*g.d.groupSize) {
 		// Not enough capacity at the current workload: rebalance up first,
 		// like a chair would.
 		g.setWorkload(g.minWorkload(g.activeN + 1))

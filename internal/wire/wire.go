@@ -164,7 +164,6 @@ type TenantConfig struct {
 	Omega            int    `json:"omega,omitempty"`
 	Seed             int64  `json:"seed,omitempty"`
 	RefinementBudget int64  `json:"refinement_budget_ns,omitempty"`
-	Shards           int    `json:"shards,omitempty"`
 	CandidateCap     int    `json:"candidate_cap,omitempty"`
 	// SnapshotEvery is the durable compaction threshold (journal records
 	// between snapshots); FsyncIntervalNS the group-commit window (negative:

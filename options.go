@@ -17,7 +17,6 @@ type options struct {
 	omega            int
 	refinementBudget time.Duration
 	seed             int64
-	shards           int
 	candidateCap     int
 	progress         func(Snapshot)
 	journalDir       string
@@ -43,8 +42,7 @@ func resolveOptions(opts []Option) options {
 // sra builds the stochastic-refinement configuration of the SDGA-SRA
 // pipeline from the resolved options.
 func (o options) sra() cra.SRA {
-	return cra.SRA{Omega: o.omega, TimeBudget: o.refinementBudget, Seed: o.seed, Shards: o.shards,
-		CandidateCap: o.candidateCap}
+	return cra.SRA{Omega: o.omega, TimeBudget: o.refinementBudget, Seed: o.seed}
 }
 
 // WithMethod selects the assignment algorithm (default MethodSDGASRA).
@@ -82,17 +80,6 @@ func WithSeed(seed int64) Option {
 // Solver.OnImprovement, which can also set it after construction).
 func WithProgress(fn func(Snapshot)) Option {
 	return func(o *options) { o.progress = fn }
-}
-
-// WithShards bounds the goroutines the SDGA stage solves use to load and
-// seed their transportation instances, sharded across papers (the profit
-// matrix build is always parallel). The default 0 means one shard per
-// available CPU; 1 forces a fully serial stage solve. The computed
-// assignment is identical for every value — sharding only changes wall-clock
-// time — so the only reasons to set this are benchmarking and capping the
-// solver's CPU footprint in shared processes.
-func WithShards(n int) Option {
-	return func(o *options) { o.shards = n }
 }
 
 // WithCandidateCap enables sparse candidate pruning: every solve restricts

@@ -41,6 +41,28 @@ func TestSDGAMatchesSolver(t *testing.T) {
 	}
 }
 
+// TestSRAMatchesSolver: cra.SRA refines on a throwaway session, so SDGA
+// followed by cra.SRA returns exactly the groups a Solver running
+// MethodSDGASRA with the same ω and seed returns, and fails exactly when the
+// Solver does.
+func TestSRAMatchesSolver(t *testing.T) {
+	for seed := int64(0); seed < 120; seed++ {
+		in := sdgaParityInstance(seed)
+		alg := cra.WithRefiner{Base: cra.SDGA{}, Refiner: cra.SRA{Omega: 3, Seed: seed + 1}}
+		a, aErr := alg.Assign(in)
+		res, sErr := solve(context.Background(), in, WithMethod(MethodSDGASRA), WithOmega(3), WithSeed(seed+1))
+		if (aErr == nil) != (sErr == nil) {
+			t.Fatalf("seed %d: SDGA-SRA err=%v, Solver err=%v", seed, aErr, sErr)
+		}
+		if aErr != nil {
+			continue
+		}
+		if !reflect.DeepEqual(a.Sorted(), res.Assignment.Sorted()) {
+			t.Fatalf("seed %d: SDGA-SRA and Solver assignments differ", seed)
+		}
+	}
+}
+
 // TestSolverCandidateCapKeepsFeasibility pins two draws on which the sparse
 // escape hatch once reported a feasible instance infeasible: a stage whose
 // failed search ran through papers still limited to their candidates, which

@@ -156,7 +156,6 @@ func newSolver(in *Instance, o options) (*Solver, error) {
 	cfg := cra.SessionConfig{
 		Refine:       o.method == MethodSDGASRA,
 		SRA:          o.sra(),
-		Shards:       o.shards,
 		CandidateCap: o.candidateCap,
 	}
 	cfg.OnConstruct = s.constructHook()

@@ -144,16 +144,17 @@ func TestResolveAfterEditSpeedup(t *testing.T) {
 // ResolveAsync's write coalescing drains. The wave exercises both parallel
 // levers at once: the sharded dirty-row read phase of ResolveRows and the
 // batched improving-cycle repair (one search per cascade depth instead of
-// one per freed slot). The single-worker variant pins GOMAXPROCS and shards
-// to 1 (the name avoids a trailing digit, which the wgrap-bench parser would
-// strip as a GOMAXPROCS suffix); CI requires multicore to beat it by ≥1.3x
+// one per freed slot). The single-worker variant pins GOMAXPROCS, and with
+// it the session's worker count, to 1 (the name avoids a trailing digit,
+// which the wgrap-bench parser would strip as a GOMAXPROCS suffix); CI
+// requires multicore to beat it by ≥1.3x
 // (see cmd/wgrap-bench -min-speedup) while the two produce bit-identical
 // assignments (TestResolveRowsShardedDeterminism pins that at the flow
 // layer, TestSolverWithdrawWaveShardParity end to end).
 func BenchmarkResolveAfterWithdraw(b *testing.B) {
 	in := benchConferenceInstance(1000, 2000, 40, 3)
-	run := func(b *testing.B, shards int) {
-		s, err := NewSolver(in, WithMethod(MethodSDGA), WithShards(shards))
+	run := func(b *testing.B) {
+		s, err := NewSolver(in, WithMethod(MethodSDGA))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,10 +185,10 @@ func BenchmarkResolveAfterWithdraw(b *testing.B) {
 	b.Run("single-worker", func(b *testing.B) {
 		prev := runtime.GOMAXPROCS(1)
 		defer runtime.GOMAXPROCS(prev)
-		run(b, 1)
+		run(b)
 	})
 	b.Run("multicore", func(b *testing.B) {
-		run(b, 0)
+		run(b)
 	})
 }
 
@@ -200,17 +201,17 @@ const withdrawWave = 20
 // BenchmarkSolveColdPaperScale is the multi-core acceptance benchmark for
 // the sharded stage solve: one full cold SDGA solve at the paper's
 // conference scale (P=1000, R=2000, T=40, δp=3), run once pinned to a
-// single CPU with sharding off (sub-benchmark "single-cpu" — the name
-// avoids a trailing digit, which the wgrap-bench parser would strip as a
-// GOMAXPROCS suffix) and once with all CPUs and the default sharding. CI
+// single CPU, which also makes the session's workers serial (sub-benchmark
+// "single-cpu" — the name avoids a trailing digit, which the wgrap-bench
+// parser would strip as a GOMAXPROCS suffix) and once with all CPUs. CI
 // requires the multicore variant to beat the single-CPU one by ≥1.5x on its
 // ≥4-CPU runners (see cmd/wgrap-bench -min-speedup); the two variants
 // produce identical assignments, so the comparison is pure wall-clock.
 func BenchmarkSolveColdPaperScale(b *testing.B) {
 	in := benchConferenceInstance(1000, 2000, 40, 3)
-	run := func(b *testing.B, shards int) {
+	run := func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, err := NewSolver(in, WithMethod(MethodSDGA), WithShards(shards))
+			s, err := NewSolver(in, WithMethod(MethodSDGA))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -222,10 +223,10 @@ func BenchmarkSolveColdPaperScale(b *testing.B) {
 	b.Run("single-cpu", func(b *testing.B) {
 		prev := runtime.GOMAXPROCS(1)
 		defer runtime.GOMAXPROCS(prev)
-		run(b, 1)
+		run(b)
 	})
 	b.Run("multicore", func(b *testing.B) {
-		run(b, 0)
+		run(b)
 	})
 }
 
@@ -250,11 +251,11 @@ func TestShardedSolveSpeedup(t *testing.T) {
 		t.Skipf("need >= 4 CPUs to assert the multi-core speedup, have %d", runtime.NumCPU())
 	}
 	in := benchConferenceInstance(1000, 2000, 40, 3)
-	solve := func(shards int) (*Result, float64) {
+	solve := func() (*Result, float64) {
 		best := math.Inf(1)
 		var res *Result
 		for trial := 0; trial < 2; trial++ {
-			s, err := NewSolver(in, WithMethod(MethodSDGA), WithShards(shards))
+			s, err := NewSolver(in, WithMethod(MethodSDGA))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,9 +271,9 @@ func TestShardedSolveSpeedup(t *testing.T) {
 		return res, best
 	}
 	prev := runtime.GOMAXPROCS(1)
-	serialRes, serialSec := solve(1)
+	serialRes, serialSec := solve()
 	runtime.GOMAXPROCS(prev)
-	multiRes, multiSec := solve(0)
+	multiRes, multiSec := solve()
 	if math.Abs(serialRes.Score-multiRes.Score) > 1e-9 {
 		t.Fatalf("sharded score %v != serial score %v", multiRes.Score, serialRes.Score)
 	}

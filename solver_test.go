@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -614,15 +615,16 @@ func TestSolverAddReviewerEdit(t *testing.T) {
 
 // TestSolverBatchedEditParity: several edits before a single warm Resolve
 // must match a cold solve of the identically edited instance to 1e-9, with
-// the sharded stage solve forced on (WithShards pins the worker count above
-// one so the parallel load paths run even on single-CPU machines).
+// the sharded stage solve forced on (GOMAXPROCS is pinned above one so the
+// parallel load paths run even on single-CPU machines).
 func TestSolverBatchedEditParity(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, m := range []Method{MethodSDGA, MethodSDGASRA} {
 		t.Run(string(m), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(131))
 			papers, reviewers := randomProblem(rng, 34, 26, 10)
 			in := NewInstance(papers, reviewers, 3, 0)
-			opts := []Option{WithMethod(m), WithOmega(3), WithSeed(11), WithShards(4)}
+			opts := []Option{WithMethod(m), WithOmega(3), WithSeed(11)}
 			warm, err := NewSolver(in, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -656,6 +658,52 @@ func TestSolverBatchedEditParity(t *testing.T) {
 				if math.Abs(warmRes.Score-coldRes.Score) > 1e-9 {
 					t.Fatalf("batch %d (%d edits): warm score %v != cold score %v", batch, edits, warmRes.Score, coldRes.Score)
 				}
+			}
+		})
+	}
+}
+
+// TestSolverHugeWorkload: a workload δr near the int range is a legal,
+// feasible setting. With R=12, P=16 and δp=3, δr=2⁶² once wrapped R·δr
+// around to 0, so NewSolver reported ErrInfeasible and SetWorkload refused
+// the edit, while δr=2⁶²+4 wrapped to 48 and slipped through.
+func TestSolverHugeWorkload(t *testing.T) {
+	const huge = 1 << 62
+	rng := rand.New(rand.NewSource(61))
+	papers, reviewers := randomProblem(rng, 16, 12, 6)
+	for _, m := range []Method{MethodSDGA, MethodSDGASRA} {
+		t.Run(string(m), func(t *testing.T) {
+			s, err := NewSolver(NewInstance(papers, reviewers, 3, huge), WithMethod(m), WithOmega(3))
+			if err != nil {
+				t.Fatalf("NewSolver at δr=2^62: %v", err)
+			}
+			res, err := s.Solve(context.Background())
+			if err != nil {
+				t.Fatalf("solve at δr=2^62: %v", err)
+			}
+			if err := s.Instance().ValidateAssignment(res.Assignment); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err = NewSolver(NewInstance(papers, reviewers, 3, 0), WithMethod(m), WithOmega(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Solve(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetWorkload(huge); err != nil {
+				t.Fatalf("SetWorkload(2^62): %v", err)
+			}
+			res, err = s.Resolve(context.Background())
+			if err != nil {
+				t.Fatalf("resolve at δr=2^62: %v", err)
+			}
+			if got := s.Instance().Workload; got != huge {
+				t.Fatalf("workload = %d, want 2^62", got)
+			}
+			if err := s.Instance().ValidateAssignment(res.Assignment); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
