@@ -11,14 +11,17 @@
 // The solver is Transport. An instance is loaded in one of two CSR layouts:
 // dense (SolveDense, every cell of the profit matrix) or candidate rows
 // (SolveSparse, one cell per candidate column). Costs are reduced to
-// non-negative with Johnson-style node potentials, each phase runs one
-// heap-frontier Dijkstra over the CSR-stored bipartite residual graph and
-// augments along every tight path it exposes (many units per search), and
-// Resolve/ResolveRows warm-start from the potentials and residual flow of the
-// previous solve (SDGA's stage-capacity fallback and the session's warm
-// re-solves). The original generic min-cost max-flow solver (successive
-// shortest paths with SPFA, one search per unit of flow) lives on in the
-// package tests as the parity reference.
+// non-negative with Johnson-style node potentials. A greedy seed and one
+// tight-edge blocking pass place most of the flow; each remaining unit then
+// runs one single-source Dijkstra over the CSR-stored bipartite residual
+// graph, on a 4-ary heap ordered by distance and then node index, bounded
+// at the cheapest sink arrival it has labelled so far, so its frontier stays
+// a few dozen entries wide and its result is bit-identical to the unbounded
+// search's. Resolve/ResolveRows warm-start from the potentials and residual
+// flow of the previous solve (SDGA's stage-capacity fallback and the
+// session's warm re-solves). The original generic min-cost max-flow solver
+// (successive shortest paths with SPFA, one search per unit of flow) lives
+// on in the package tests as the parity reference.
 package flow
 
 import (
@@ -123,15 +126,19 @@ type pathStep struct {
 //     stage-capacity fallback and the session warm re-solves).
 //
 // The zero value is ready to use. A Transport must not be used concurrently;
-// setting Workers > 1 only shards the internal instance-load passes, the
-// external contract is unchanged.
+// setting Workers > 1 runs some internal passes on more goroutines (see
+// Workers), and the external contract is unchanged.
 type Transport struct {
-	// Workers bounds the goroutines used by SolveDense/SolveSparse to load
-	// the instance (CSR build, cold duals, seed candidates) sharded across
-	// rows. 0 or 1 means serial. The solved plan and objective are identical
-	// for every value: the parallel passes write disjoint per-row state
-	// computed from immutable inputs, and the claim order that consumes them
-	// stays serial in row order.
+	// Workers bounds the goroutines of three sharded passes: the instance
+	// load of SolveDense/SolveSparse (CSR build, cold duals, seed
+	// candidates), sharded across rows; the row relaxations of every search
+	// once the instance has relaxShardMin columns, sharded across one row's
+	// edges by a worker pool (see relaxRowSharded); and the read phase of
+	// ResolveRows, sharded across the dirty rows. 0 or 1 means serial. The
+	// plan, objective and duals are identical for every value: each pass
+	// writes disjoint per-row or per-worker state computed from inputs that
+	// nothing writes during the pass, and the steps that consume it run
+	// serially in a fixed order.
 	Workers int
 
 	// DenseRow, when set, supplies the full-width profit row of row i on
@@ -212,6 +219,13 @@ type Transport struct {
 	touched    []int32
 	heap       []heapNode
 
+	// bound prunes the current search: relaxNode drops every label above it.
+	// shortestPathFrom starts each search at +Inf with tighten set, and every
+	// spare column it labels lowers the bound to that column's sink arrival
+	// (see tightenBound); cancelImprovingCycle keeps +Inf and never tightens.
+	bound   float64
+	tighten bool
+
 	arcRow []int32
 	arcCol []int32
 	onPath []bool
@@ -254,6 +268,20 @@ type Transport struct {
 type heapNode struct {
 	d float64
 	x int32
+}
+
+// before orders frontier entries by distance, then by descending node index.
+// Keys are unique within a search (label re-pushes a node only at a strictly
+// smaller distance), so the order is total: the pop sequence depends only on
+// which entries were pushed, never on the heap's shape, and a search that
+// drops entries above its bound pops the rest in the same order as one that
+// keeps them. Descending puts columns (nodes n and up) before rows at equal
+// distance: a column relaxes a few backward arcs and may end the search (a
+// spare slot, an improving cycle), while a row scans its whole width, so the
+// warm repair searches scan fewer rows than under ascending order (see the
+// README's transport section).
+func (a heapNode) before(b heapNode) bool {
+	return a.d < b.d || a.d == b.d && a.x > b.x
 }
 
 // cycleCand is one improving-cycle candidate of a repair search: an
@@ -817,7 +845,9 @@ func (t *Transport) ensureScratch() {
 
 // beginPhase opens a fresh search generation: previously written dist,
 // settled, parent and current-arc entries all become invalid at once, without
-// touching the arrays.
+// touching the arrays. The search bound resets to +Inf with tightening off,
+// which is how cancelImprovingCycle runs; shortestPathFrom turns tightening
+// on.
 func (t *Transport) beginPhase() {
 	if t.gen == math.MaxUint32 {
 		// Clear the full capacity, not just the current length: a smaller
@@ -831,6 +861,7 @@ func (t *Transport) beginPhase() {
 	t.gen++
 	t.heap = t.heap[:0]
 	t.touched = t.touched[:0]
+	t.bound, t.tighten = math.Inf(1), false
 }
 
 // label relaxes node x to distance d with the given parent, pushing a
@@ -862,14 +893,15 @@ func (t *Transport) distOf(x int32) float64 {
 	return math.Inf(1)
 }
 
-// heapPush / heapPop implement a 4-ary min-heap with lazy deletion: nodes are
-// re-pushed on every improvement and stale entries skipped on pop.
+// heapPush / heapPop implement a 4-ary min-heap under heapNode.before with
+// lazy deletion: nodes are re-pushed on every improvement and stale entries
+// skipped on pop.
 func (t *Transport) heapPush(hn heapNode) {
 	t.heap = append(t.heap, hn)
 	i := len(t.heap) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if t.heap[p].d <= hn.d {
+		if t.heap[p].before(hn) {
 			break
 		}
 		t.heap[i] = t.heap[p]
@@ -897,11 +929,11 @@ func (t *Transport) heapPop() heapNode {
 			}
 			min := c
 			for k := c + 1; k < end; k++ {
-				if h[k].d < h[min].d {
+				if h[k].before(h[min]) {
 					min = k
 				}
 			}
-			if h[min].d >= last.d {
+			if last.before(h[min]) {
 				break
 			}
 			h[i] = h[min]
@@ -1031,12 +1063,15 @@ func (t *Transport) removeArc(j int, edge int32) {
 // run drives the solve until every row demand is met: a greedy seed over
 // the recorded tight candidates and a tight-edge blocking pass first (with
 // cold duals they already place most units), then one single-source
-// shortest-path phase per remaining unit of deficit. Single-source phases are
-// what keeps the frontier narrow: with continuous profits each Dijkstra can
-// only ever expose one new augmenting path, so searching from every deficit
-// row at once (the previous multi-source formulation) settled and relaxed the
+// shortest-path phase per remaining unit of deficit. Single-source phases
+// keep the settled set small: with continuous profits each Dijkstra can only
+// ever expose one new augmenting path, so searching from every deficit row
+// at once (the previous multi-source formulation) settled and relaxed the
 // whole near-tight neighbourhood of all deficit rows for every single unit
-// placed — two orders of magnitude more edge relaxations at paper scale.
+// placed — two orders of magnitude more edge relaxations at paper scale. The
+// search bound keeps the heap small too: a phase still scans every settled
+// row's full width, but it pushes only the labels that can pop before the
+// sink (see shortestPathFrom).
 //
 // In sparse mode with a DenseRow callback, an attempt that leaves stuck rows
 // (sink unreachable within their candidate columns) widens those rows to
@@ -1251,9 +1286,11 @@ func (t *Transport) seed() {
 
 // relaxNode relaxes every residual arc out of node x, just settled at
 // distance bd: for a column, the backward arcs to the rows it currently
-// serves; for a row, its unassigned (non-Forbidden) forward cells. Shared by
-// the shortest-path phases and the improving-cycle repair so the two search
-// paths can never diverge in how they price arcs.
+// serves; for a row, its unassigned (non-Forbidden) forward cells. Labels
+// above the search bound are dropped (see shortestPathFrom). Shared by the
+// shortest-path phases and the improving-cycle repair so the two search
+// paths can never diverge in how they price arcs; the repair search keeps
+// the bound at +Inf, because its capped Johnson update reads every label.
 func (t *Transport) relaxNode(x int32, bd float64) {
 	n := t.n
 	if int(x) >= n {
@@ -1267,7 +1304,11 @@ func (t *Transport) relaxNode(x int32, bd float64) {
 			if rd < 0 {
 				rd = 0
 			}
-			t.label(a.row, bd+rd, a.edge, x)
+			nd := bd + rd
+			if nd > t.bound {
+				continue // could only pop after the search stops
+			}
+			t.label(a.row, nd, a.edge, x)
 		}
 		return
 	}
@@ -1295,8 +1336,41 @@ func (t *Transport) relaxNode(x int32, bd float64) {
 		if rd < 0 {
 			rd = 0
 		}
-		t.label(y, bd+rd, e, x)
+		nd := bd + rd
+		if nd > t.bound {
+			continue // could only pop after the search stops
+		}
+		t.label(y, nd, e, x)
+		if t.tighten {
+			t.tightenBound(j, nd)
+		}
 	}
+}
+
+// tightenBound lowers the search bound to the sink arrival through column j,
+// just labelled at distance d; a column without a spare slot leaves it
+// alone. Labels above the bound are dropped, and a label equal to it is
+// kept: the search may still settle that one before it stops (see
+// shortestPathFrom). Callers check t.tighten first, which the repair
+// search leaves off.
+func (t *Transport) tightenBound(j int32, d float64) {
+	if b := t.sinkArrival(int(j), d); b < t.bound {
+		t.bound = b
+	}
+}
+
+// sinkArrival is the distance at which a search reaches the sink through
+// column j at distance d: d plus the reduced cost max(0, v[j] − potT) of the
+// column's sink arc, or +Inf when the column has no spare slot.
+func (t *Transport) sinkArrival(j int, d float64) float64 {
+	if len(t.colPairs[j]) >= t.colCap[j] {
+		return math.Inf(1)
+	}
+	rd := t.v[j] - t.potT
+	if rd < 0 {
+		rd = 0
+	}
+	return d + rd
 }
 
 // relaxShardMin is the row width below which the sharded relaxation is not
@@ -1306,21 +1380,28 @@ const relaxShardMin = 1024
 // relaxRowSharded relaxes a settled row's outgoing arcs with the reduced-cost
 // scan sharded across the relax pool's workers. A CSR row holds each column
 // at most once, so the per-edge computations are independent: workers only
-// read shared search state (cost, duals, dist, settled — nothing writes them
-// while a scan is dispatched) and collect their improving labels into
-// per-worker buffers; the label/heap mutation then replays serially in
-// ascending edge order, the exact order the serial scan issues, so the heap
-// sequence — and with it every downstream settle, parent and potential — is
-// bit-identical for any worker count. This is the lever that parallelises
-// the warm repair searches: each one is a near-full-graph Dijkstra whose
-// time is almost entirely this scan.
+// read shared search state (cost, duals, dist, settled, the bound — nothing
+// writes them while a scan is dispatched) and collect their improving labels
+// into per-worker buffers; the label/heap mutation, with the bound check and
+// tightening, then replays serially in ascending edge order, the exact order
+// the serial scan issues, so the heap sequence — and with it every
+// downstream settle, parent and potential — is bit-identical for any worker
+// count. This is the lever that parallelises the warm repair searches: each
+// one is a near-full-graph Dijkstra whose time is almost entirely this scan.
 func (t *Transport) relaxRowSharded(x int32, bd, ur float64, lo, hi int32) {
 	p := t.relax
 	p.dispatch(x, bd, ur, lo, hi)
 	n := t.n
 	for _, buf := range t.relaxBufs[:p.workers] {
 		for _, rc := range buf {
-			t.label(int32(n)+t.colIdx[rc.e], rc.d, rc.e, x)
+			if rc.d > t.bound {
+				continue
+			}
+			j := t.colIdx[rc.e]
+			t.label(int32(n)+j, rc.d, rc.e, x)
+			if t.tighten {
+				t.tightenBound(j, rc.d)
+			}
 		}
 	}
 }
@@ -1333,7 +1414,7 @@ func (t *Transport) relaxRowSharded(x int32, bd, ur float64, lo, hi int32) {
 // order.
 func (t *Transport) relaxScan(wi, w int, x int32, bd, ur float64, lo, hi int32) {
 	buf := t.relaxBufs[wi][:0]
-	n, seg := t.n, int(hi-lo)
+	n, seg, bound := t.n, int(hi-lo), t.bound
 	for e := lo + int32(wi*seg/w); e < lo+int32((wi+1)*seg/w); e++ {
 		if t.assigned[e] {
 			continue
@@ -1351,9 +1432,11 @@ func (t *Transport) relaxScan(wi, w int, x int32, bd, ur float64, lo, hi int32) 
 		if nd < bd {
 			nd = bd // same clamp as the serial rd < 0 branch
 		}
-		// Cheap pre-filter; label re-applies the same check on the serial
-		// side, so a label another shard outprices is still dropped.
-		if t.mark[y] == t.gen && nd >= t.dist[y] {
+		// Cheap pre-filters against the bound and distances as they stood at
+		// dispatch; the serial replay re-applies both checks against their
+		// current values, so a label another shard outprices, or whose bound
+		// an earlier edge's label tightened, is still dropped.
+		if nd > bound || t.mark[y] == t.gen && nd >= t.dist[y] {
 			continue
 		}
 		buf = append(buf, relaxCand{d: nd, e: e})
@@ -1383,8 +1466,25 @@ func (t *Transport) searchWorkers() int {
 // ok=false when the sink is unreachable from root (the instance is infeasible
 // at the current capacities: residual reachability accounts for every
 // possible rerouting of the placed flow).
+//
+// The search is bounded: every spare column it labels lowers t.bound to that
+// column's sink arrival (tightenBound), and relaxNode drops every label above
+// the bound. Without the bound, almost every push of a wide search is a
+// label that never pops. The result is bit-identical to the unbounded
+// search's:
+//   - the bound is the length of a real path to the sink, so it never falls
+//     below D, and a dropped label could only have popped after the stop;
+//   - a node whose labels were all dropped ends at a distance ≥ D either
+//     way, so the update min(d, D) − D leaves its potential alone;
+//   - the heap's (distance, node) order is total, so the entries at or below
+//     D pop in the same order with or without the dropped ones (with a
+//     distance-only order, the heap's shape decided among equal distances,
+//     and dropping entries changed the shape);
+//   - a failed search labels no spare column, so its bound stays +Inf and
+//     touched, which noteReached reads for densification, is unchanged.
 func (t *Transport) shortestPathFrom(root int) (jStar int, ok bool) {
 	t.beginPhase()
+	t.tighten = !unboundedSearch
 	if math.IsInf(t.u[root], -1) {
 		// Every cell of the row is Forbidden (the CSR keeps them at +Inf
 		// cost), so the sink is unreachable.
@@ -1405,15 +1505,8 @@ func (t *Transport) shortestPathFrom(root int) (jStar int, ok bool) {
 		}
 		t.settled[x] = true
 		if int(x) >= n {
-			j := int(x) - n
-			if len(t.colPairs[j]) < t.colCap[j] {
-				rd := t.v[j] - t.potT
-				if rd < 0 {
-					rd = 0
-				}
-				if nd := bd + rd; nd < distT {
-					distT, jStar = nd, j
-				}
+			if nd := t.sinkArrival(int(x)-n, bd); nd < distT {
+				distT, jStar = nd, int(x)-n
 			}
 		}
 		t.relaxNode(x, bd)
@@ -1844,3 +1937,9 @@ var resetFlowHook func()
 // whenever the sparse escape hatch densifies stuck rows; tests use it to
 // assert the hatch fires (or stays quiet) where expected.
 var densifyHook func(rows int)
+
+// unboundedSearch, when set, keeps every shortestPathFrom search at an
+// infinite bound: the unpruned reference that tests compare the bounded
+// search against, bit for bit. Only tests write it; a search reads it once,
+// when it opens.
+var unboundedSearch bool
