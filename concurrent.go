@@ -2,11 +2,9 @@ package wgrap
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cra"
 )
 
@@ -80,155 +78,22 @@ func (t *Ticket) complete(res *Result, err error, version uint64) {
 	close(t.done)
 }
 
-// editKind discriminates the pending-batch operations.
-type editKind uint8
-
-const (
-	editConflict editKind = iota
-	editWithdraw
-	editRestore
-	editReviewer
-	editWorkload
-)
-
-// pendingEdit is one accepted-but-not-yet-applied session edit.
-type pendingEdit struct {
-	kind     editKind
-	r, p     int
-	rev      Reviewer
-	workload int
-}
-
-// editMirror replicates exactly the state the session's mutators validate
-// against, advanced at enqueue time instead of apply time. It is what lets
-// an edit made while a Resolve is in flight return the same error — or the
-// same acceptance — it would get from the session itself, synchronously,
-// without touching the session (which the running solve owns). Guarded by
-// Solver.pendMu.
-type editMirror struct {
-	papers    int
-	reviewers int
-	topics    int
-	groupSize int
-	workload  int
-	activeN   int
-	withdrawn []bool
-	conflictN []int
-	conflicts map[int64]struct{}
-}
-
-func newEditMirror(in *core.Instance) editMirror {
-	P := in.NumPapers()
-	m := editMirror{
-		papers:    P,
-		reviewers: in.NumReviewers(),
-		topics:    in.NumTopics(),
-		groupSize: in.GroupSize,
-		workload:  in.Workload,
-		activeN:   P,
-		withdrawn: make([]bool, P),
-		conflictN: make([]int, P),
-		conflicts: make(map[int64]struct{}),
-	}
-	for _, c := range in.Conflicts() {
-		m.conflicts[m.key(c.Reviewer, c.Paper)] = struct{}{}
-		m.conflictN[c.Paper]++
-	}
-	return m
-}
-
-func (m *editMirror) key(r, p int) int64 { return int64(r)*int64(m.papers) + int64(p) }
-
-// check validates op against the mirror without mutating it, so the edit
-// journal can persist the record between acceptance and apply — a journal
-// write failure then rejects the edit with mirror and session untouched.
-// Idempotent no-ops (a duplicate conflict, withdrawing a withdrawn paper)
-// are accepted like the session accepts them. The errors are the same
-// internal sentinels the session returns, pre-wrapping.
-func (m *editMirror) check(op *pendingEdit) error {
-	switch op.kind {
-	case editConflict:
-		if op.r < 0 || op.r >= m.reviewers || op.p < 0 || op.p >= m.papers {
-			return fmt.Errorf("%w: conflict (%d,%d) out of range", ErrInvalidEdit, op.r, op.p)
-		}
-		if _, dup := m.conflicts[m.key(op.r, op.p)]; dup {
-			return nil
-		}
-		if !m.withdrawn[op.p] && m.reviewers-m.conflictN[op.p]-1 < m.groupSize {
-			return fmt.Errorf("%w (paper %d)", cra.ErrConflictSaturated, op.p)
-		}
-	case editWithdraw:
-		if op.p < 0 || op.p >= m.papers {
-			return fmt.Errorf("%w: paper %d out of range", ErrInvalidEdit, op.p)
-		}
-	case editRestore:
-		if op.p < 0 || op.p >= m.papers {
-			return fmt.Errorf("%w: paper %d out of range", ErrInvalidEdit, op.p)
-		}
-		if !m.withdrawn[op.p] {
-			return nil
-		}
-		if m.reviewers-m.conflictN[op.p] < m.groupSize {
-			return fmt.Errorf("%w (paper %d)", cra.ErrConflictSaturated, op.p)
-		}
-		if !core.HasCapacity(m.reviewers, m.workload, (m.activeN+1)*m.groupSize) {
-			return cra.ErrInsufficientCapacity
-		}
-	case editReviewer:
-		if d := op.rev.Topics.Dim(); d != m.topics {
-			return fmt.Errorf("%w: cra: reviewer has %d topics, want %d", ErrInvalidEdit, d, m.topics)
-		}
-		if k := op.rev.Topics.NonFinite(); k >= 0 {
-			return fmt.Errorf("%w: cra: reviewer topic %d weight %v is not finite", ErrInvalidEdit, k, op.rev.Topics[k])
-		}
-	case editWorkload:
-		if op.workload <= 0 {
-			return fmt.Errorf("%w: workload δr must be positive, got %d", ErrInvalidEdit, op.workload)
-		}
-		if !core.HasCapacity(m.reviewers, op.workload, m.activeN*m.groupSize) {
-			return cra.ErrInsufficientCapacity
-		}
-	}
-	return nil
-}
-
-// apply advances the mirror as the session will when the checked op is
-// applied. Infallible: the op passed check against this exact mirror state.
-func (m *editMirror) apply(op *pendingEdit) {
-	switch op.kind {
-	case editConflict:
-		if _, dup := m.conflicts[m.key(op.r, op.p)]; !dup {
-			m.conflicts[m.key(op.r, op.p)] = struct{}{}
-			m.conflictN[op.p]++
-		}
-	case editWithdraw:
-		if !m.withdrawn[op.p] {
-			m.withdrawn[op.p] = true
-			m.activeN--
-		}
-	case editRestore:
-		if m.withdrawn[op.p] {
-			m.withdrawn[op.p] = false
-			m.activeN++
-		}
-	case editReviewer:
-		m.reviewers++
-	case editWorkload:
-		m.workload = op.workload
-	}
-}
-
-// enqueueEdit validates op against the mirror, journals it when the session
-// is durable, queues it, and — when no solve holds the lock — immediately
+// enqueueEdit judges e by the mirror, journals it when the session is
+// durable, queues it, and — when no solve holds the lock — immediately
 // drains the batch into the session, so the uncontended path behaves exactly
-// like the pre-concurrent solver. Callback-safe: from a progress callback
-// the TryLock fails (the solve owns the lock) and the edit simply stays
-// pending for the solve that follows.
-func (s *Solver) enqueueEdit(op pendingEdit) error {
+// like the pre-concurrent solver. It returns the new reviewer's index for
+// cra.OpAddReviewer and -1 otherwise. Callback-safe: from a progress
+// callback the TryLock fails (the solve owns the lock) and the edit simply
+// stays pending for the solve that follows.
+func (s *Solver) enqueueEdit(e cra.Edit) (int, error) {
 	s.pendMu.Lock()
-	if err := s.acceptLocked(&op); err != nil {
+	if err := s.acceptLocked(&e); err != nil {
 		s.pendMu.Unlock()
-		return err
+		return -1, err
+	}
+	idx := -1
+	if e.Op == cra.OpAddReviewer {
+		idx = s.mirror.Reviewers() - 1 // Apply advanced the mirror
 	}
 	s.pendMu.Unlock()
 	if s.mu.TryLock() {
@@ -236,72 +101,58 @@ func (s *Solver) enqueueEdit(op pendingEdit) error {
 		s.maybeCompactLocked()
 		s.mu.Unlock()
 	}
-	return nil
+	return idx, nil
 }
 
 // acceptLocked runs the accept pipeline of one edit under pendMu: mirror
-// check, journal append (durable sessions), mirror apply, enqueue. An edit
-// is accepted — and therefore counted by Seq and visible to replay — exactly
-// when this returns nil.
-func (s *Solver) acceptLocked(op *pendingEdit) error {
+// Check, journal append (durable sessions), mirror Apply, enqueue. The
+// mirror is a cra.EditState advanced at enqueue time instead of apply time,
+// so an edit made while a Resolve is in flight gets, synchronously, the
+// verdict the session's own rule set will give it, without touching the
+// session (which the running solve owns). Checking before the append and
+// applying after it means a failed append rejects the edit with the mirror
+// untouched. An edit is accepted — and therefore counted by Seq and visible
+// to replay — exactly when this returns nil.
+func (s *Solver) acceptLocked(e *cra.Edit) error {
 	if s.storeErr != nil {
 		return s.storeErr
 	}
-	if err := s.mirror.check(op); err != nil {
+	if err := s.mirror.Check(e); err != nil {
 		return wrapErr(err)
 	}
-	if err := s.journalLocked(op); err != nil {
+	if err := s.journalLocked(e); err != nil {
 		return err
 	}
-	s.mirror.apply(op)
+	s.mirror.Apply(e)
 	s.accepted++
-	s.pending = append(s.pending, *op)
+	s.pending = append(s.pending, *e)
 	return nil
 }
 
 // drainLocked applies the pending batch to the session in enqueue order.
-// Caller holds mu. The mirror already accepted every op, so the session
-// applications cannot fail; a failure would mean mirror and session
-// diverged — a bug — so it is kept and surfaced by the next solve rather
-// than dropped, and the mirror is rebuilt from the session.
+// Caller holds mu. The mirror already accepted every edit by the session's
+// own rules, so the session applications cannot fail; a failure would mean
+// mirror and session diverged — a bug — so it is kept and surfaced by the
+// next solve rather than dropped, and the mirror is copied from the session
+// again.
 func (s *Solver) drainLocked() {
 	s.pendMu.Lock()
-	ops := s.pending
+	edits := s.pending
 	s.pending = nil
 	s.pendMu.Unlock()
-	if len(ops) == 0 {
+	if len(edits) == 0 {
 		return
 	}
-	for i := range ops {
-		op := &ops[i]
-		var err error
-		switch op.kind {
-		case editConflict:
-			err = s.sess.AddConflict(op.r, op.p)
-		case editWithdraw:
-			err = s.sess.WithdrawPaper(op.p)
-		case editRestore:
-			err = s.sess.RestorePaper(op.p)
-		case editReviewer:
-			_, err = s.sess.AddReviewer(op.rev)
-		case editWorkload:
-			err = s.sess.SetWorkload(op.workload)
-		}
-		if err != nil && s.applyErr == nil {
+	for _, e := range edits {
+		if _, err := s.sess.Apply(e); err != nil && s.applyErr == nil {
 			s.applyErr = wrapErr(err)
 			s.pendMu.Lock()
-			s.mirror = newEditMirror(s.sess.Instance())
-			for p := 0; p < s.mirror.papers; p++ {
-				if !s.sess.Active(p) {
-					s.mirror.withdrawn[p] = true
-					s.mirror.activeN--
-				}
-			}
+			s.mirror = s.sess.EditState()
 			s.pendMu.Unlock()
 		}
 	}
 	s.edited = true
-	s.editsSince += len(ops)
+	s.editsSince += len(edits)
 }
 
 // publishLocked swaps in a new View for a completed solve. Caller holds mu.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/cra"
 	"repro/internal/durable"
 	"repro/internal/wire"
 )
@@ -129,39 +130,43 @@ func restoreFromState(st *durable.State, tail []durable.Record, o options) (*Sol
 	return s, nil
 }
 
-// replayEdit applies one journaled edit through the same mutators that
-// accepted it originally.
-func (s *Solver) replayEdit(e wire.Edit) error {
-	switch e.Op {
+// replayEdit turns one journaled record back into an edit and runs it
+// through the pipeline that accepted it originally.
+func (s *Solver) replayEdit(w wire.Edit) error {
+	e := cra.Edit{R: w.R, P: w.P, Workload: w.Workload}
+	switch w.Op {
 	case wire.OpAddConflict:
-		return s.AddConflict(e.R, e.P)
+		e.Op = cra.OpAddConflict
 	case wire.OpWithdraw:
-		return s.WithdrawPaper(e.P)
+		e.Op = cra.OpWithdrawPaper
 	case wire.OpRestore:
-		return s.RestorePaper(e.P)
+		e.Op = cra.OpRestorePaper
 	case wire.OpAddReviewer:
-		if e.Reviewer == nil {
+		if w.Reviewer == nil {
 			return fmt.Errorf("%w: add-reviewer record without a reviewer", ErrInvalidEdit)
 		}
-		_, err := s.AddReviewer(Reviewer{
-			ID: e.Reviewer.ID, Name: e.Reviewer.Name,
-			HIndex: e.Reviewer.HIndex, Topics: e.Reviewer.Topics,
-		})
-		return err
+		e.Op = cra.OpAddReviewer
+		e.Reviewer = Reviewer{
+			ID: w.Reviewer.ID, Name: w.Reviewer.Name,
+			HIndex: w.Reviewer.HIndex, Topics: w.Reviewer.Topics,
+		}
 	case wire.OpSetWorkload:
-		return s.SetWorkload(e.Workload)
+		e.Op = cra.OpSetWorkload
+	default:
+		return fmt.Errorf("%w: unknown journaled op %q", ErrInvalidEdit, w.Op)
 	}
-	return fmt.Errorf("%w: unknown journaled op %q", ErrInvalidEdit, e.Op)
+	_, err := s.enqueueEdit(e)
+	return err
 }
 
-// journalLocked appends op to the edit journal (no-op for non-durable
+// journalLocked appends e to the edit journal (no-op for non-durable
 // sessions). Caller holds pendMu, which serialises appends in acceptance
 // order. A failure is sticky — see Solver.storeErr.
-func (s *Solver) journalLocked(op *pendingEdit) error {
+func (s *Solver) journalLocked(e *cra.Edit) error {
 	if s.dstore == nil {
 		return nil
 	}
-	rec := durable.Record{Seq: s.accepted + 1, Edit: op.wireEdit()}
+	rec := durable.Record{Seq: s.accepted + 1, Edit: journalRecord(e)}
 	if err := s.dstore.Append(rec); err != nil {
 		s.storeErr = err
 		return err
@@ -169,21 +174,21 @@ func (s *Solver) journalLocked(op *pendingEdit) error {
 	return nil
 }
 
-// wireEdit converts a pending edit to its journal/wire form.
-func (op *pendingEdit) wireEdit() wire.Edit {
-	switch op.kind {
-	case editConflict:
-		return wire.Edit{Op: wire.OpAddConflict, R: op.r, P: op.p}
-	case editWithdraw:
-		return wire.Edit{Op: wire.OpWithdraw, P: op.p}
-	case editRestore:
-		return wire.Edit{Op: wire.OpRestore, P: op.p}
-	case editReviewer:
+// journalRecord converts an edit to its journal/wire form.
+func journalRecord(e *cra.Edit) wire.Edit {
+	switch e.Op {
+	case cra.OpAddConflict:
+		return wire.Edit{Op: wire.OpAddConflict, R: e.R, P: e.P}
+	case cra.OpWithdrawPaper:
+		return wire.Edit{Op: wire.OpWithdraw, P: e.P}
+	case cra.OpRestorePaper:
+		return wire.Edit{Op: wire.OpRestore, P: e.P}
+	case cra.OpAddReviewer:
 		return wire.Edit{Op: wire.OpAddReviewer, Reviewer: &wire.Reviewer{
-			ID: op.rev.ID, Name: op.rev.Name, HIndex: op.rev.HIndex, Topics: op.rev.Topics,
+			ID: e.Reviewer.ID, Name: e.Reviewer.Name, HIndex: e.Reviewer.HIndex, Topics: e.Reviewer.Topics,
 		}}
 	default:
-		return wire.Edit{Op: wire.OpSetWorkload, Workload: op.workload}
+		return wire.Edit{Op: wire.OpSetWorkload, Workload: e.Workload}
 	}
 }
 

@@ -51,6 +51,8 @@ func wrapErr(err error) error {
 		return nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return err
+	case errors.Is(err, cra.ErrInvalidEdit):
+		return fmt.Errorf("%w: %v", ErrInvalidEdit, err)
 	case errors.Is(err, cra.ErrConflictSaturated) || errors.Is(err, jra.ErrTooFewCandidates):
 		return fmt.Errorf("%w: %v", ErrConflictSaturated, err)
 	case errors.Is(err, flow.ErrInfeasible) || errors.Is(err, cra.ErrInsufficientCapacity):

@@ -137,19 +137,6 @@ func (in *Instance) Clone() *Instance {
 	return c
 }
 
-// NonConflicting returns how many reviewers may review paper p. Long-lived
-// sessions keep their own incremental per-paper counts; this scan is for
-// one-shot callers.
-func (in *Instance) NonConflicting(p int) int {
-	n := in.NumReviewers()
-	for c := range in.conflicts {
-		if c.Paper == p && c.Reviewer >= 0 && c.Reviewer < in.NumReviewers() {
-			n--
-		}
-	}
-	return n
-}
-
 // IsConflict reports whether assigning reviewer r to paper p is forbidden.
 func (in *Instance) IsConflict(r, p int) bool {
 	if in.conflicts == nil {

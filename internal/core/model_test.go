@@ -340,18 +340,3 @@ func TestInstanceVersionAndClone(t *testing.T) {
 		t.Fatal("versions should have diverged")
 	}
 }
-
-func TestNonConflicting(t *testing.T) {
-	in := NewInstance(
-		[]Paper{{Topics: Vector{1, 0}}},
-		[]Reviewer{{Topics: Vector{1, 0}}, {Topics: Vector{0, 1}}, {Topics: Vector{0.5, 0.5}}},
-		2, 1)
-	if got := in.NonConflicting(0); got != 3 {
-		t.Fatalf("NonConflicting = %d, want 3", got)
-	}
-	in.AddConflict(1, 0)
-	in.AddConflict(1, 0) // duplicate must not double-count
-	if got := in.NonConflicting(0); got != 2 {
-		t.Fatalf("NonConflicting after conflict = %d, want 2", got)
-	}
-}

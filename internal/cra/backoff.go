@@ -79,19 +79,7 @@ func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perSt
 			ForbiddenValue: flow.Forbidden,
 			Bonus:          bonus,
 		}
-		var rows [][]int
-		var err error
-		if cands != nil {
-			tr.DenseRow = func(i int, buf []float64) []float64 {
-				eng.FillRowInto(buf, i, spec)
-				return buf
-			}
-			if err = eng.FillProfitSparse(ctx, &m, spec, cands); err == nil {
-				rows, _, err = tr.SolveSparse(m.Rows(), cands, R, need, rem)
-			}
-		} else if err = eng.FillProfit(ctx, &m, spec); err == nil {
-			rows, _, err = tr.SolveDense(m.Rows(), need, rem)
-		}
+		rows, err := fillSolve(ctx, eng, &m, &tr, spec, cands, false, nil, need, rem)
 		if err == nil {
 			for p, cols := range rows {
 				for _, r := range cols {

@@ -46,14 +46,12 @@ func (PairILP) AssignContext(ctx context.Context, instance *core.Instance) (*cor
 		need[p] = in.GroupSize
 	}
 	var m engine.Matrix
+	var tr flow.Transport
 	spec := engine.ProfitSpec{
 		Forbidden:      func(p, r int) bool { return in.IsConflict(r, p) },
 		ForbiddenValue: flow.Forbidden,
 	}
-	if err := eng.FillProfit(ctx, &m, spec); err != nil {
-		return nil, err
-	}
-	rows, _, err := flow.MaxProfitTransport(m.Rows(), need, caps)
+	rows, err := fillSolve(ctx, eng, &m, &tr, spec, nil, false, nil, need, caps)
 	if err != nil {
 		return nil, err
 	}

@@ -37,10 +37,8 @@ func fillMissingSlots(ctx context.Context, eng *engine.Oracle, a *core.Assignmen
 		ForbiddenValue: flow.Forbidden,
 	}
 	var m engine.Matrix
-	if err := eng.FillProfit(ctx, &m, spec); err != nil {
-		return err
-	}
-	rows, _, err := flow.MaxProfitTransport(m.Rows(), need, rem)
+	var tr flow.Transport
+	rows, err := fillSolve(ctx, eng, &m, &tr, spec, nil, false, nil, need, rem)
 	if err != nil {
 		return err
 	}

@@ -52,8 +52,10 @@ type SessionConfig struct {
 //
 //   - Solve computes the assignment from scratch (and records per-stage
 //     state);
-//   - AddConflict / WithdrawPaper / RestorePaper / AddReviewer / SetWorkload
-//     edit the instance and mark the affected state dirty;
+//   - Apply judges an edit by the one rule set, EditState.Check, then edits
+//     the instance and marks the affected state dirty; the five mutators
+//     (AddConflict, WithdrawPaper, RestorePaper, AddReviewer, SetWorkload)
+//     are Apply with one op each;
 //   - Resolve re-solves warm: profit-matrix rows are re-filled only for
 //     dirty papers, each stage's transportation re-solves through
 //     Transport.ResolveRows from the retained flow and duals, and papers
@@ -71,11 +73,9 @@ type Session struct {
 	eng *engine.Oracle
 	cfg SessionConfig
 
-	withdrawn []bool
-	activeN   int
-	// conflictN[p] counts paper p's conflicts, kept incrementally so the
-	// saturation check on every edit is O(1) instead of a conflict-set scan.
-	conflictN []int
+	// edits is the state the edit rules read; Apply advances it with the
+	// instance.
+	edits EditState
 
 	dirty      map[int]struct{}
 	structural bool // dimensions or large-scale state changed: rebuild everything
@@ -124,33 +124,19 @@ func NewSession(in *core.Instance, cfg SessionConfig) (*Session, error) {
 		in:         in,
 		eng:        engine.New(in),
 		cfg:        cfg,
-		withdrawn:  make([]bool, in.NumPapers()),
-		activeN:    in.NumPapers(),
+		edits:      NewEditState(in, nil),
 		dirty:      make(map[int]struct{}),
 		structural: true,
 		version:    in.Version(),
 	}
 	// Conflict saturation is not part of core.Validate (it is a solver-level
 	// concern): detect it here so sessions fail with a typed error up front
-	// instead of a late transport infeasibility. The per-paper counts stay
-	// on the session and are maintained incrementally by AddConflict.
-	s.conflictN = make([]int, in.NumPapers())
-	for _, c := range in.Conflicts() {
-		if c.Paper >= 0 && c.Paper < in.NumPapers() {
-			s.conflictN[c.Paper]++
-		}
-	}
-	for p, n := range s.conflictN {
-		if in.NumReviewers()-n < in.GroupSize {
-			return nil, fmt.Errorf("%w (paper %d)", ErrConflictSaturated, p)
-		}
+	// instead of a late transport infeasibility.
+	if p := s.edits.saturated(); p >= 0 {
+		return nil, fmt.Errorf("%w (paper %d)", ErrConflictSaturated, p)
 	}
 	return s, nil
 }
-
-// eligible returns how many reviewers may serve paper p, from the
-// incrementally maintained conflict counts.
-func (s *Session) eligible(p int) int { return s.in.NumReviewers() - s.conflictN[p] }
 
 // Instance returns the session's instance. Callers must treat it as
 // read-only; edits go through the session mutators.
@@ -158,106 +144,79 @@ func (s *Session) Instance() *core.Instance { return s.in }
 
 // Active reports whether paper p participates in the assignment (i.e. has
 // not been withdrawn).
-func (s *Session) Active(p int) bool { return !s.withdrawn[p] }
+func (s *Session) Active(p int) bool { return s.edits.Active(p) }
 
 // ActivePapers returns the number of non-withdrawn papers.
-func (s *Session) ActivePapers() int { return s.activeN }
+func (s *Session) ActivePapers() int { return s.edits.ActivePapers() }
 
-// markDirty records paper p as needing a profit-row refill in every stage.
-func (s *Session) markDirty(p int) { s.dirty[p] = struct{}{} }
+// EditState returns a deep copy of the state the session judges edits by.
+func (s *Session) EditState() EditState { return s.edits.Clone() }
+
+// Apply judges e by EditState.Check, then applies it: it advances the edit
+// state, edits the instance and marks what the edit dirtied for the next
+// Resolve. It returns the new reviewer's index for OpAddReviewer and -1
+// otherwise. An edit that changes nothing is accepted and marks nothing.
+func (s *Session) Apply(e Edit) (int, error) {
+	if err := s.edits.Check(&e); err != nil {
+		return -1, err
+	}
+	if !s.edits.Apply(&e) {
+		return -1, nil
+	}
+	switch e.Op {
+	case OpAddConflict:
+		s.in.AddConflict(e.R, e.P)
+		s.dirty[e.P] = struct{}{}
+		s.version = s.in.Version()
+	case OpWithdrawPaper, OpRestorePaper:
+		s.dirty[e.P] = struct{}{}
+	case OpAddReviewer:
+		// Every profit matrix gains a column: the next Resolve rebuilds the
+		// warm state from scratch.
+		idx := s.in.AddReviewer(e.Reviewer)
+		s.structural = true
+		s.pairsValid = false
+		s.version = s.in.Version()
+		return idx, nil
+	case OpSetWorkload:
+		// Gains do not depend on δr: only the capacities are reworked.
+		s.in.Workload = e.Workload
+		s.capsDirty = true
+	}
+	return -1, nil
+}
 
 // AddConflict registers a conflict of interest between reviewer r and paper
-// p and marks the paper dirty. It rejects edits that would leave an active
-// paper without δp eligible reviewers with ErrConflictSaturated.
+// p (Apply with OpAddConflict).
 func (s *Session) AddConflict(r, p int) error {
-	if r < 0 || r >= s.in.NumReviewers() || p < 0 || p >= s.in.NumPapers() {
-		return fmt.Errorf("cra: conflict (%d,%d) out of range", r, p)
-	}
-	if s.in.IsConflict(r, p) {
-		return nil
-	}
-	if !s.withdrawn[p] && s.eligible(p)-1 < s.in.GroupSize {
-		return fmt.Errorf("%w (paper %d)", ErrConflictSaturated, p)
-	}
-	s.in.AddConflict(r, p)
-	s.conflictN[p]++
-	s.markDirty(p)
-	s.version = s.in.Version()
-	return nil
+	_, err := s.Apply(Edit{Op: OpAddConflict, R: r, P: p})
+	return err
 }
 
 // WithdrawPaper removes paper p from the workload: it keeps its index but
-// receives no reviewers until restored.
+// receives no reviewers until restored (Apply with OpWithdrawPaper).
 func (s *Session) WithdrawPaper(p int) error {
-	if p < 0 || p >= s.in.NumPapers() {
-		return fmt.Errorf("cra: paper %d out of range", p)
-	}
-	if s.withdrawn[p] {
-		return nil
-	}
-	s.withdrawn[p] = true
-	s.activeN--
-	s.markDirty(p)
-	return nil
+	_, err := s.Apply(Edit{Op: OpWithdrawPaper, P: p})
+	return err
 }
 
-// RestorePaper re-activates a withdrawn paper. It fails with
-// ErrConflictSaturated when conflicts added in the meantime leave the paper
-// without δp eligible reviewers, and with ErrInsufficientCapacity when the
-// reviewer pool cannot absorb the extra load.
+// RestorePaper re-activates a withdrawn paper (Apply with OpRestorePaper).
 func (s *Session) RestorePaper(p int) error {
-	if p < 0 || p >= s.in.NumPapers() {
-		return fmt.Errorf("cra: paper %d out of range", p)
-	}
-	if !s.withdrawn[p] {
-		return nil
-	}
-	if s.eligible(p) < s.in.GroupSize {
-		return fmt.Errorf("%w (paper %d)", ErrConflictSaturated, p)
-	}
-	if !core.HasCapacity(s.in.NumReviewers(), s.in.Workload, (s.activeN+1)*s.in.GroupSize) {
-		return ErrInsufficientCapacity
-	}
-	s.withdrawn[p] = false
-	s.activeN++
-	s.markDirty(p)
-	return nil
+	_, err := s.Apply(Edit{Op: OpRestorePaper, P: p})
+	return err
 }
 
-// AddReviewer appends a reviewer to the pool and returns its index. It
-// rejects a topic vector of the wrong dimension or with a NaN or ±Inf
-// weight. The edit is structural (every profit matrix gains a column), so
-// the next Resolve rebuilds the warm state from scratch.
+// AddReviewer appends a reviewer to the pool and returns its index (Apply
+// with OpAddReviewer).
 func (s *Session) AddReviewer(r core.Reviewer) (int, error) {
-	if t := s.in.NumTopics(); r.Topics.Dim() != t {
-		return -1, fmt.Errorf("cra: reviewer has %d topics, want %d", r.Topics.Dim(), t)
-	}
-	if k := r.Topics.NonFinite(); k >= 0 {
-		return -1, fmt.Errorf("cra: reviewer topic %d weight %v is not finite", k, r.Topics[k])
-	}
-	idx := s.in.AddReviewer(r)
-	s.structural = true
-	s.pairsValid = false
-	s.version = s.in.Version()
-	return idx, nil
+	return s.Apply(Edit{Op: OpAddReviewer, Reviewer: r})
 }
 
-// SetWorkload changes the per-reviewer workload δr. Profit matrices are
-// unaffected (gains do not depend on δr), so the next Resolve only reworks
-// the transportation capacities.
+// SetWorkload changes the per-reviewer workload δr (Apply with
+// OpSetWorkload).
 func (s *Session) SetWorkload(workload int) error {
-	if workload <= 0 {
-		return fmt.Errorf("cra: workload δr must be positive, got %d", workload)
-	}
-	if !core.HasCapacity(s.in.NumReviewers(), workload, s.activeN*s.in.GroupSize) {
-		return ErrInsufficientCapacity
-	}
-	if workload == s.in.Workload {
-		return nil
-	}
-	s.in.Workload = workload
-	s.capsDirty = true
-	return nil
+	_, err := s.Apply(Edit{Op: OpSetWorkload, Workload: workload})
+	return err
 }
 
 // Solve computes the assignment from a cold start, recording the per-stage
@@ -296,24 +255,16 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 		// assignment.
 		s.structural = true
 		s.version = in.Version()
-		s.conflictN = growInts(s.conflictN, P)
-		clear(s.conflictN)
-		for _, c := range in.Conflicts() {
-			if c.Paper >= 0 && c.Paper < P {
-				s.conflictN[c.Paper]++
-			}
-		}
+		s.edits = NewEditState(in, s.edits.withdrawn)
 	}
-	// Conflict saturation can only arise here through drift (the session's
-	// own mutators reject saturating edits up front), but an active paper
-	// with fewer than δp eligible reviewers would otherwise surface as a
-	// generic transport infeasibility in whichever stage first runs out of
-	// candidates — after the earlier stages already ran. Fail fast with the
-	// precise typed error instead.
-	for p := 0; p < P; p++ {
-		if !s.withdrawn[p] && s.eligible(p) < in.GroupSize {
-			return nil, fmt.Errorf("%w (paper %d)", ErrConflictSaturated, p)
-		}
+	// Conflict saturation can only arise here through drift (Apply rejects
+	// saturating edits up front), but an active paper with fewer than δp
+	// eligible reviewers would otherwise surface as a generic transport
+	// infeasibility in whichever stage first runs out of candidates — after
+	// the earlier stages already ran. Fail fast with the precise typed error
+	// instead.
+	if p := s.edits.saturated(); p >= 0 {
+		return nil, fmt.Errorf("%w (paper %d)", ErrConflictSaturated, p)
 	}
 	if !s.structural && !s.capsDirty && len(s.dirty) == 0 && s.last != nil {
 		// No pending edits: the recorded assignment is still the solution of
@@ -360,7 +311,7 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 	}
 	s.need = growInts(s.need, P)
 	for p := 0; p < P; p++ {
-		if s.withdrawn[p] {
+		if s.edits.withdrawn[p] {
 			s.need[p] = 0
 		} else {
 			s.need[p] = 1
@@ -385,7 +336,7 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 			for k := range perStage {
 				perStage[k] = s.stages[k].perPaper
 			}
-			if b := stageBackOff(ctx, err, s.eng, perStage, s.withdrawn, s.cands, tieBreak, workers); b != nil {
+			if b := stageBackOff(ctx, err, s.eng, perStage, s.edits.withdrawn, s.cands, tieBreak, workers); b != nil {
 				a, err, backedOff = b, nil, true
 			}
 		}
@@ -422,6 +373,43 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 	return result, nil
 }
 
+// fillSolve fills the profit matrix m under spec and solves its
+// transportation on tr with row demands need and column capacities caps. A
+// cold call fills the whole matrix and loads it: dense through FillProfit
+// and SolveDense, or, when cands is set, through FillProfitSparse and
+// SolveSparse over the candidate lists. A warm call re-fills only the dirty
+// rows and re-solves through ResolveRows from the flow and duals of the
+// preceding solve on tr. When cands is set, it first points tr.DenseRow at
+// spec, since spec's closures read state that is valid only within the
+// caller's step: the escape hatch and the warm re-read of densified rows
+// need this step's spec.
+func fillSolve(ctx context.Context, eng *engine.Oracle, m *engine.Matrix, tr *flow.Transport, spec engine.ProfitSpec,
+	cands [][]int32, warm bool, dirty []int, need, caps []int) ([][]int, error) {
+	if cands != nil {
+		tr.DenseRow = func(i int, buf []float64) []float64 {
+			eng.FillRowInto(buf, i, spec)
+			return buf
+		}
+	}
+	var rows [][]int
+	var err error
+	switch {
+	case warm:
+		if err = eng.FillProfitRows(ctx, m, spec, dirty); err == nil {
+			rows, _, err = tr.ResolveRows(m.Rows(), dirty, need, caps)
+		}
+	case cands != nil:
+		if err = eng.FillProfitSparse(ctx, m, spec, cands); err == nil {
+			rows, _, err = tr.SolveSparse(m.Rows(), cands, len(caps), need, caps)
+		}
+	default:
+		if err = eng.FillProfit(ctx, m, spec); err == nil {
+			rows, _, err = tr.SolveDense(m.Rows(), need, caps)
+		}
+	}
+	return rows, err
+}
+
 // runStage solves one SDGA stage of the replay, warm when possible, and
 // applies its choices to the replay state (assignment, group vectors,
 // remaining workloads, drift-dirty propagation).
@@ -448,36 +436,12 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 	spec := engine.ProfitSpec{
 		GroupVecs: s.groupVecs,
 		Forbidden: func(p, r int) bool {
-			return s.withdrawn[p] || a.Contains(p, r) || in.IsConflict(r, p)
+			return s.edits.withdrawn[p] || a.Contains(p, r) || in.IsConflict(r, p)
 		},
 		ForbiddenValue: flow.Forbidden,
 		Bonus:          tieBreak,
 	}
-
-	if s.cands != nil {
-		// Sparse mode: the escape hatch (and the warm re-read of densified
-		// rows) needs this stage's spec, whose closures read replay state
-		// valid only within the call — re-point the callback every stage.
-		st.tr.DenseRow = func(i int, buf []float64) []float64 {
-			s.eng.FillRowInto(buf, i, spec)
-			return buf
-		}
-	}
-	var rows [][]int
-	var err error
-	if structural {
-		if s.cands != nil {
-			if err = s.eng.FillProfitSparse(ctx, &st.m, spec, s.cands); err == nil {
-				rows, _, err = st.tr.SolveSparse(st.m.Rows(), s.cands, R, s.need, s.caps)
-			}
-		} else if err = s.eng.FillProfit(ctx, &st.m, spec); err == nil {
-			rows, _, err = st.tr.SolveDense(st.m.Rows(), s.need, s.caps)
-		}
-	} else {
-		if err = s.eng.FillProfitRows(ctx, &st.m, spec, s.dirtyList); err == nil {
-			rows, _, err = st.tr.ResolveRows(st.m.Rows(), s.dirtyList, s.need, s.caps)
-		}
-	}
+	rows, err := fillSolve(ctx, s.eng, &st.m, &st.tr, spec, s.cands, !structural, s.dirtyList, s.need, s.caps)
 	if err != nil && ctx.Err() == nil && in.Workload > stageCap {
 		if stageFallbackHook != nil {
 			stageFallbackHook()
@@ -507,7 +471,7 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 	record := !structural // diff against the recorded run only when one exists
 	for p := 0; p < P; p++ {
 		var chosen int
-		if s.withdrawn[p] || len(rows[p]) == 0 {
+		if s.edits.withdrawn[p] || len(rows[p]) == 0 {
 			chosen = -1
 		} else {
 			chosen = rows[p][0]
@@ -561,7 +525,7 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 	}
 	active := make([]bool, s.in.NumPapers())
 	for p := range active {
-		active[p] = !s.withdrawn[p]
+		active[p] = !s.edits.withdrawn[p]
 	}
 	s.sraTr.Workers = runtime.GOMAXPROCS(0)
 	run := sraRun{

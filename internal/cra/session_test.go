@@ -264,6 +264,46 @@ func TestSessionConflictSaturation(t *testing.T) {
 	}
 }
 
+// TestSessionEditStateIsACopy: EditState returns a deep copy. Edits applied
+// to the copy leave the session's state and verdicts as they were, and once
+// the session applies the same edits the two judge the next edit alike.
+func TestSessionEditStateIsACopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	in := sessionInstance(rng, 4, 4, 6, 3) // R = δp + 1: one conflict per paper
+	s, err := NewSession(in, SessionConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := []Edit{{Op: OpWithdrawPaper, P: 0}, {Op: OpAddConflict, R: 0, P: 1}}
+	mirror := s.EditState()
+	for i := range edits {
+		if err := mirror.Check(&edits[i]); err != nil || !mirror.Apply(&edits[i]) {
+			t.Fatalf("copy: edit %+v: %v", edits[i], err)
+		}
+	}
+	next := Edit{Op: OpAddConflict, R: 1, P: 1}
+	if err := mirror.Check(&next); !errors.Is(err, ErrConflictSaturated) {
+		t.Fatalf("copy judges the second conflict on paper 1: %v, want ErrConflictSaturated", err)
+	}
+	if !s.Active(0) || s.ActivePapers() != 4 || in.IsConflict(0, 1) {
+		t.Fatal("edits applied to the copy reached the session")
+	}
+	if st := s.EditState(); st.Check(&next) != nil {
+		t.Fatal("edits applied to the copy changed the session's verdict")
+	}
+	for _, e := range edits {
+		if _, err := s.Apply(e); err != nil {
+			t.Fatalf("session: edit %+v: %v", e, err)
+		}
+	}
+	if _, err := s.Apply(next); !errors.Is(err, ErrConflictSaturated) {
+		t.Fatalf("session judges the second conflict on paper 1: %v, want ErrConflictSaturated", err)
+	}
+	if mirror.Active(0) || mirror.ActivePapers() != s.ActivePapers() || mirror.Reviewers() != in.NumReviewers() {
+		t.Fatal("copy and session disagree after the same edits")
+	}
+}
+
 // TestSessionWorkloadGuard: shrinking δr below the feasible floor is
 // rejected before it can corrupt the session.
 func TestSessionWorkloadGuard(t *testing.T) {

@@ -414,47 +414,12 @@ func (run *sraRun) complete(ctx context.Context, c *completion, trial *core.Assi
 		},
 		ForbiddenValue: flow.Forbidden,
 	}
-	if run.cands != nil {
-		// The escape hatch (and the warm re-read of already-densified rows)
-		// needs this round's spec; the closure over trial and c.need is only
-		// valid within the round, so re-point the callback every call.
-		run.tr.DenseRow = func(i int, buf []float64) []float64 {
-			run.eng.FillRowInto(buf, i, spec)
-			return buf
-		}
-	}
-	var rows [][]int
-	var err error
-	if !c.started {
-		if run.cands != nil {
-			err = run.eng.FillProfitSparse(ctx, run.fill, spec, run.cands)
-		} else {
-			err = run.eng.FillProfit(ctx, run.fill, spec)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if run.cands != nil {
-			rows, _, err = run.tr.SolveSparse(run.fill.Rows(), run.cands, in.NumReviewers(), c.need, rem)
-		} else {
-			rows, _, err = run.tr.SolveDense(run.fill.Rows(), c.need, rem)
-		}
-		if err == nil || errors.Is(err, flow.ErrInfeasible) {
-			// The edit-stable CSR (and on infeasibility the partial flow) is
-			// loaded; later rounds can re-solve incrementally either way.
-			c.started = true
-		}
-	} else {
-		if err = run.eng.FillProfitRows(ctx, run.fill, spec, c.dirty); err != nil {
-			// The dirty rows may be partially re-filled; force a cold rebuild.
-			c.started = false
-			return nil, err
-		}
-		rows, _, err = run.tr.ResolveRows(run.fill.Rows(), c.dirty, c.need, rem)
-		if err != nil && !errors.Is(err, flow.ErrInfeasible) {
-			c.started = false
-		}
-	}
+	rows, err := fillSolve(ctx, run.eng, run.fill, run.tr, spec, run.cands, c.started, c.dirty, c.need, rem)
+	// After a solve that failed only for infeasibility, the edit-stable CSR
+	// and the partial flow stay loaded, and the next round can re-solve
+	// incrementally from them. Any other failure may leave rows half
+	// re-filled, so the next round rebuilds cold.
+	c.started = err == nil || errors.Is(err, flow.ErrInfeasible)
 	if err != nil {
 		return nil, err
 	}

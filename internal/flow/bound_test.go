@@ -9,13 +9,15 @@ import (
 )
 
 // solveState is what one solver step leaves behind: the plan, the objective,
-// the error, and the duals the next warm step starts from.
+// the error, and the duals the next warm step starts from; cert is the
+// optimality certificate's verdict on a successful step's plan.
 type solveState struct {
 	rows  [][]int
 	total float64
 	err   error
 	u, v  []float64
 	potT  float64
+	cert  error
 }
 
 // stateRecorder collects the solveState of every step run through record.
@@ -32,6 +34,9 @@ func (r *stateRecorder) record(rows [][]int, total float64, err error) {
 		v:     append([]float64(nil), r.tr.v[:r.tr.m]...),
 		potT:  r.tr.potT,
 	}
+	if err == nil {
+		st.cert = certify(r.tr)
+	}
 	for _, cols := range rows {
 		st.rows = append(st.rows, append([]int(nil), cols...))
 	}
@@ -41,9 +46,10 @@ func (r *stateRecorder) record(rows [][]int, total float64, err error) {
 // sameBits reports whether a and b are the same float64, bit for bit.
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// diffStates describes the first difference between two step sequences, or
-// returns "" when they are bit-identical: plans, objective bits, errors, u,
-// v and potT.
+// diffStates describes the first step of either sequence whose plan fails
+// its optimality certificate, then the first difference between the two
+// sequences, or returns "" when every plan is certified and the sequences
+// are bit-identical: plans, objective bits, errors, u, v and potT.
 func diffStates(got, want []solveState) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d steps, want %d", len(got), len(want))
@@ -51,6 +57,10 @@ func diffStates(got, want []solveState) string {
 	for s := range want {
 		g, w := got[s], want[s]
 		switch {
+		case g.cert != nil:
+			return fmt.Sprintf("step %d: plan not certified optimal: %v", s, g.cert)
+		case w.cert != nil:
+			return fmt.Sprintf("step %d: reference plan not certified optimal: %v", s, w.cert)
 		case fmt.Sprint(g.err) != fmt.Sprint(w.err):
 			return fmt.Sprintf("step %d: err %v, want %v", s, g.err, w.err)
 		case !sameBits(g.total, w.total):

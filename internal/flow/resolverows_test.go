@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,6 +43,9 @@ func TestSolveDenseMatchesSPFA(t *testing.T) {
 		if err != nil {
 			continue
 		}
+		if err := certify(&tr); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		feasible++
 		if sum := checkFeasible(t, profit, need, caps, rows); math.Abs(sum-got) > 1e-9 {
 			t.Fatalf("trial %d: dense reported %v but its plan sums to %v", trial, got, sum)
@@ -67,6 +71,8 @@ func TestResolveRowsParity(t *testing.T) {
 
 	var tr Transport
 	if _, warmObj, err := tr.SolveDense(profit, need, caps); err != nil {
+		t.Fatal(err)
+	} else if err := certify(&tr); err != nil {
 		t.Fatal(err)
 	} else {
 		var fresh Transport
@@ -111,10 +117,16 @@ func TestResolveRowsParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: warm resolve: %v", trial, err)
 		}
+		if err := certify(&tr); err != nil {
+			t.Fatalf("trial %d: warm plan: %v", trial, err)
+		}
 		var fresh Transport
 		_, coldObj, err := fresh.SolveDense(profit, need, caps)
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
+		}
+		if err := certify(&fresh); err != nil {
+			t.Fatalf("trial %d: cold plan: %v", trial, err)
 		}
 		if math.Abs(warmObj-coldObj) > 1e-9 {
 			t.Fatalf("trial %d: warm %v cold %v", trial, warmObj, coldObj)
@@ -279,31 +291,54 @@ func TestResolveRowsInfeasibleRow(t *testing.T) {
 	}
 }
 
-// TestResolveRowsErrors covers the misuse guards.
+// TestResolveRowsErrors covers the misuse guards. Every input is checked
+// before anything changes, so a rejected call leaves the demands,
+// capacities and flow as they were, and a following Resolve with the
+// original capacities returns the original plan. The last call, a dirty row
+// plus a negative capacity, once released the row and re-capped the earlier
+// columns before it found the negative one.
 func TestResolveRowsErrors(t *testing.T) {
-	profit := [][]float64{{1, 2}, {3, 4}}
-	need := []int{1, 1}
-	caps := []int{1, 1}
+	profit := [][]float64{{1, 2, 0.5}, {3, 4, 0.25}, {0.75, 1.5, 2.5}}
+	need := []int{1, 1, 1}
+	caps := []int{1, 1, 1}
 
 	var unsolved Transport
 	if _, _, err := unsolved.ResolveRows(profit, nil, need, caps); err == nil {
 		t.Fatal("ResolveRows before Solve accepted")
 	}
 	var dense Transport
-	if _, _, err := dense.SolveDense(profit, need, caps); err != nil {
+	plan, total, err := dense.SolveDense(profit, need, caps)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := dense.ResolveRows(profit, []int{5}, need, caps); err == nil {
-		t.Fatal("out-of-range dirty row accepted")
+	state := func() string {
+		return fmt.Sprint(dense.rowNeed[:dense.n], dense.colCap[:dense.m], dense.rowFlow[:dense.n])
 	}
-	if _, _, err := dense.ResolveRows(profit, nil, []int{1}, caps); err == nil {
-		t.Fatal("rowNeed dimension mismatch accepted")
+	before := state()
+	for _, c := range []struct {
+		name         string
+		profit       [][]float64
+		rows         []int
+		rowNeed, cap []int
+	}{
+		{"out-of-range dirty row", profit, []int{5}, need, caps},
+		{"rowNeed dimension mismatch", profit, nil, []int{1}, caps},
+		{"profit dimension mismatch", profit[:2], []int{0}, need, caps},
+		{"dirty row not aligned", [][]float64{{1, 2}, profit[1], profit[2]}, []int{0}, need, caps},
+		{"negative demand", profit, []int{0}, []int{-1, 1, 1}, caps},
+		{"negative capacity", profit, nil, need, []int{1, 1, -1}},
+		{"dirty row plus negative capacity", profit, []int{0}, []int{0, 1, 1}, []int{2, 2, -1}},
+	} {
+		if _, _, err := dense.ResolveRows(c.profit, c.rows, c.rowNeed, c.cap); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if got := state(); got != before {
+			t.Fatalf("%s: rejected call changed rowNeed, colCap, rowFlow from %s to %s", c.name, before, got)
+		}
 	}
-	if _, _, err := dense.ResolveRows(profit, []int{0}, []int{-1, 1}, caps); err == nil {
-		t.Fatal("negative demand accepted")
-	}
-	if _, _, err := dense.ResolveRows(profit, nil, need, []int{1, -1}); err == nil {
-		t.Fatal("negative capacity accepted")
+	got, gotTotal, err := dense.Resolve(caps)
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(plan) || gotTotal != total {
+		t.Fatalf("Resolve after the rejected calls: %v %v %v, want %v %v", got, gotTotal, err, plan, total)
 	}
 }
 

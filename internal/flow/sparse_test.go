@@ -411,6 +411,12 @@ func FuzzSolveSparseFeasible(f *testing.F) {
 		if sErr != nil {
 			return
 		}
+		if err := certify(&dense); err != nil {
+			t.Fatalf("seed %d: dense plan: %v", seed, err)
+		}
+		if err := certify(&sparse); err != nil {
+			t.Fatalf("seed %d: sparse plan: %v", seed, err)
+		}
 		if got := checkFeasible(t, profit, need, caps, rows); math.Abs(got-sTotal) > 1e-9 {
 			t.Fatalf("seed %d: sparse reported %v but plan sums to %v", seed, sTotal, got)
 		}

@@ -17,9 +17,10 @@
 // graph, on a 4-ary heap ordered by distance and then node index, bounded
 // at the cheapest sink arrival it has labelled so far, so its frontier stays
 // a few dozen entries wide and its result is bit-identical to the unbounded
-// search's. Resolve/ResolveRows warm-start from the potentials and residual
-// flow of the previous solve (SDGA's stage-capacity fallback and the
-// session's warm re-solves). The original generic min-cost max-flow solver
+// search's. ResolveRows warm-starts from the potentials and residual flow
+// of the previous solve after per-row and capacity edits (the session's
+// warm re-solves); Resolve is ResolveRows with no dirty row (SDGA's
+// stage-capacity fallback). The original generic min-cost max-flow solver
 // (successive shortest paths with SPFA, one search per unit of flow) lives
 // on in the package tests as the parity reference.
 package flow
@@ -119,11 +120,12 @@ type pathStep struct {
 //     lives in flat buffers that are reused across calls, so the re-solves
 //     of an SDGA stage through its Transport run allocation-free apart from
 //     their result slices; and
-//   - it is incremental: Resolve re-solves the current instance after a
-//     column-capacity change, and ResolveRows after per-row profit or demand
-//     edits, warm-starting from the residual flow and potentials of the
-//     previous solve so only the changed parts are re-worked (SDGA's
-//     stage-capacity fallback and the session warm re-solves).
+//   - it is incremental: ResolveRows re-solves the current instance after
+//     per-row profit or demand edits and column-capacity changes, and
+//     Resolve, which is ResolveRows with no dirty row, after a capacity
+//     change alone, warm-starting from the residual flow and potentials of
+//     the previous solve so only the changed parts are re-worked (the
+//     session warm re-solves and SDGA's stage-capacity fallback).
 //
 // The zero value is ready to use. A Transport must not be used concurrently;
 // setting Workers > 1 runs some internal passes on more goroutines (see
@@ -539,42 +541,13 @@ func shardRowsID(workers, n int, fn func(w, lo, hi int)) {
 }
 
 // Resolve re-solves the instance of the preceding SolveDense or SolveSparse
-// after a column capacity change, warm-starting from the current residual
-// flow and potentials: columns whose capacity grew simply regain spare
-// slots, columns now over capacity have the surplus units cancelled (the
-// affected rows are fully released and their dual repaired), and only the
-// resulting deficits are re-augmented. Profits and row demands are those of
-// the last solve.
+// after a column capacity change: it is ResolveRows with no dirty row, so
+// profits and row demands are those of the last solve. Columns whose
+// capacity grew simply regain spare slots, columns now over capacity have
+// the surplus units cancelled (the affected rows are fully released and
+// their dual repaired), and only the resulting deficits are re-augmented.
 func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
-	if !t.solved {
-		return nil, 0, errors.New("flow: Resolve called before a solve")
-	}
-	if len(colCap) != t.m {
-		return nil, 0, errors.New("flow: dimension mismatch")
-	}
-	for _, c := range colCap {
-		if c < 0 {
-			return nil, 0, errors.New("flow: negative column capacity")
-		}
-	}
-	if t.n == 0 {
-		return nil, 0, nil
-	}
-	for j, c := range colCap {
-		for len(t.colPairs[j]) > c {
-			a := t.colPairs[j][len(t.colPairs[j])-1]
-			t.releaseRow(int(a.row))
-		}
-		t.colCap[j] = c
-	}
-	// The retained flow is only optimal for its value if the sink-side dual
-	// stays feasible; repairSinkDual re-pins the sink potential when it can
-	// and restarts the flow from cold duals when it cannot.
-	t.repairSinkDual()
-	if err := t.run(); err != nil {
-		return nil, 0, err
-	}
-	return t.extract()
+	return t.ResolveRows(nil, nil, t.rowNeed[:t.n], colCap)
 }
 
 // ResolveRows re-solves the instance of the preceding SolveDense or
@@ -595,7 +568,9 @@ func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 // colCap are the full new vectors; rowNeed may differ from the previous
 // solve only at the dirty rows. Rows not listed in rows must have unchanged
 // profits; listing the same row twice is allowed but defeats the sharded
-// read phase below.
+// read phase below. With no dirty row, profit is not read and may be nil:
+// that is Resolve. Every input is checked before any state changes, so a
+// rejected call leaves the demands, capacities and flow as they were.
 //
 // With Workers > 1 and enough dirty rows to pay for the goroutine handoff,
 // the per-row read phase — keep/release decision, CSR re-cost, released-dual
@@ -607,16 +582,22 @@ func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 // instance load, so the plan is bit-identical for every worker count.
 func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap []int) ([][]int, float64, error) {
 	if !t.solved {
-		return nil, 0, errors.New("flow: ResolveRows called before a solve")
+		return nil, 0, errors.New("flow: re-solve called before a solve")
 	}
-	if len(profit) != t.n || len(rowNeed) != t.n || len(colCap) != t.m {
+	if len(rowNeed) != t.n || len(colCap) != t.m || len(rows) > 0 && len(profit) != t.n {
 		return nil, 0, errors.New("flow: dimension mismatch")
 	}
 	if t.n == 0 {
 		return nil, 0, nil
 	}
-	// Validation pass (serial, cheap): everything the sharded read phase
-	// relies on is checked up front so the phase itself cannot fail.
+	// Validation pass (serial, cheap): everything the sharded read phase and
+	// the column loop rely on is checked up front, so neither can fail after
+	// the state started to change.
+	for _, c := range colCap {
+		if c < 0 {
+			return nil, 0, errors.New("flow: negative column capacity")
+		}
+	}
 	needBuf := false
 	for _, i := range rows {
 		if i < 0 || i >= t.n {
@@ -727,13 +708,10 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 		t.deficit += rowNeed[i] - t.rowNeed[i]
 		t.rowNeed[i] = rowNeed[i]
 	}
-	// Column-capacity changes, exactly as in Resolve: cancel surplus units on
-	// shrunk columns, then check the sink-side dual stays feasible (a column
-	// with spare capacity must carry no capacity price).
+	// Column-capacity changes: cancel surplus units on shrunk columns, then
+	// check the sink-side dual stays feasible (a column with spare capacity
+	// must carry no capacity price).
 	for j, c := range colCap {
-		if c < 0 {
-			return nil, 0, errors.New("flow: negative column capacity")
-		}
 		for len(t.colPairs[j]) > c {
 			a := t.colPairs[j][len(t.colPairs[j])-1]
 			t.releaseRow(int(a.row))

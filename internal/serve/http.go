@@ -119,7 +119,7 @@ func Handler(reg *tenant.Registry, m *cluster.Member) http.Handler {
 // only the owner of the requested id accepts it.
 func (h *handler) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req wire.CreateRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, &req, wgrap.ErrInvalidInstance) {
 		return
 	}
 	if req.ID != "" && !h.cluster.IsOwner(req.ID) {
@@ -193,7 +193,7 @@ func (h *handler) local(fn func(http.ResponseWriter, *http.Request, *tenant.Tena
 // death.
 func (h *handler) handleEdits(w http.ResponseWriter, r *http.Request, t *tenant.Tenant) {
 	var req wire.EditRequest
-	if !readJSON(w, r, &req) {
+	if !readJSON(w, r, &req, wgrap.ErrInvalidEdit) {
 		return
 	}
 	resp, err := tenant.ApplyEdits(t, req.Edits)
@@ -347,11 +347,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// readJSON decodes the request body into v, refusing unknown fields. A body
+// that does not decode is answered with the route's sentinel: the create
+// route's ErrInvalidInstance, the edit route's ErrInvalidEdit.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, invalid error) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		writeErr(w, fmt.Errorf("%w: decoding request body: %v", wgrap.ErrInvalidInstance, err))
+		writeErr(w, fmt.Errorf("%w: decoding request body: %v", invalid, err))
 		return false
 	}
 	return true

@@ -223,6 +223,30 @@ func TestServerCreateRefusesShards(t *testing.T) {
 	ts.do("POST", "/v1/tenants", body, nil, http.StatusCreated)
 }
 
+// TestServerRefusesMalformedEdits: an edit batch that does not decode — a
+// wrongly typed field, an unknown field — is refused with the invalid-edit
+// code, like a batch that decodes to an unknown op, and applies nothing.
+func TestServerRefusesMalformedEdits(t *testing.T) {
+	ts := newTestServer(t, "")
+	ts.createTenant("icde", testWireInstance(8, 6, 4, 7), wire.TenantConfig{Omega: 2})
+	for _, body := range []string{
+		`{"edits":[{"op":"add-conflict","r":"x","p":0}]}`,
+		`{"edits":[{"op":"withdraw-paper","p":0,"paper":1}]}`,
+		`{"edits":[{"op":"retract-paper","p":0}]}`,
+	} {
+		var we wire.Error
+		ts.do("POST", "/v1/tenants/icde/edits", json.RawMessage(body), &we, http.StatusBadRequest)
+		if we.Code != wire.CodeInvalidEdit {
+			t.Errorf("edits %s: %+v, want %s", body, we, wire.CodeInvalidEdit)
+		}
+	}
+	var st wire.Status
+	ts.do("GET", "/v1/tenants/icde", nil, &st, http.StatusOK)
+	if st.Seq != 0 || st.Active != 8 {
+		t.Fatalf("status after the refused batches: %+v, want seq 0 and 8 active papers", st)
+	}
+}
+
 // TestLoneNodeRefusesReplicationWrites: a ring of one owns every venue, so
 // it is never a follower, and the journal-shipping writes a follower accepts
 // answer not_owner. The shard map lists the one node.

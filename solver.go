@@ -50,8 +50,10 @@ type Snapshot struct {
 // served: solves are single-flight behind a solve lock, but reads and writes
 // are not. View, Result and Progress return atomically-published immutable
 // snapshots and never block on a Solve/Resolve in flight; the edit mutators
-// validate against a mirror of the session state and enqueue into a pending
-// batch, so they return their verdict immediately even mid-solve; and
+// judge each edit by the session's own rule set (cra.EditState.Check), run
+// on a copy of its edit state advanced ahead of the session, and enqueue
+// into a pending batch, so they return their verdict immediately even
+// mid-solve; and
 // ResolveAsync drains everything pending as one coalesced warm re-solve in
 // the background, publishing a new View on completion (see concurrent.go).
 // Progress callbacks run synchronously on the solving goroutine; they must
@@ -90,16 +92,16 @@ type Solver struct {
 	progress atomic.Pointer[func(Snapshot)]
 	solveGID atomic.Int64
 
-	// pendMu guards the pending edit batch, its validation mirror, the
+	// pendMu guards the pending edit batch, the mirror that judges it, the
 	// ResolveAsync ticket queue, the accepted-edit counter and the durable
 	// store handle. It is only ever held for O(1) work (plus, for durable
 	// sessions, one journal append), so the mutators and mirror reads stay
 	// non-blocking even mid-solve.
 	pendMu  sync.Mutex
-	pending []pendingEdit
+	pending []cra.Edit
 	tickets []*Ticket
 	asyncOn bool
-	mirror  editMirror
+	mirror  cra.EditState
 	// accepted counts the edits accepted over the session's lifetime; for
 	// durable sessions it is the journal sequence number (see durability.go).
 	accepted uint64
@@ -165,7 +167,7 @@ func newSolver(in *Instance, o options) (*Solver, error) {
 		return nil, wrapErr(err)
 	}
 	s.sess = sess
-	s.mirror = newEditMirror(own)
+	s.mirror = sess.EditState()
 	s.view.Store(&View{When: time.Now()})
 	return s, nil
 }
@@ -248,7 +250,7 @@ func (s *Solver) Instance() *Instance {
 func (s *Solver) Active(p int) bool {
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
-	return p >= 0 && p < s.mirror.papers && !s.mirror.withdrawn[p]
+	return s.mirror.Active(p)
 }
 
 // ActivePapers returns the number of non-withdrawn papers, including the
@@ -257,7 +259,7 @@ func (s *Solver) Active(p int) bool {
 func (s *Solver) ActivePapers() int {
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
-	return s.mirror.activeN
+	return s.mirror.ActivePapers()
 }
 
 // AddConflict registers a late conflict of interest between reviewer r and
@@ -265,20 +267,23 @@ func (s *Solver) ActivePapers() int {
 // with ErrConflictSaturated when it would leave an active paper without δp
 // eligible reviewers, and with ErrInvalidEdit on out-of-range indices.
 func (s *Solver) AddConflict(r, p int) error {
-	return s.enqueueEdit(pendingEdit{kind: editConflict, r: r, p: p})
+	_, err := s.enqueueEdit(cra.Edit{Op: cra.OpAddConflict, R: r, P: p})
+	return err
 }
 
 // WithdrawPaper removes paper p from the workload (e.g. a withdrawn
 // submission): it keeps its index but receives no reviewers until restored.
 func (s *Solver) WithdrawPaper(p int) error {
-	return s.enqueueEdit(pendingEdit{kind: editWithdraw, p: p})
+	_, err := s.enqueueEdit(cra.Edit{Op: cra.OpWithdrawPaper, P: p})
+	return err
 }
 
 // RestorePaper re-activates a withdrawn paper. Errors: ErrConflictSaturated
 // when conflicts accumulated during the withdrawal, ErrInfeasible when the
 // pool cannot absorb the extra load, ErrInvalidEdit on a bad index.
 func (s *Solver) RestorePaper(p int) error {
-	return s.enqueueEdit(pendingEdit{kind: editRestore, p: p})
+	_, err := s.enqueueEdit(cra.Edit{Op: cra.OpRestorePaper, P: p})
+	return err
 }
 
 // AddReviewer appends a reviewer to the pool and returns its index. It
@@ -286,27 +291,15 @@ func (s *Solver) RestorePaper(p int) error {
 // a NaN or ±Inf weight. The edit is structural, so the next Resolve rebuilds
 // the warm state (still reusing the session's buffers).
 func (s *Solver) AddReviewer(r Reviewer) (int, error) {
-	s.pendMu.Lock()
-	op := pendingEdit{kind: editReviewer, rev: r}
-	if err := s.acceptLocked(&op); err != nil {
-		s.pendMu.Unlock()
-		return -1, err
-	}
-	idx := s.mirror.reviewers - 1 // apply advanced the mirror
-	s.pendMu.Unlock()
-	if s.mu.TryLock() {
-		s.drainLocked()
-		s.maybeCompactLocked()
-		s.mu.Unlock()
-	}
-	return idx, nil
+	return s.enqueueEdit(cra.Edit{Op: cra.OpAddReviewer, Reviewer: r})
 }
 
 // SetWorkload changes the per-reviewer workload δr. Errors: ErrInfeasible
 // when the new capacity cannot cover the active demand, ErrInvalidEdit for
 // non-positive values.
 func (s *Solver) SetWorkload(workload int) error {
-	return s.enqueueEdit(pendingEdit{kind: editWorkload, workload: workload})
+	_, err := s.enqueueEdit(cra.Edit{Op: cra.OpSetWorkload, Workload: workload})
+	return err
 }
 
 // Solve computes the assignment from a cold start, recording the warm state
@@ -388,17 +381,23 @@ func (s *Solver) run(ctx context.Context, cold bool) (*Result, error) {
 
 // runBaseline executes a baseline method cold: on an unedited paper set it
 // runs directly on the session instance; with withdrawals it materialises
-// the compacted instance and scatters the result back to original indices.
-// The progress stream works here too: one construction snapshot after the
-// algorithm.
+// the compacted instance and scatters the result back to original indices;
+// with every paper withdrawn it returns the empty assignment, as the session
+// methods do. The progress stream works here too: one construction snapshot
+// after the algorithm.
 func (s *Solver) runBaseline(ctx context.Context) (*core.Assignment, error) {
 	in := s.sess.Instance()
 	P := in.NumPapers()
-	if s.sess.ActivePapers() == P {
+	switch s.sess.ActivePapers() {
+	case P:
 		a, err := s.alg.AssignContext(ctx, in)
 		if err != nil {
 			return nil, err
 		}
+		s.constructHook()(a.Clone())
+		return a, nil
+	case 0:
+		a := core.NewAssignment(P)
 		s.constructHook()(a.Clone())
 		return a, nil
 	}

@@ -177,6 +177,45 @@ func TestSolverBaselineMethods(t *testing.T) {
 				t.Fatalf("%s: paper %d has %d reviewers", m, p, len(g))
 			}
 		}
+
+		// With every paper withdrawn, the assignment is empty; a restored
+		// paper gets its group back.
+		for p := range in.Papers {
+			if err := s.WithdrawPaper(p); err != nil {
+				t.Fatalf("%s: withdraw %d: %v", m, p, err)
+			}
+		}
+		res, err = s.Resolve(context.Background())
+		if err != nil {
+			t.Fatalf("%s: resolve with every paper withdrawn: %v", m, err)
+		}
+		for p, g := range res.Assignment.Groups {
+			if len(g) != 0 {
+				t.Fatalf("%s: withdrawn paper %d has reviewers %v", m, p, g)
+			}
+		}
+		if res.Score != 0 || len(res.Assignment.Groups) != len(in.Papers) {
+			t.Fatalf("%s: empty assignment scores %v over %d groups", m, res.Score, len(res.Assignment.Groups))
+		}
+		if err := s.RestorePaper(7); err != nil {
+			t.Fatalf("%s: restore: %v", m, err)
+		}
+		res, err = s.Resolve(context.Background())
+		if err != nil {
+			t.Fatalf("%s: resolve after a restore: %v", m, err)
+		}
+		for p, g := range res.Assignment.Groups {
+			want := 0
+			if p == 7 {
+				want = in.GroupSize
+			}
+			if len(g) != want {
+				t.Fatalf("%s: paper %d has %d reviewers after restoring paper 7, want %d", m, p, len(g), want)
+			}
+		}
+		if res.Score <= 0 {
+			t.Fatalf("%s: score %v after restoring paper 7", m, res.Score)
+		}
 	}
 }
 

@@ -51,8 +51,10 @@
 //	v := solver.View()           // never blocks; v.Version is monotone
 //	_ = v.Result, v.Warm, v.Edits
 //
-// Edits from concurrent goroutines are validated immediately and coalesced
-// into a pending batch; when no solve is running they apply synchronously,
+// Edits from concurrent goroutines are judged immediately, by the session's
+// own edit rules run on a copy of its edit state that is advanced ahead of
+// the session, and coalesced into a pending batch; when no solve is running
+// they apply synchronously,
 // otherwise they wait for the running solve to finish and drain with the
 // next one. ResolveAsync returns a Ticket right away and drains the whole
 // pending batch as one warm re-solve in the background; several outstanding
