@@ -99,7 +99,7 @@ func (c *httpClient) buildRingLocked() {
 	for _, n := range c.aliveLocked() {
 		ids = append(ids, n.ID)
 	}
-	c.ring = cluster.NewRing(ids, c.cv.VNodes)
+	c.ring = cluster.NewRing(ids)
 }
 
 // adoptMap takes in a map fetched from base. Its sender answered, so the

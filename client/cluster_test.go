@@ -92,8 +92,7 @@ func twoFakes(t *testing.T, id string) (owner, other *scriptNode) {
 	a := newScriptNode(t, "a")
 	b := newScriptNode(t, "b")
 	sm := wire.ShardMap{
-		Epoch:  1,
-		VNodes: cluster.DefaultVNodes,
+		Epoch: 1,
 		Nodes: []wire.NodeInfo{
 			{ID: "a", Addr: a.addr(), Alive: true},
 			{ID: "b", Addr: b.addr(), Alive: true},
@@ -101,7 +100,7 @@ func twoFakes(t *testing.T, id string) (owner, other *scriptNode) {
 	}
 	a.setMap(sm)
 	b.setMap(sm)
-	if cluster.NewRing([]string{"a", "b"}, cluster.DefaultVNodes).Owner(id) == "a" {
+	if cluster.NewRing([]string{"a", "b"}).Owner(id) == "a" {
 		return a, b
 	}
 	return b, a
@@ -192,8 +191,7 @@ func TestClusterClientStaleEpochRefresh(t *testing.T) {
 	wrong, right := twoFakes(t, "venue")
 	// The epoch-2 map the denier steps down with: itself no longer alive.
 	sm2 := wire.ShardMap{
-		Epoch:  2,
-		VNodes: cluster.DefaultVNodes,
+		Epoch: 2,
 		Nodes: []wire.NodeInfo{
 			{ID: wrong.id, Addr: wrong.addr(), Alive: false},
 			{ID: right.id, Addr: right.addr(), Alive: true},
@@ -255,8 +253,7 @@ func TestClusterClientEditReconciliation(t *testing.T) {
 	// Follower: already promoted in its own map (epoch 2), its replica holds
 	// 2 of the 4 records — the prefix the dead owner accepted and replicated.
 	follower.setMap(wire.ShardMap{
-		Epoch:  2,
-		VNodes: cluster.DefaultVNodes,
+		Epoch: 2,
 		Nodes: []wire.NodeInfo{
 			{ID: owner.id, Addr: owner.addr(), Alive: false},
 			{ID: follower.id, Addr: follower.addr(), Alive: true},
@@ -428,7 +425,7 @@ func TestClusterFailoverInProcess(t *testing.T) {
 	}
 
 	ids := []string{"a", "b", "c"}
-	ownerID, succID := cluster.NewRing(ids, cluster.DefaultVNodes).OwnerAndSuccessor(venue)
+	ownerID, succID := cluster.NewRing(ids).OwnerAndSuccessor(venue)
 	ownerNode, succNode := nodeByID(nodes, ownerID), nodeByID(nodes, succID)
 	if ownerNode == nil || succNode == nil {
 		t.Fatalf("ring roles owner=%q succ=%q not in cluster", ownerID, succID)

@@ -71,7 +71,7 @@ func TestClusterFailover(t *testing.T) {
 		daemons[id] = startDaemon(t, "-node-id", id, "-peers", peers, "-data", t.TempDir())
 	}
 
-	ownerID, succID := cluster.NewRing(ids, cluster.DefaultVNodes).OwnerAndSuccessor(tenantID)
+	ownerID, succID := cluster.NewRing(ids).OwnerAndSuccessor(tenantID)
 	t.Logf("venue %s: owner %s, designated follower %s", tenantID, ownerID, succID)
 
 	// The assassin: a second shard-aware client polls the venue's sequence

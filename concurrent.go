@@ -151,7 +151,6 @@ func (s *Solver) drainLocked() {
 			s.pendMu.Unlock()
 		}
 	}
-	s.edited = true
 	s.editsSince += len(edits)
 }
 

@@ -18,23 +18,19 @@ import (
 	"repro/internal/wire"
 )
 
-// Config is one member's static cluster configuration.
+// Config is one member's static cluster configuration. The hash ring's
+// virtual-node count and the replication requests' timeout are fixed, not
+// configured: every member and client must hash alike.
 type Config struct {
 	// Self is this node's id; it must appear in Nodes.
 	Self string
 	// Nodes is the full static membership (id + advertised address).
 	Nodes []wire.NodeInfo
-	// VNodes is the virtual-node count of the hash ring (DefaultVNodes
-	// when 0). All members and clients must agree on it.
-	VNodes int
 	// ProbeInterval paces the peer health prober (default 250ms).
 	ProbeInterval time.Duration
 	// ReplicaPoll paces the replication sync loop: discovery of tenants to
 	// follow and catch-up pulls (default 500ms).
 	ReplicaPoll time.Duration
-	// PushTimeout bounds the synchronous record push to a follower after an
-	// accepted edit batch (default 2s).
-	PushTimeout time.Duration
 	// Logf receives replication/membership events (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -106,17 +102,11 @@ func NewMember(reg *tenant.Registry, cfg Config) (*Member, error) {
 	if len(cfg.Nodes) > 1 && !reg.Durable() {
 		return nil, errors.New("cluster: a membership of more than one node requires a durable registry (journal replication ships the data directory)")
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 250 * time.Millisecond
 	}
 	if cfg.ReplicaPoll <= 0 {
 		cfg.ReplicaPoll = 500 * time.Millisecond
-	}
-	if cfg.PushTimeout <= 0 {
-		cfg.PushTimeout = 2 * time.Second
 	}
 	found := false
 	for _, n := range cfg.Nodes {
@@ -158,7 +148,7 @@ func (m *Member) buildRingLocked() *Ring {
 			ids = append(ids, n.ID)
 		}
 	}
-	return NewRing(ids, m.cfg.VNodes)
+	return NewRing(ids)
 }
 
 // Start launches the health prober and the replication sync loop.
@@ -183,11 +173,11 @@ func (m *Member) Epoch() uint64 {
 }
 
 // Map snapshots the shard map: static membership with this node's health
-// view, the hashing parameters, and the epoch.
+// view, and the epoch.
 func (m *Member) Map() wire.ShardMap {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sm := wire.ShardMap{Epoch: m.epoch, Self: m.cfg.Self, VNodes: m.cfg.VNodes}
+	sm := wire.ShardMap{Epoch: m.epoch, Self: m.cfg.Self}
 	for _, n := range m.cfg.Nodes {
 		n.Alive = m.alive[n.ID]
 		sm.Nodes = append(sm.Nodes, n)

@@ -82,6 +82,11 @@ func (m *Member) NotifyWrite(id string) {
 	}
 }
 
+// pushTimeout bounds each replication request to a peer: the synchronous
+// record push to a follower after an accepted edit batch, a follow request,
+// and the follower's tenant listing and journal pulls.
+const pushTimeout = 2 * time.Second
+
 // errNotBootstrapped: the follower answered a record push for a tenant it
 // has no replica of yet.
 var errNotBootstrapped = errors.New("follower has not bootstrapped the tenant yet")
@@ -107,7 +112,7 @@ func (m *Member) EnsureFollower(id string) {
 }
 
 func (m *Member) requestFollow(addr, id string) {
-	code, err := m.peer("POST", addr, "/cluster/tenants/"+id+"/follow", m.cfg.PushTimeout, nil, nil)
+	code, err := m.peer("POST", addr, "/cluster/tenants/"+id+"/follow", pushTimeout, nil, nil)
 	switch {
 	case err != nil:
 		m.logf("cluster: follow request %s -> %s: %v", id, addr, err)
@@ -117,7 +122,7 @@ func (m *Member) requestFollow(addr, id string) {
 }
 
 func (m *Member) pushRecords(addr, id string, recs []durable.Record) error {
-	code, err := m.peer("POST", addr, "/cluster/tenants/"+id+"/records", m.cfg.PushTimeout, RecordChunk{Records: recs}, nil)
+	code, err := m.peer("POST", addr, "/cluster/tenants/"+id+"/records", pushTimeout, RecordChunk{Records: recs}, nil)
 	switch {
 	case err != nil:
 		return err
@@ -242,7 +247,7 @@ func (m *Member) syncOnce() {
 
 func (m *Member) listTenants(addr string) ([]string, error) {
 	var list wire.TenantList
-	code, err := m.peer("GET", addr, "/v1/tenants", m.cfg.PushTimeout, nil, &list)
+	code, err := m.peer("GET", addr, "/v1/tenants", pushTimeout, nil, &list)
 	switch {
 	case err != nil:
 		return nil, err
@@ -260,7 +265,7 @@ func (m *Member) fetchJournal(addr, id string, after uint64, bootstrap bool) (*J
 		path += "&bootstrap=1"
 	}
 	var chunk JournalChunk
-	code, err := m.peer("GET", addr, path, m.cfg.PushTimeout, nil, &chunk)
+	code, err := m.peer("GET", addr, path, pushTimeout, nil, &chunk)
 	switch {
 	case err != nil:
 		return nil, err

@@ -15,10 +15,10 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per member. It is part of the
-// shard-map contract: servers and clients must hash with the same count to
-// compute the same owners, so the map carries it explicitly.
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per member. Servers and clients must
+// hash with the same count to compute the same owners; both build their
+// rings through NewRing, so they share it.
+const vnodes = 64
 
 type ringPoint struct {
 	hash uint64
@@ -42,7 +42,7 @@ func hash64(s string) uint64 {
 	// leaves the low bits correlated and skews the ring badly (one node of
 	// three can end up owning 70% of the keyspace). Mixing restores a
 	// near-uniform spread without changing the ring contract: ownership is
-	// still a pure function of (node set, vnodes).
+	// still a pure function of the node set.
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -51,13 +51,10 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// NewRing builds a ring over nodes with vnodes virtual points per node
-// (DefaultVNodes when <= 0). The ring is deterministic in the node set:
-// any process given the same nodes computes identical ownership.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// NewRing builds a ring over nodes with vnodes virtual points per node. The
+// ring is deterministic in the node set: any process given the same nodes
+// computes identical ownership.
+func NewRing(nodes []string) *Ring {
 	r := &Ring{points: make([]ringPoint, 0, len(nodes)*vnodes)}
 	for _, n := range nodes {
 		for i := 0; i < vnodes; i++ {

@@ -17,8 +17,8 @@ func ringKeys(n int) []string {
 // order the nodes are listed in must not matter, since every node and every
 // client builds its own ring from the shard map independently.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"n1", "n2", "n3"}, 0)
-	b := NewRing([]string{"n3", "n1", "n2"}, 0)
+	a := NewRing([]string{"n1", "n2", "n3"})
+	b := NewRing([]string{"n3", "n1", "n2"})
 	for _, k := range ringKeys(500) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner of %q depends on node-list order: %q vs %q", k, a.Owner(k), b.Owner(k))
@@ -33,7 +33,7 @@ func TestRingDeterministic(t *testing.T) {
 // replica.
 func TestRingSuccessorIsFailoverTarget(t *testing.T) {
 	nodes := []string{"n1", "n2", "n3", "n4", "n5"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	for _, k := range ringKeys(1000) {
 		owner, succ := r.OwnerAndSuccessor(k)
 		var without []string
@@ -42,7 +42,7 @@ func TestRingSuccessorIsFailoverTarget(t *testing.T) {
 				without = append(without, n)
 			}
 		}
-		if got := NewRing(without, 0).Owner(k); got != succ {
+		if got := NewRing(without).Owner(k); got != succ {
 			t.Fatalf("key %q: successor %q but owner-after-removing-%q is %q", k, succ, owner, got)
 		}
 	}
@@ -52,8 +52,8 @@ func TestRingSuccessorIsFailoverTarget(t *testing.T) {
 // node must not reshuffle keys it did not own.
 func TestRingRemovalOnlyMovesOwnedKeys(t *testing.T) {
 	nodes := []string{"n1", "n2", "n3", "n4"}
-	full := NewRing(nodes, 0)
-	reduced := NewRing([]string{"n1", "n2", "n3"}, 0)
+	full := NewRing(nodes)
+	reduced := NewRing([]string{"n1", "n2", "n3"})
 	moved := 0
 	for _, k := range ringKeys(2000) {
 		before := full.Owner(k)
@@ -70,12 +70,12 @@ func TestRingRemovalOnlyMovesOwnedKeys(t *testing.T) {
 	}
 }
 
-// TestRingDistribution: with DefaultVNodes the spread over 3 nodes should be
-// rough but not degenerate — no node owning less than 15% or more than 55%
-// of 3000 keys.
+// TestRingDistribution: with vnodes virtual points per node the spread over
+// 3 nodes should be rough but not degenerate — no node owning less than 15%
+// or more than 55% of 3000 keys.
 func TestRingDistribution(t *testing.T) {
 	nodes := []string{"n1", "n2", "n3"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	counts := make(map[string]int)
 	keys := ringKeys(3000)
 	for _, k := range keys {
@@ -90,10 +90,10 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if got := NewRing(nil, 0).Owner("x"); got != "" {
+	if got := NewRing(nil).Owner("x"); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
-	r := NewRing([]string{"only"}, 0)
+	r := NewRing([]string{"only"})
 	owner, succ := r.OwnerAndSuccessor("x")
 	if owner != "only" || succ != "" {
 		t.Fatalf("single-node ring: owner=%q succ=%q, want only/empty", owner, succ)

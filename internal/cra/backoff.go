@@ -28,9 +28,10 @@ import (
 // one transportation, which has a plan whenever the instance is feasible.
 // The first prefix that completes wins.
 //
-// withdrawn may be nil (no paper withdrawn); cands, when non-nil, selects
-// the sparse candidate path with its densify escape hatch, as in the stages.
-func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perStage [][]int, withdrawn []bool, cands [][]int32, bonus func(p, r int) float64, workers int) *core.Assignment {
+// withdrawn may be nil (no paper withdrawn); cands holds the stages'
+// candidate lists (nil for every reviewer), and the transportation runs
+// through fillSolve as a cold stage does.
+func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perStage [][]int, withdrawn []bool, cands [][]int32, bonus func(p, r int) float64) *core.Assignment {
 	if ctx.Err() != nil || !errors.Is(stageErr, flow.ErrInfeasible) {
 		return nil
 	}
@@ -44,7 +45,7 @@ func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perSt
 	rem := make([]int, R)
 	need := make([]int, P)
 	var m engine.Matrix
-	tr := flow.Transport{Workers: workers}
+	var tr flow.Transport
 	for k := len(perStage) - 1; k >= 0; k-- {
 		a := core.NewAssignment(P)
 		for p := range groupVecs {

@@ -94,7 +94,7 @@ func greedyHeap(ctx context.Context, eng *engine.Oracle) (*core.Assignment, erro
 
 	// Initial gains are the plain pair scores; build them in parallel.
 	var m engine.Matrix
-	if err := eng.FillPairScores(ctx, &m); err != nil {
+	if err := eng.FillProfit(ctx, &m, engine.ProfitSpec{}); err != nil {
 		return nil, err
 	}
 	h := make(pairHeap, 0, P*R)

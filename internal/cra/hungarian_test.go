@@ -71,7 +71,7 @@ func (hungarianSDGA) AssignContext(ctx context.Context, instance *core.Instance)
 			perPaper, err = solve(in.Workload)
 		}
 		if err != nil {
-			if b := stageBackOff(ctx, err, eng, perStage, nil, nil, nil, 1); b != nil {
+			if b := stageBackOff(ctx, err, eng, perStage, nil, nil, nil); b != nil {
 				return b, nil
 			}
 			return nil, err

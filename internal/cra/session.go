@@ -24,6 +24,11 @@ var ErrConflictSaturated = errors.New("cra: conflicts leave a paper with fewer c
 // runtime.GOMAXPROCS(0) workers; the solved assignment is identical for
 // every worker count.
 type SessionConfig struct {
+	// Baseline, when set, replaces SDGA as the construction: every run
+	// executes this algorithm cold on the active papers, with withdrawn
+	// papers compacted away and given empty groups. Refine and CandidateCap
+	// do not apply to it.
+	Baseline Algorithm
 	// Refine runs the stochastic refinement after SDGA (the paper's SDGA-SRA
 	// pipeline). Off = construction only.
 	Refine bool
@@ -40,15 +45,15 @@ type SessionConfig struct {
 	// structural rebuild recomputes them). 0 keeps the exact dense path.
 	CandidateCap int
 	// OnConstruct, when set, receives a private copy of the construction
-	// (SDGA) assignment before refinement starts.
+	// (SDGA or Baseline) assignment of every run, before refinement starts.
 	OnConstruct func(a *core.Assignment)
 }
 
-// Session is a long-lived SDGA(-SRA) solver bound to one instance. It owns
-// every piece of reusable hot state — the gain oracle, one profit matrix and
-// one transportation solver per SDGA stage, the refinement's pair-score
-// matrix and completion scratch — and supports incremental instance edits
-// followed by warm re-solves:
+// Session is a long-lived solver bound to one instance: SDGA(-SRA), or the
+// configured Baseline algorithm. It owns every piece of reusable hot state —
+// the gain oracle, one profit matrix and one transportation solver per SDGA
+// stage, the refinement's pair-score matrix and completion scratch — and
+// supports incremental instance edits followed by warm re-solves:
 //
 //   - Solve computes the assignment from scratch (and records per-stage
 //     state);
@@ -64,7 +69,9 @@ type SessionConfig struct {
 // Resolve replays the exact solve pipeline (same stage structure, same
 // refinement seed), so on instances whose stage optima are unique — true
 // with probability one for continuous random scores — it returns the same
-// assignment a cold Solve of the edited instance would, only faster.
+// assignment a cold Solve of the edited instance would, only faster. A
+// Baseline re-runs cold on Resolve, and like SDGA only after an edit that
+// changed the instance.
 //
 // A Session is not safe for concurrent use; callers serialise access (the
 // public wgrap.Solver wraps it in a mutex).
@@ -246,7 +253,6 @@ func (s *Session) Assignment() *core.Assignment {
 
 func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 	in := s.in
-	P, R := in.NumPapers(), in.NumReviewers()
 	if s.version != in.Version() {
 		// The instance drifted outside the session mutators (defensive: the
 		// session owns its instance, but a stale warm state would silently
@@ -272,15 +278,51 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 		// fixed seed), so confirm it without re-running anything.
 		return s.last.Clone(), nil
 	}
+	var a *core.Assignment
+	var err error
+	backedOff := false
+	if s.cfg.Baseline != nil {
+		a, err = s.baseline(ctx)
+	} else {
+		a, backedOff, err = s.sdga(ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	if s.cfg.OnConstruct != nil {
+		s.cfg.OnConstruct(a.Clone())
+	}
+
+	result := a
+	if s.cfg.Refine && s.cfg.Baseline == nil {
+		refined, err := s.refine(ctx, a)
+		if err != nil {
+			return nil, err
+		}
+		result = refined
+	}
+
+	s.last = result.Clone()
+	clear(s.dirty)
+	// A backed-off run's stage records stop at the failed stage and do not
+	// describe its assignment, so the next Resolve must rebuild them.
+	s.structural = backedOff
+	s.capsDirty = false
+	return result, nil
+}
+
+// sdga runs the SDGA construction of a resolve, each stage warm from its
+// recorded run when the pending edits allow. It also reports whether the
+// stage back-off completed the assignment.
+func (s *Session) sdga(ctx context.Context) (*core.Assignment, bool, error) {
+	in := s.in
+	P, R := in.NumPapers(), in.NumReviewers()
 	if s.stages == nil {
 		s.stages = make([]*sessionStage, in.GroupSize)
 		for i := range s.stages {
 			s.stages[i] = &sessionStage{}
 		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	for _, st := range s.stages {
-		st.tr.Workers = workers
 	}
 	structural := s.structural || s.last == nil
 	if structural {
@@ -288,7 +330,7 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 		// of which only change through structural edits; the pair-score matrix
 		// retains the candidate slices, so it must be rebuilt alongside them.
 		if k := effectiveCandidateCap(in, s.cfg.CandidateCap); k > 0 {
-			s.cands = buildCandidates(in, k, workers)
+			s.cands = buildCandidates(in, k, runtime.GOMAXPROCS(0))
 			s.pairsValid = false
 		} else {
 			s.cands = nil
@@ -336,7 +378,7 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 			for k := range perStage {
 				perStage[k] = s.stages[k].perPaper
 			}
-			if b := stageBackOff(ctx, err, s.eng, perStage, s.edits.withdrawn, s.cands, tieBreak, workers); b != nil {
+			if b := stageBackOff(ctx, err, s.eng, perStage, s.edits.withdrawn, s.cands, tieBreak); b != nil {
 				a, err, backedOff = b, nil, true
 			}
 		}
@@ -347,65 +389,82 @@ func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
 			// rebuilds cold (still reusing the buffers) instead of silently
 			// solving on stale profit rows.
 			s.structural = true
-			return nil, fmt.Errorf("cra: session stage %d: %w", stage+1, err)
+			return nil, false, fmt.Errorf("cra: session stage %d: %w", stage+1, err)
 		}
 	}
+	return a, backedOff, nil
+}
 
-	if s.cfg.OnConstruct != nil {
-		s.cfg.OnConstruct(a.Clone())
+// baseline runs the Baseline algorithm cold on the active papers: on the
+// instance itself when no paper is withdrawn, and otherwise on a compacted
+// instance of the active papers, with the conflicts remapped and the groups
+// copied back to the original paper indices. With every paper withdrawn the
+// assignment is empty, as for SDGA.
+func (s *Session) baseline(ctx context.Context) (*core.Assignment, error) {
+	in := s.in
+	P := in.NumPapers()
+	switch s.edits.ActivePapers() {
+	case P:
+		return s.cfg.Baseline.AssignContext(ctx, in)
+	case 0:
+		return core.NewAssignment(P), nil
 	}
-
-	result := a
-	if s.cfg.Refine {
-		refined, err := s.refine(ctx, a)
-		if err != nil {
-			return nil, err
+	sub := &core.Instance{
+		Reviewers: in.Reviewers,
+		GroupSize: in.GroupSize,
+		Workload:  in.Workload,
+		Score:     in.Score,
+	}
+	idx := make([]int, 0, s.edits.ActivePapers())
+	back := make(map[int]int, s.edits.ActivePapers())
+	for p := 0; p < P; p++ {
+		if s.edits.Active(p) {
+			back[p] = len(idx)
+			idx = append(idx, p)
+			sub.Papers = append(sub.Papers, in.Papers[p])
 		}
-		result = refined
 	}
-
-	s.last = result.Clone()
-	clear(s.dirty)
-	// A backed-off run's stage records stop at the failed stage and do not
-	// describe its assignment, so the next Resolve must rebuild them.
-	s.structural = backedOff
-	s.capsDirty = false
-	return result, nil
+	for _, c := range in.Conflicts() {
+		if np, ok := back[c.Paper]; ok {
+			sub.AddConflict(c.Reviewer, np)
+		}
+	}
+	compact, err := s.cfg.Baseline.AssignContext(ctx, sub)
+	if err != nil {
+		return nil, err
+	}
+	full := core.NewAssignment(P)
+	for np, g := range compact.Groups {
+		full.Groups[idx[np]] = g
+	}
+	return full, nil
 }
 
 // fillSolve fills the profit matrix m under spec and solves its
 // transportation on tr with row demands need and column capacities caps. A
-// cold call fills the whole matrix and loads it: dense through FillProfit
-// and SolveDense, or, when cands is set, through FillProfitSparse and
-// SolveSparse over the candidate lists. A warm call re-fills only the dirty
-// rows and re-solves through ResolveRows from the flow and duals of the
-// preceding solve on tr. When cands is set, it first points tr.DenseRow at
-// spec, since spec's closures read state that is valid only within the
-// caller's step: the escape hatch and the warm re-read of densified rows
-// need this step's spec.
+// cold call fills the whole matrix and loads it through FillProfitSparse and
+// SolveSparse, over the candidate lists cands, or every reviewer when cands
+// is nil. A warm call re-fills only the dirty rows and re-solves through
+// ResolveRows from the flow and duals of the preceding solve on tr. It is
+// the one place that sets tr's worker count, and it points tr.DenseRow at
+// spec on every call, since spec's closures read state that is valid only
+// within the caller's step: the escape hatch and the warm re-read of
+// densified rows need this step's spec.
 func fillSolve(ctx context.Context, eng *engine.Oracle, m *engine.Matrix, tr *flow.Transport, spec engine.ProfitSpec,
 	cands [][]int32, warm bool, dirty []int, need, caps []int) ([][]int, error) {
-	if cands != nil {
-		tr.DenseRow = func(i int, buf []float64) []float64 {
-			eng.FillRowInto(buf, i, spec)
-			return buf
-		}
+	tr.Workers = runtime.GOMAXPROCS(0)
+	tr.DenseRow = func(i int, buf []float64) []float64 {
+		eng.FillRowInto(buf, i, spec)
+		return buf
 	}
 	var rows [][]int
 	var err error
-	switch {
-	case warm:
+	if warm {
 		if err = eng.FillProfitRows(ctx, m, spec, dirty); err == nil {
 			rows, _, err = tr.ResolveRows(m.Rows(), dirty, need, caps)
 		}
-	case cands != nil:
-		if err = eng.FillProfitSparse(ctx, m, spec, cands); err == nil {
-			rows, _, err = tr.SolveSparse(m.Rows(), cands, len(caps), need, caps)
-		}
-	default:
-		if err = eng.FillProfit(ctx, m, spec); err == nil {
-			rows, _, err = tr.SolveDense(m.Rows(), need, caps)
-		}
+	} else if err = eng.FillProfitSparse(ctx, m, spec, cands); err == nil {
+		rows, _, err = tr.SolveSparse(m.Rows(), cands, len(caps), need, caps)
 	}
 	return rows, err
 }
@@ -511,13 +570,7 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 		defer cancel()
 	}
 	if !s.pairsValid {
-		var err error
-		if s.cands != nil {
-			err = s.eng.FillProfitSparse(ctx, &s.pairs, engine.ProfitSpec{}, s.cands)
-		} else {
-			err = s.eng.FillPairScores(ctx, &s.pairs)
-		}
-		if err != nil {
+		if err := s.eng.FillProfitSparse(ctx, &s.pairs, engine.ProfitSpec{}, s.cands); err != nil {
 			// Context exhausted before refinement: anytime semantics.
 			return start.Clone(), nil
 		}
@@ -527,7 +580,6 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 	for p := range active {
 		active[p] = !s.edits.withdrawn[p]
 	}
-	s.sraTr.Workers = runtime.GOMAXPROCS(0)
 	run := sraRun{
 		cfg:           cfg,
 		eng:           s.eng,
@@ -547,7 +599,7 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 // systematically (the min() saturates: any reviewer covering a paper's
 // remaining need yields the identical capped gain), and tied transportation
 // optima are broken by search order — which differs between a cold
-// SolveDense and a warm ResolveRows. The perturbation makes the stage
+// SolveSparse and a warm ResolveRows. The perturbation makes the stage
 // optimum unique, so warm and cold runs of the same edited instance pick
 // identical plans and the session's replay parity is exact rather than
 // tie-lucky.

@@ -594,3 +594,91 @@ func TestSessionBatchedEditParityRandomized(t *testing.T) {
 	}
 	t.Logf("failures: %d", fail)
 }
+
+// countingAlg counts the AssignContext calls of the algorithm it wraps.
+type countingAlg struct {
+	Algorithm
+	calls *int
+}
+
+func (c countingAlg) AssignContext(ctx context.Context, in *core.Instance) (*core.Assignment, error) {
+	*c.calls++
+	return c.Algorithm.AssignContext(ctx, in)
+}
+
+// TestSessionBaseline: a session with a Baseline runs it cold on the active
+// papers, re-runs it only after an edit that changed the instance, and
+// hands each run's assignment to OnConstruct once.
+func TestSessionBaseline(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(61))
+	in := sessionInstance(rng, 14, 9, 6, 3)
+	in.AddConflict(2, 4)
+	ref := in.Clone()
+	calls, constructs := 0, 0
+	s, err := NewSession(in, SessionConfig{
+		Baseline:    countingAlg{Algorithm: Greedy{}, calls: &calls},
+		OnConstruct: func(*core.Assignment) { constructs++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameGroups := func(a, b *core.Assignment) bool { return slices.EqualFunc(a.Groups, b.Groups, slices.Equal) }
+
+	a, err := s.Solve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Greedy{}.Assign(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameGroups(a, want) || calls != 1 || constructs != 1 {
+		t.Fatalf("Solve: groups %v, want Greedy's %v; %d runs, %d constructions", a.Groups, want.Groups, calls, constructs)
+	}
+
+	if err := s.AddConflict(2, 4); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Resolve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameGroups(b, a) || calls != 1 || constructs != 1 {
+		t.Fatalf("Resolve after a duplicate conflict: groups %v, want %v; %d runs, %d constructions", b.Groups, a.Groups, calls, constructs)
+	}
+
+	for _, p := range []int{3, 8} {
+		if err := s.WithdrawPaper(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := s.Resolve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := &core.Instance{Reviewers: ref.Reviewers, GroupSize: ref.GroupSize, Workload: ref.Workload, Score: ref.Score}
+	var idx []int
+	for p := range ref.Papers {
+		if p != 3 && p != 8 {
+			idx = append(idx, p)
+			sub.Papers = append(sub.Papers, ref.Papers[p])
+		}
+	}
+	for _, cf := range ref.Conflicts() {
+		if np := slices.Index(idx, cf.Paper); np >= 0 {
+			sub.AddConflict(cf.Reviewer, np)
+		}
+	}
+	compact, err := Greedy{}.Assign(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = core.NewAssignment(len(ref.Papers))
+	for np, p := range idx {
+		want.Groups[p] = compact.Groups[np]
+	}
+	if !sameGroups(c, want) || calls != 2 || constructs != 2 {
+		t.Fatalf("Resolve after two withdrawals: groups %v, want %v; %d runs, %d constructions", c.Groups, want.Groups, calls, constructs)
+	}
+}

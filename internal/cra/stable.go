@@ -56,7 +56,7 @@ func deferredAcceptance(ctx context.Context, eng *engine.Oracle) (*core.Assignme
 	P, R := in.NumPapers(), in.NumReviewers()
 
 	var pairs engine.Matrix
-	if err := eng.FillPairScores(ctx, &pairs); err != nil {
+	if err := eng.FillProfit(ctx, &pairs, engine.ProfitSpec{}); err != nil {
 		return nil, err
 	}
 	pairScore := pairs.Rows()

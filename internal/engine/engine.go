@@ -17,7 +17,7 @@
 //     a pooled scratch vector, so correctness never depends on recognition.
 //   - It builds flat, row-major profit matrices in parallel with a
 //     GOMAXPROCS-sized worker pool and reusable buffers (see Matrix and
-//     FillProfit in matrix.go).
+//     FillProfitSparse in matrix.go).
 //
 // # The residual-topic fill
 //

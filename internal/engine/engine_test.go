@@ -171,8 +171,8 @@ func TestFillProfitParity(t *testing.T) {
 				if !in.IsConflict(r, p) {
 					want = in.GainWithVector(p, groupVecs[p], r) + bonus(p, r)
 				}
-				if math.Abs(m.At(p, r)-want) > 1e-12 {
-					t.Fatalf("trial %d: cell (%d,%d) = %g, want %g", trial, p, r, m.At(p, r), want)
+				if math.Abs(m.Row(p)[r]-want) > 1e-12 {
+					t.Fatalf("trial %d: cell (%d,%d) = %g, want %g", trial, p, r, m.Row(p)[r], want)
 				}
 			}
 		}
@@ -185,35 +185,31 @@ func TestFillPairScoresParity(t *testing.T) {
 	in := randInstance(rng, 17, 13, 15, core.DotProduct)
 	o := New(in)
 	var m Matrix
-	if err := o.FillPairScores(context.Background(), &m); err != nil {
+	if err := o.FillProfit(context.Background(), &m, ProfitSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < in.NumPapers(); p++ {
 		for r := 0; r < in.NumReviewers(); r++ {
-			if got, want := m.At(p, r), in.PairScore(r, p); math.Abs(got-want) > 1e-12 {
+			if got, want := m.Row(p)[r], in.PairScore(r, p); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("cell (%d,%d) = %g, want %g", p, r, got, want)
 			}
 		}
 	}
 }
 
-// TestMatrixReuse verifies Reset reuses the backing buffer and the row views
+// TestMatrixReuse verifies reset reuses the backing buffer and the row views
 // stay consistent across shrinking and growing dimensions.
 func TestMatrixReuse(t *testing.T) {
 	var m Matrix
-	m.Reset(4, 6)
+	m.reset(4, 6, nil)
 	base := &m.data[0]
 	m.Row(3)[5] = 42
-	m.Reset(2, 3)
+	m.reset(2, 3, nil)
 	if &m.data[0] != base {
-		t.Fatal("shrinking Reset reallocated the buffer")
-	}
-	rows, cols := m.Dims()
-	if rows != 2 || cols != 3 {
-		t.Fatalf("Dims = (%d,%d), want (2,3)", rows, cols)
+		t.Fatal("shrinking reset reallocated the buffer")
 	}
 	m.Row(1)[2] = 7
-	if m.At(1, 2) != 7 {
+	if m.Row(1)[2] != 7 {
 		t.Fatal("row view does not alias the flat buffer")
 	}
 	if got := m.Rows(); len(got) != 2 || len(got[1]) != 3 {
@@ -229,7 +225,7 @@ func TestFillProfitCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var m Matrix
-	if err := o.FillPairScores(ctx, &m); err != context.Canceled {
+	if err := o.FillProfit(ctx, &m, ProfitSpec{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -351,10 +347,10 @@ func TestFillProfitRows(t *testing.T) {
 	isDirty := map[int]bool{7: true, 23: true}
 	for p := 0; p < in.NumPapers(); p++ {
 		for r := 0; r < in.NumReviewers(); r++ {
-			got := m.At(p, r)
+			got := m.Row(p)[r]
 			if isDirty[p] {
-				if got != full.At(p, r) {
-					t.Fatalf("dirty row %d col %d: %g, want %g", p, r, got, full.At(p, r))
+				if got != full.Row(p)[r] {
+					t.Fatalf("dirty row %d col %d: %g, want %g", p, r, got, full.Row(p)[r])
 				}
 			} else if got != before[p*in.NumReviewers()+r] {
 				t.Fatalf("clean row %d col %d changed: %g vs %g", p, r, got, before[p*in.NumReviewers()+r])
@@ -365,7 +361,7 @@ func TestFillProfitRows(t *testing.T) {
 	// Dimension guard: a matrix that was never filled at the instance shape
 	// must be rejected rather than silently resized.
 	var stale Matrix
-	stale.Reset(2, 2)
+	stale.reset(2, 2, nil)
 	if err := o.FillProfitRows(context.Background(), &stale, spec, dirty); err == nil {
 		t.Fatal("stale-dimension matrix accepted")
 	}

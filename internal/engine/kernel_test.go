@@ -134,7 +134,7 @@ func checkDense(t *testing.T, o *Oracle, m *Matrix, spec ProfitSpec, label strin
 	in := o.Instance()
 	for p := 0; p < in.NumPapers(); p++ {
 		for r := 0; r < in.NumReviewers(); r++ {
-			if got, want := m.At(p, r), refCell(o, spec, p, r); differ(got, want) {
+			if got, want := m.Row(p)[r], refCell(o, spec, p, r); differ(got, want) {
 				t.Fatalf("%s dense (%d,%d) = %v, want %v", label, p, r, got, want)
 			}
 		}

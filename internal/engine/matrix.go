@@ -11,16 +11,17 @@ import (
 )
 
 // Matrix is a flat, row-major profit matrix with cached per-row views. The
-// zero value is ready to use; Reset reuses the backing buffer across solver
-// invocations (SDGA rebuilds the matrix every stage, SRA every round), so a
-// steady-state fill performs no allocation.
+// zero value is ready to use; every fill reuses the backing buffer across
+// solver invocations (SDGA rebuilds the matrix every stage, SRA every round),
+// so a steady-state fill performs no allocation.
 //
-// A Matrix has two layouts. In the dense layout (Reset) row p holds one cell
-// per column. In the sparse-row layout (ResetSparse) row p holds one cell per
-// entry of its candidate list, in candidate order: Row(p)[x] is the profit of
-// pairing p with candidate cand[p][x]. The sparse layout is what the
-// candidate-pruned solve path hands to flow.Transport.SolveSparse, keeping
-// every downstream pass O(P·k) instead of O(P·R).
+// A fill without candidate lists leaves the dense layout: row p holds one
+// cell per column. A fill with candidate lists leaves the sparse-row layout:
+// row p holds one cell per entry of its candidate list, in candidate order,
+// so Row(p)[x] is the profit of pairing p with candidate cand[p][x]. The
+// sparse layout is what the candidate-pruned solve path hands to
+// flow.Transport.SolveSparse, keeping every downstream pass O(P·k) instead of
+// O(P·R).
 type Matrix struct {
 	rows, cols int
 	data       []float64
@@ -30,36 +31,18 @@ type Matrix struct {
 	cand [][]int32
 }
 
-// Reset resizes the matrix to the dense rows×cols layout, reusing the backing
-// storage when it is large enough. Cell contents are unspecified after Reset;
-// fills overwrite every cell.
-func (m *Matrix) Reset(rows, cols int) {
-	n := rows * cols
-	if cap(m.data) < n {
-		m.data = make([]float64, n)
-	} else {
-		m.data = m.data[:n]
-	}
-	if cap(m.views) < rows {
-		m.views = make([][]float64, rows)
-	} else {
-		m.views = m.views[:rows]
-	}
-	for p := 0; p < rows; p++ {
-		m.views[p] = m.data[p*cols : (p+1)*cols : (p+1)*cols]
-	}
-	m.rows, m.cols = rows, cols
-	m.cand = nil
-}
-
-// ResetSparse resizes the matrix to the sparse-row layout: logically
-// rows×cols, but row p physically holds len(cand[p]) cells, one per
-// candidate column. cand is retained (not copied) and must stay immutable
-// while the matrix is in use.
-func (m *Matrix) ResetSparse(rows, cols int, cand [][]int32) {
-	total := 0
-	for _, c := range cand {
-		total += len(c)
+// reset resizes the matrix to rows×cols, reusing the backing storage when
+// it is large enough: dense views of width cols when cand is nil, otherwise
+// the sparse-row layout, whose row p holds len(cand[p]) cells. cand is
+// retained (not copied) and must stay immutable while the matrix is in use.
+// Cell contents are unspecified after reset; fills overwrite every cell.
+func (m *Matrix) reset(rows, cols int, cand [][]int32) {
+	total := rows * cols
+	if cand != nil {
+		total = 0
+		for _, c := range cand {
+			total += len(c)
+		}
 	}
 	if cap(m.data) < total {
 		m.data = make([]float64, total)
@@ -73,23 +56,16 @@ func (m *Matrix) ResetSparse(rows, cols int, cand [][]int32) {
 	}
 	off := 0
 	for p := 0; p < rows; p++ {
-		end := off + len(cand[p])
+		end := off + cols
+		if cand != nil {
+			end = off + len(cand[p])
+		}
 		m.views[p] = m.data[off:end:end]
 		off = end
 	}
 	m.rows, m.cols = rows, cols
 	m.cand = cand
 }
-
-// Dims returns the current logical (rows, cols).
-func (m *Matrix) Dims() (int, int) { return m.rows, m.cols }
-
-// Sparse reports whether the matrix is in the sparse-row layout.
-func (m *Matrix) Sparse() bool { return m.cand != nil }
-
-// At returns the cell (p, r) of a dense-layout matrix. In the sparse-row
-// layout cells are addressed by candidate position via Row instead.
-func (m *Matrix) At(p, r int) float64 { return m.views[p][r] }
 
 // Row returns row p as a slice view into the flat buffer: one cell per
 // column in the dense layout, one per candidate in the sparse-row layout.
@@ -282,27 +258,26 @@ func (o *Oracle) FillRowInto(row []float64, p int, spec ProfitSpec) {
 	j.release()
 }
 
-// FillProfit builds the P×R profit matrix described by spec into m. Blocks
-// of rows are filled in parallel with a GOMAXPROCS-sized worker pool. It
-// returns ctx.Err() if the context is cancelled mid-build (the matrix
-// contents are then unspecified).
+// FillProfit builds the dense P×R profit matrix described by spec into m
+// (FillProfitSparse without candidate lists).
 func (o *Oracle) FillProfit(ctx context.Context, m *Matrix, spec ProfitSpec) error {
-	P, R := o.in.NumPapers(), o.in.NumReviewers()
-	m.Reset(P, R)
-	return o.newJob(ctx, m, &spec, nil, (P+fillRowBlock-1)/fillRowBlock).run()
+	return o.FillProfitSparse(ctx, m, spec, nil)
 }
 
-// FillProfitSparse builds the sparse-row profit matrix described by spec
-// into m: row p receives one cell per entry of cand[p] (its candidate
-// reviewers, ascending), so the build costs O(P·k) cells instead of O(P·R).
-// Blocks of rows are filled in parallel as in FillProfit. cand is retained
-// by the matrix (see Matrix.ResetSparse).
+// FillProfitSparse builds the profit matrix described by spec into m: row p
+// receives one cell per entry of cand[p] (its candidate reviewers,
+// ascending), so the build costs O(P·k) cells instead of O(P·R), or, with
+// nil cand, one cell per reviewer. Blocks of rows are filled in parallel
+// with a GOMAXPROCS-sized worker pool. cand is retained by the matrix and
+// must stay immutable while the matrix is in use. It returns ctx.Err() if
+// the context is cancelled mid-build (the matrix contents are then
+// unspecified).
 func (o *Oracle) FillProfitSparse(ctx context.Context, m *Matrix, spec ProfitSpec, cand [][]int32) error {
 	P, R := o.in.NumPapers(), o.in.NumReviewers()
-	if len(cand) != P {
+	if cand != nil && len(cand) != P {
 		return errors.New("engine: FillProfitSparse candidate lists do not cover the papers")
 	}
-	m.ResetSparse(P, R, cand)
+	m.reset(P, R, cand)
 	return o.newJob(ctx, m, &spec, nil, (P+fillRowBlock-1)/fillRowBlock).run()
 }
 
@@ -319,11 +294,4 @@ func (o *Oracle) FillProfitRows(ctx context.Context, m *Matrix, spec ProfitSpec,
 		return errors.New("engine: FillProfitRows on a matrix with stale dimensions")
 	}
 	return o.newJob(ctx, m, &spec, rows, len(rows)).run()
-}
-
-// FillPairScores builds the P×R matrix of pair scores c(r, p) into m in
-// parallel (the precomputation of SRA's probability model and the stable
-// matching preference lists).
-func (o *Oracle) FillPairScores(ctx context.Context, m *Matrix) error {
-	return o.FillProfit(ctx, m, ProfitSpec{})
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,9 @@ func randCandidates(rng *rand.Rand, papers, reviewers, k int) [][]int32 {
 
 // TestFillProfitSparseMatchesDense: every candidate cell of the sparse fill
 // must be bit-identical to the corresponding cell of the dense fill, for a
-// spec exercising group vectors, forbidden pairs and a bonus term.
+// spec exercising group vectors, forbidden pairs and a bonus term, and
+// FillProfitSparse without candidate lists must fill the dense layout
+// exactly as FillProfit does.
 func TestFillProfitSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := randInstance(rng, 40, 80, 16, nil)
@@ -53,8 +56,19 @@ func TestFillProfitSparseMatchesDense(t *testing.T) {
 	if err := o.FillProfitSparse(context.Background(), &sparse, spec, cands); err != nil {
 		t.Fatal(err)
 	}
-	if !sparse.Sparse() || dense.Sparse() {
-		t.Fatalf("layout flags wrong: sparse=%v dense=%v", sparse.Sparse(), dense.Sparse())
+	var all Matrix
+	if err := o.FillProfitSparse(context.Background(), &all, spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < in.NumPapers(); p++ {
+		if len(all.Row(p)) != in.NumReviewers() {
+			t.Fatalf("paper %d: fill without candidates has %d cells, want %d", p, len(all.Row(p)), in.NumReviewers())
+		}
+		for r, v := range all.Row(p) {
+			if math.Float64bits(v) != math.Float64bits(dense.Row(p)[r]) {
+				t.Fatalf("paper %d reviewer %d: fill without candidates %v != FillProfit %v", p, r, v, dense.Row(p)[r])
+			}
+		}
 	}
 	for p := 0; p < in.NumPapers(); p++ {
 		row := sparse.Row(p)
@@ -62,9 +76,9 @@ func TestFillProfitSparseMatchesDense(t *testing.T) {
 			t.Fatalf("paper %d: sparse row has %d cells, want %d", p, len(row), len(cands[p]))
 		}
 		for x, r := range cands[p] {
-			if row[x] != dense.At(p, int(r)) {
+			if row[x] != dense.Row(p)[r] {
 				t.Fatalf("paper %d cand %d (reviewer %d): sparse %v != dense %v",
-					p, x, r, row[x], dense.At(p, int(r)))
+					p, x, r, row[x], dense.Row(p)[r])
 			}
 		}
 	}
@@ -75,8 +89,8 @@ func TestFillProfitSparseMatchesDense(t *testing.T) {
 	for p := 0; p < in.NumPapers(); p += 7 {
 		o.FillRowInto(buf, p, spec)
 		for r, v := range buf {
-			if v != dense.At(p, r) {
-				t.Fatalf("FillRowInto paper %d reviewer %d: %v != %v", p, r, v, dense.At(p, r))
+			if v != dense.Row(p)[r] {
+				t.Fatalf("FillRowInto paper %d reviewer %d: %v != %v", p, r, v, dense.Row(p)[r])
 			}
 		}
 	}

@@ -292,7 +292,7 @@ func TestResolveRowsInfeasibleRow(t *testing.T) {
 }
 
 // TestResolveRowsErrors covers the misuse guards. Every input is checked
-// before anything changes, so a rejected call leaves the demands,
+// before anything changes, so a rejected call leaves the costs, demands,
 // capacities and flow as they were, and a following Resolve with the
 // original capacities returns the original plan. The last call, a dirty row
 // plus a negative capacity, once released the row and re-capped the earlier
@@ -339,6 +339,43 @@ func TestResolveRowsErrors(t *testing.T) {
 	got, gotTotal, err := dense.Resolve(caps)
 	if err != nil || fmt.Sprint(got) != fmt.Sprint(plan) || gotTotal != total {
 		t.Fatalf("Resolve after the rejected calls: %v %v %v, want %v %v", got, gotTotal, err, plan, total)
+	}
+
+	// A DenseRow callback that returns a short row for the widened row 1 is
+	// refused before any cost changes. The check once ran after row 0, listed
+	// first, had already taken its new cost with its flow kept, and the next
+	// Resolve returned a plan its certificate rejects.
+	full := [][]float64{{0.5, 0.4, 0.9}, {0.8, 0.1, 0.2}}
+	vals := [][]float64{{0.5}, {0.8}}
+	cols := [][]int32{{0}, {0}}
+	spNeed, spCaps := []int{1, 1}, []int{1, 1, 1}
+	var sp Transport
+	good := func(i int, buf []float64) []float64 { return append(buf[:0], full[i]...) }
+	sp.DenseRow = good
+	if _, _, err := sp.SolveSparse(vals, cols, 3, spNeed, spCaps); err != nil {
+		t.Fatal(err)
+	}
+	if sp.rowFull[0] || !sp.rowFull[1] {
+		t.Fatalf("widened rows %v, want only row 1", sp.rowFull[:sp.n])
+	}
+	spState := func() string {
+		return fmt.Sprint(sp.cost[:sp.rowStart[sp.n]], sp.rowNeed[:sp.n], sp.colCap[:sp.m], sp.rowFlow[:sp.n])
+	}
+	before = spState()
+	sp.DenseRow = func(i int, buf []float64) []float64 { return good(i, buf)[:1] }
+	vals[0][0] = 0.05
+	if _, _, err := sp.ResolveRows(vals, []int{0, 1}, spNeed, spCaps); err == nil {
+		t.Fatal("short DenseRow row accepted")
+	}
+	if got := spState(); got != before {
+		t.Fatalf("short DenseRow row: rejected call changed costs, rowNeed, colCap, rowFlow from %s to %s", before, got)
+	}
+	sp.DenseRow = good
+	if _, _, err := sp.Resolve(spCaps); err != nil {
+		t.Fatal(err)
+	}
+	if err := certify(&sp); err != nil {
+		t.Fatalf("Resolve after the refused short row: %v", err)
 	}
 }
 

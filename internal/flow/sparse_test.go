@@ -63,14 +63,22 @@ func maskOutsideCandidates(profit [][]float64, cols [][]int32, full []bool) [][]
 }
 
 // TestSolveSparseAllColumnsMatchesSolve: with every column a candidate the
-// sparse path must reproduce the dense solve exactly.
+// sparse path must reproduce the dense solve exactly, and SolveSparse
+// without candidate lists must leave the same plan, objective bits and duals
+// as SolveDense.
 func TestSolveSparseAllColumnsMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
 		profit, need, caps := randomInstance(rng, 3+rng.Intn(5), 3+rng.Intn(5), 2, 2, 0.2)
 		vals, cols := sparseFromDense(rng, profit, len(profit[0]))
-		var dense, sparse Transport
+		var dense, sparse, all Transport
+		dRec, aRec := stateRecorder{tr: &dense}, stateRecorder{tr: &all}
 		dRows, dTotal, dErr := dense.SolveDense(profit, need, caps)
+		dRec.record(dRows, dTotal, dErr)
+		aRec.record(all.SolveSparse(profit, nil, len(profit[0]), need, caps))
+		if d := diffStates(aRec.states, dRec.states); d != "" {
+			t.Fatalf("trial %d: SolveSparse without candidate lists: %s", trial, d)
+		}
 		sRows, sTotal, sErr := sparse.SolveSparse(vals, cols, len(profit[0]), need, caps)
 		if (dErr == nil) != (sErr == nil) {
 			t.Fatalf("trial %d: dense err=%v sparse err=%v", trial, dErr, sErr)
@@ -84,7 +92,6 @@ func TestSolveSparseAllColumnsMatchesSolve(t *testing.T) {
 		if got := checkFeasible(t, profit, need, caps, sRows); math.Abs(got-sTotal) > 1e-9 {
 			t.Fatalf("trial %d: sparse reported %v but plan sums to %v", trial, sTotal, got)
 		}
-		_ = dRows
 	}
 }
 

@@ -129,14 +129,16 @@ func (g *Graph) spfa(source int) ([]float64, []int) {
 // → sink) and runs the SPFA-based successive-shortest-paths solver, one
 // search per unit of flow.
 func legacyMaxProfitTransport(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
-	if err := validateTransport(profit, rowNeed, colCap); err != nil {
+	n, m := len(profit), 0
+	if n > 0 {
+		m = len(profit[0])
+	}
+	if err := validateTransport(profit, nil, m, rowNeed, colCap); err != nil {
 		return nil, 0, err
 	}
-	n := len(profit)
 	if n == 0 {
 		return nil, 0, nil
 	}
-	m := len(profit[0])
 	need := 0
 	for _, r := range rowNeed {
 		need += r

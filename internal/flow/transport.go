@@ -8,9 +8,9 @@
 //     pair-additive objective makes the relaxation integral, so min-cost flow
 //     yields the exact optimum.
 //
-// The solver is Transport. An instance is loaded in one of two CSR layouts:
-// dense (SolveDense, every cell of the profit matrix) or candidate rows
-// (SolveSparse, one cell per candidate column). Costs are reduced to
+// The solver is Transport. SolveSparse loads an instance into one CSR, one
+// cell per candidate column of each row, or every column when the candidate
+// lists are nil (SolveDense is that case). Costs are reduced to
 // non-negative with Johnson-style node potentials. A greedy seed and one
 // tight-edge blocking pass place most of the flow; each remaining unit then
 // runs one single-source Dijkstra over the CSR-stored bipartite residual
@@ -30,7 +30,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrInfeasible is returned when a transportation instance cannot satisfy the
@@ -40,26 +39,37 @@ var ErrInfeasible = errors.New("flow: demand cannot be satisfied")
 // Forbidden marks an impossible row/column pairing in MaxProfitTransport.
 var Forbidden = math.Inf(-1)
 
-// validateTransport checks the preconditions of a dense transportation
-// instance.
-func validateTransport(profit [][]float64, rowNeed, colCap []int) error {
-	n := len(profit)
-	if n == 0 {
-		if len(rowNeed) != 0 || len(colCap) != 0 {
-			return errors.New("flow: dimension mismatch")
-		}
-		return nil
-	}
-	m := len(profit[0])
-	if len(rowNeed) != n || len(colCap) != m {
+// validateTransport checks the preconditions of an instance of len(vals)
+// rows and m columns: with nil cols every row has width m; otherwise
+// vals[i] is position-aligned with cols[i], whose columns are strictly
+// ascending and in range. Demands and capacities must be non-negative.
+func validateTransport(vals [][]float64, cols [][]int32, m int, rowNeed, colCap []int) error {
+	n := len(vals)
+	if cols != nil && len(cols) != n || len(rowNeed) != n || len(colCap) != m {
 		return errors.New("flow: dimension mismatch")
 	}
-	for i := range profit {
-		if len(profit[i]) != m {
+	if m < 0 {
+		return errors.New("flow: negative column count")
+	}
+	for i, row := range vals {
+		var ids []int32
+		width := m
+		if cols != nil {
+			ids = cols[i]
+			width = len(ids)
+		}
+		if len(row) != width {
 			return errors.New("flow: ragged profit matrix")
 		}
 		if rowNeed[i] < 0 {
 			return errors.New("flow: negative row demand")
+		}
+		prev := int32(-1)
+		for _, j := range ids {
+			if j <= prev || int(j) >= m {
+				return errors.New("flow: candidate columns must be strictly ascending and in range")
+			}
+			prev = j
 		}
 	}
 	for _, c := range colCap {
@@ -132,35 +142,35 @@ type pathStep struct {
 // Workers), and the external contract is unchanged.
 type Transport struct {
 	// Workers bounds the goroutines of three sharded passes: the instance
-	// load of SolveDense/SolveSparse (CSR build, cold duals, seed
-	// candidates), sharded across rows; the row relaxations of every search
-	// once the instance has relaxShardMin columns, sharded across one row's
-	// edges by a worker pool (see relaxRowSharded); and the read phase of
-	// ResolveRows, sharded across the dirty rows. 0 or 1 means serial. The
-	// plan, objective and duals are identical for every value: each pass
-	// writes disjoint per-row or per-worker state computed from inputs that
-	// nothing writes during the pass, and the steps that consume it run
-	// serially in a fixed order.
+	// load of SolveSparse (CSR build, cold duals, seed candidates), sharded
+	// across rows; the row relaxations of every search once the instance has
+	// relaxShardMin columns, sharded across one row's edges by a worker pool
+	// (see relaxRowSharded); and the read phase of ResolveRows, sharded
+	// across the dirty rows. 0 or 1 means serial. The plan, objective and
+	// duals are identical for every value: each pass writes disjoint per-row
+	// or per-worker state computed from inputs that nothing writes during
+	// the pass, and the steps that consume it run serially in a fixed order.
 	Workers int
 
 	// DenseRow, when set, supplies the full-width profit row of row i on
-	// demand (into buf, len m; the returned slice is read immediately). It is
-	// the escape hatch of the sparse mode: when a row's candidate columns all
-	// saturate (conflicted or at capacity), the solver widens that one row to
-	// full width instead of failing, so candidate pruning can never make a
-	// feasible instance infeasible. The callback must stay consistent with
-	// the last loaded instance until the next SolveSparse/SolveDense,
-	// and — with Workers > 1 — must be safe to call from multiple goroutines
-	// for distinct rows (the ResolveRows read phase is sharded).
+	// demand (into buf, len m; the returned slice, which must have length m,
+	// is read immediately). It is the escape hatch of the candidate-row load:
+	// when a row's candidate columns all saturate (conflicted or at
+	// capacity), the solver widens that one row to full width instead of
+	// failing, so candidate pruning can never make a feasible instance
+	// infeasible. The callback must stay consistent with the last loaded
+	// instance until the next SolveSparse. It is called only from the
+	// goroutine that calls the Transport, and never after a load without
+	// candidate lists (every row is already full width).
 	DenseRow func(row int, buf []float64) []float64
 
 	n, m int
 
 	// CSR of the loaded cells: row i's cells are
 	// colIdx[rowStart[i]:rowStart[i+1]], cost holds the negated profit, so a
-	// Forbidden (−Inf) cell carries +Inf cost. SolveDense keeps every cell of
-	// the profit matrix, SolveSparse one cell per candidate column; either
-	// pattern is edit-stable, so ResolveRows can re-cost any row in place.
+	// Forbidden (−Inf) cell carries +Inf cost. A row keeps one cell per
+	// candidate column, or every column without candidate lists; the pattern
+	// is edit-stable, so ResolveRows can re-cost any row in place.
 	rowStart []int32
 	colIdx   []int32
 	cost     []float64
@@ -245,13 +255,15 @@ type Transport struct {
 	relax     *relaxPool
 	relaxBufs [][]relaxCand
 
-	// Scratch of the ResolveRows dirty-row pass: per-dirty-row keep decision
-	// and released-dual value computed by the (possibly sharded) read phase,
-	// consumed by the serial claim phase; rrBufs holds one DenseRow buffer per
-	// worker so densified rows can be re-read concurrently.
+	// Scratch of the ResolveRows dirty-row pass: rrVals holds each dirty
+	// row's new profits (a widened row's in rrBuf, re-read by the serial
+	// validation pass); rrKeep and rrBest hold the keep decision and the
+	// released-dual value computed by the (possibly sharded) read phase,
+	// consumed by the serial claim phase.
+	rrVals [][]float64
+	rrBuf  []float64
 	rrKeep []bool
 	rrBest []float64
-	rrBufs [][]float64
 
 	// deficitRows lists the rows still short of their demand, rebuilt once
 	// per run and compacted lazily, so phases iterate deficits instead of
@@ -301,40 +313,70 @@ type relaxCand struct {
 	e int32
 }
 
-// SolveDense loads the instance into the solver's flat buffers and computes
+// SolveDense is SolveSparse over every column: profit[i][j] is the profit of
+// pairing row i with column j.
+func (t *Transport) SolveDense(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
+	m := 0
+	if len(profit) > 0 {
+		m = len(profit[0])
+	}
+	return t.SolveSparse(profit, nil, m, rowNeed, colCap)
+}
+
+// SolveSparse loads the instance into the solver's flat buffers and computes
 // an optimal transportation plan, returning the per-row matched columns
-// (sorted) and the total profit. The CSR is dense: every cell is kept,
-// Forbidden cells with +Inf cost (a +Inf-cost edge is never used), so the
-// sparsity pattern survives any later per-row profit edit and ResolveRows
-// can warm-start re-solves after conflict additions, withdrawals or score
-// changes. On ErrInfeasible the partial maximum flow is retained, so a
+// (sorted) and the total profit. vals[i][x] is the profit of pairing row i
+// with column cols[i][x] (columns strictly ascending per row); pairs outside
+// the candidate lists do not exist, so every pass — CSR build, cold duals,
+// greedy seeding, Dijkstra phases, ResolveRows — scales with the candidate
+// count instead of m. With nil cols every row lists every column: vals is
+// the dense n×m profit matrix.
+//
+// Forbidden cells are kept at +Inf cost (a +Inf-cost edge is never used), so
+// the loaded pattern survives any later per-row profit edit and ResolveRows
+// can re-cost rows in place for warm re-solves after conflict additions,
+// withdrawals or score changes. When a candidate row's columns saturate and
+// its demand cannot be met, the solver widens that row to full width through
+// the DenseRow callback and retries (see Transport.DenseRow) — with the
+// callback set, SolveSparse is infeasible only when the underlying dense
+// instance is. On ErrInfeasible the partial maximum flow is retained, so a
 // following Resolve with enlarged capacities continues from it instead of
 // starting over.
-func (t *Transport) SolveDense(profit [][]float64, rowNeed, colCap []int) ([][]int, float64, error) {
-	if err := validateTransport(profit, rowNeed, colCap); err != nil {
+func (t *Transport) SolveSparse(vals [][]float64, cols [][]int32, m int, rowNeed, colCap []int) ([][]int, float64, error) {
+	if err := validateTransport(vals, cols, m, rowNeed, colCap); err != nil {
 		return nil, 0, err
 	}
-	n := len(profit)
+	n := len(vals)
 	if n == 0 {
 		t.n, t.m = 0, 0
 		t.solved = true
 		return nil, 0, nil
 	}
-	m := len(profit[0])
 	t.n, t.m = n, m
-	t.sparse = false
+	t.sparse = cols != nil
+	t.rowFull = growBool(t.rowFull, n)
+	clear(t.rowFull)
 	t.rowStart = growInt32(t.rowStart, n+1)
-	for i := 0; i <= n; i++ {
-		t.rowStart[i] = int32(i * m)
+	t.rowStart[0] = 0
+	for i, row := range vals {
+		t.rowStart[i+1] = t.rowStart[i] + int32(len(row))
 	}
-	t.colIdx = growInt32(t.colIdx, n*m)
-	t.cost = growFloat(t.cost, n*m)
+	total := int(t.rowStart[n])
+	t.colIdx = growInt32(t.colIdx, total)
+	t.cost = growFloat(t.cost, total)
 	shardRows(t.loadWorkers(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			base := i * m
-			for j, p := range profit[i] {
-				t.colIdx[base+j] = int32(j)
-				t.cost[base+j] = -p
+			base := int(t.rowStart[i])
+			idx := t.colIdx[base : base+len(vals[i])]
+			if cols != nil {
+				copy(idx, cols[i])
+			} else {
+				for j := range idx {
+					idx[j] = int32(j)
+				}
+			}
+			for x, p := range vals[i] {
+				t.cost[base+x] = -p
 			}
 		}
 	})
@@ -382,90 +424,6 @@ func (t *Transport) load(rowNeed, colCap []int) {
 	t.u = growFloat(t.u, n)
 	t.resetDualsForEmptyFlow()
 	t.solved = true
-}
-
-// validateTransportSparse checks the preconditions of the sparse-row mode:
-// matching row counts, position-aligned vals/cols rows, strictly ascending
-// in-range candidate columns, non-negative demands and capacities.
-func validateTransportSparse(vals [][]float64, cols [][]int32, m int, rowNeed, colCap []int) error {
-	n := len(vals)
-	if len(cols) != n || len(rowNeed) != n || len(colCap) != m {
-		return errors.New("flow: dimension mismatch")
-	}
-	if m < 0 {
-		return errors.New("flow: negative column count")
-	}
-	for i := range vals {
-		if len(vals[i]) != len(cols[i]) {
-			return errors.New("flow: ragged candidate rows")
-		}
-		if rowNeed[i] < 0 {
-			return errors.New("flow: negative row demand")
-		}
-		prev := int32(-1)
-		for _, j := range cols[i] {
-			if j <= prev || int(j) >= m {
-				return errors.New("flow: candidate columns must be strictly ascending and in range")
-			}
-			prev = j
-		}
-	}
-	for _, c := range colCap {
-		if c < 0 {
-			return errors.New("flow: negative column capacity")
-		}
-	}
-	return nil
-}
-
-// SolveSparse solves the instance restricted to per-row candidate columns:
-// vals[i][x] is the profit of pairing row i with column cols[i][x] (columns
-// strictly ascending per row); pairs outside the candidate lists do not
-// exist. Every pass — CSR build, cold duals, greedy seeding, Dijkstra
-// phases, ResolveRows — then scales with the candidate count instead of m.
-//
-// Forbidden candidate cells are kept at +Inf cost (as in SolveDense), so the
-// P×k pattern is edit-stable and ResolveRows can re-cost candidate rows in
-// place for warm re-solves. When a row's candidates saturate and its demand
-// cannot be met, the solver widens that row to full width through the
-// DenseRow callback and retries (see Transport.DenseRow) — with the callback
-// set, SolveSparse is infeasible only when the underlying dense instance is.
-func (t *Transport) SolveSparse(vals [][]float64, cols [][]int32, m int, rowNeed, colCap []int) ([][]int, float64, error) {
-	if err := validateTransportSparse(vals, cols, m, rowNeed, colCap); err != nil {
-		return nil, 0, err
-	}
-	n := len(vals)
-	if n == 0 {
-		t.n, t.m = 0, 0
-		t.solved = true
-		return nil, 0, nil
-	}
-	t.n, t.m = n, m
-	t.sparse = true
-	t.rowFull = growBool(t.rowFull, n)
-	clear(t.rowFull)
-	t.rowStart = growInt32(t.rowStart, n+1)
-	t.rowStart[0] = 0
-	for i := 0; i < n; i++ {
-		t.rowStart[i+1] = t.rowStart[i] + int32(len(cols[i]))
-	}
-	total := int(t.rowStart[n])
-	t.colIdx = growInt32(t.colIdx, total)
-	t.cost = growFloat(t.cost, total)
-	shardRows(t.loadWorkers(), n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			base := int(t.rowStart[i])
-			copy(t.colIdx[base:base+len(cols[i])], cols[i])
-			for x, p := range vals[i] {
-				t.cost[base+x] = -p
-			}
-		}
-	})
-	t.load(rowNeed, colCap)
-	if err := t.run(); err != nil {
-		return nil, 0, err
-	}
-	return t.extract()
 }
 
 // loadWorkers returns the effective worker count for the instance-load
@@ -517,14 +475,8 @@ func duplicateRows(rows []int) bool {
 // shardRows runs fn over [0, n) split into one contiguous block per worker.
 // Blocks are disjoint, so fn may write per-row state without synchronisation.
 func shardRows(workers, n int, fn func(lo, hi int)) {
-	shardRowsID(workers, n, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// shardRowsID is shardRows with the worker index passed through, for shards
-// that need per-worker scratch buffers.
-func shardRowsID(workers, n int, fn func(w, lo, hi int)) {
 	if workers <= 1 {
-		fn(0, 0, n)
+		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -532,45 +484,46 @@ func shardRowsID(workers, n int, fn func(w, lo, hi int)) {
 	for w := 0; w < workers; w++ {
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
-		go func(w, lo, hi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
+			fn(lo, hi)
+		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-// Resolve re-solves the instance of the preceding SolveDense or SolveSparse
-// after a column capacity change: it is ResolveRows with no dirty row, so
-// profits and row demands are those of the last solve. Columns whose
-// capacity grew simply regain spare slots, columns now over capacity have
-// the surplus units cancelled (the affected rows are fully released and
-// their dual repaired), and only the resulting deficits are re-augmented.
+// Resolve re-solves the instance of the preceding SolveSparse after a column
+// capacity change: it is ResolveRows with no dirty row, so profits and row
+// demands are those of the last solve. Columns whose capacity grew simply
+// regain spare slots, columns now over capacity have the surplus units
+// cancelled (the affected rows are fully released and their dual repaired),
+// and only the resulting deficits are re-augmented.
 func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 	return t.ResolveRows(nil, nil, t.rowNeed[:t.n], colCap)
 }
 
-// ResolveRows re-solves the instance of the preceding SolveDense or
-// SolveSparse after in-place edits to the profit rows listed in rows: each
-// dirty row's costs are re-read from profit (the CSR pattern is unchanged,
-// so Forbidden cells simply become +Inf), its flow is released and its dual
-// repaired, its demand is updated from rowNeed, and column capacities are
-// updated as in Resolve. Only the released units are re-augmented unless the
-// sink-side dual turns infeasible, in which case the flow restarts from cold
-// duals on the kept CSR (still far cheaper than a cold solve, which would
-// also rescan every clean row).
+// ResolveRows re-solves the instance of the preceding SolveSparse after
+// in-place edits to the profit rows listed in rows: each dirty row's costs
+// are re-read from profit (the CSR pattern is unchanged, so Forbidden cells
+// simply become +Inf), its flow is released and its dual repaired, its
+// demand is updated from rowNeed, and column capacities are updated as in
+// Resolve. Only the released units are re-augmented unless the sink-side
+// dual turns infeasible, in which case the flow restarts from cold duals on
+// the kept CSR (still far cheaper than a cold solve, which would also
+// rescan every clean row).
 //
-// profit rows are position-aligned with the loaded CSR: the full dense row
-// after SolveDense, the candidate cells (in candidate order) after
-// SolveSparse. A sparse row the escape hatch widened to full width is
+// profit rows are position-aligned with the loaded CSR: the full row after a
+// load without candidate lists, the candidate cells (in candidate order)
+// otherwise. A candidate row the escape hatch widened to full width is
 // re-read through the DenseRow callback instead of profit[i], so callers
 // keep handing the same P×k rows regardless of densification. rowNeed and
 // colCap are the full new vectors; rowNeed may differ from the previous
 // solve only at the dirty rows. Rows not listed in rows must have unchanged
 // profits; listing the same row twice is allowed but defeats the sharded
 // read phase below. With no dirty row, profit is not read and may be nil:
-// that is Resolve. Every input is checked before any state changes, so a
-// rejected call leaves the demands, capacities and flow as they were.
+// that is Resolve. Every input, the rows DenseRow re-reads included, is
+// checked before any state changes, so a rejected call leaves the costs,
+// demands, capacities and flow as they were.
 //
 // With Workers > 1 and enough dirty rows to pay for the goroutine handoff,
 // the per-row read phase — keep/release decision, CSR re-cost, released-dual
@@ -598,7 +551,7 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 			return nil, 0, errors.New("flow: negative column capacity")
 		}
 	}
-	needBuf := false
+	widened := 0
 	for _, i := range rows {
 		if i < 0 || i >= t.n {
 			return nil, 0, errors.New("flow: dirty row out of range")
@@ -610,10 +563,29 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 			if t.DenseRow == nil {
 				return nil, 0, errors.New("flow: densified row edited without a DenseRow callback")
 			}
-			needBuf = true
+			widened++
 		} else if len(profit[i]) != int(t.rowStart[i+1]-t.rowStart[i]) {
 			return nil, 0, errors.New("flow: dirty row not position-aligned with the loaded pattern")
 		}
+	}
+	// Each dirty row's new profits: its profit row, or for a widened row the
+	// full row DenseRow re-reads into its own slice of rrBuf, refused here if
+	// it has the wrong width.
+	t.rrBuf = growFloat(t.rrBuf, widened*t.m)
+	t.rrVals = t.rrVals[:0]
+	off := 0
+	for _, i := range rows {
+		row := profit[i]
+		if t.sparse && t.rowFull[i] {
+			buf := t.rrBuf[off : off+t.m : off+t.m]
+			off += t.m
+			if row = t.DenseRow(i, buf); len(row) != t.m {
+				return nil, 0, errors.New("flow: DenseRow returned a row of the wrong width")
+			}
+			copy(buf, row)
+			row = buf
+		}
+		t.rrVals = append(t.rrVals, row)
 	}
 	workers := t.resolveRowsWorkers(len(rows))
 	if workers > 1 && duplicateRows(rows) {
@@ -623,27 +595,11 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 	}
 	t.rrKeep = growBool(t.rrKeep, len(rows))
 	t.rrBest = growFloat(t.rrBest, len(rows))
-	if needBuf {
-		if cap(t.rrBufs) < workers {
-			t.rrBufs = make([][]float64, workers)
-		}
-		t.rrBufs = t.rrBufs[:workers]
-	}
-	var badAlign atomic.Bool
-	shardRowsID(workers, len(rows), func(w, lo, hi int) {
+	shardRows(workers, len(rows), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			i := rows[k]
 			base := int(t.rowStart[i])
-			seg := int(t.rowStart[i+1]) - base
-			rowVals := profit[i]
-			if t.sparse && t.rowFull[i] {
-				t.rrBufs[w] = growFloat(t.rrBufs[w], t.m)
-				rowVals = t.DenseRow(i, t.rrBufs[w][:t.m])
-				if len(rowVals) != seg {
-					badAlign.Store(true)
-					return
-				}
-			}
+			rowVals := t.rrVals[k]
 			// Fast path: when the row's demand is unchanged, no assigned cell
 			// changed cost, and every unassigned cell keeps a non-negative
 			// reduced cost under the current duals (always true for pure cost
@@ -693,9 +649,9 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 			}
 		}
 	})
-	if badAlign.Load() {
-		return nil, 0, errors.New("flow: dirty row not position-aligned with the loaded pattern")
-	}
+	// Drop the references to the caller's rows: a matrix the caller has
+	// since reallocated must not stay reachable through the scratch.
+	clear(t.rrVals)
 	// Claim phase (serial, in rows order): flow releases mutate the shared
 	// per-column pair lists, and their swap-remove order must match the
 	// serial replay for bit-identical plans.

@@ -250,15 +250,13 @@ type NodeInfo struct {
 }
 
 // ShardMap is the body of GET /cluster/map: the static membership with the
-// reporting node's health view, the consistent-hashing parameters, and an
-// epoch that increments on every membership transition (a node observed
-// dead or back alive). Venue ownership is a pure function of the map:
-// consistent-hash the venue id over the alive nodes with VNodes virtual
-// nodes per member — every node and every client computes the same owner
-// from the same map.
+// reporting node's health view and an epoch that increments on every
+// membership transition (a node observed dead or back alive). Venue
+// ownership is a pure function of the map: consistent-hash the venue id over
+// the alive nodes (cluster.NewRing) — every node and every client computes
+// the same owner from the same map.
 type ShardMap struct {
-	Epoch  uint64     `json:"epoch"`
-	Self   string     `json:"self"`
-	VNodes int        `json:"vnodes"`
-	Nodes  []NodeInfo `json:"nodes"`
+	Epoch uint64     `json:"epoch"`
+	Self  string     `json:"self"`
+	Nodes []NodeInfo `json:"nodes"`
 }

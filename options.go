@@ -132,9 +132,9 @@ func WithFsyncInterval(d time.Duration) Option {
 	return func(o *options) { o.fsyncInterval = d }
 }
 
-// baseline maps the resolved method to the cold construction algorithm of
-// the four baseline methods, which re-run cold on every solve. The
-// SDGA-based methods run through cra.Session instead: nil, nil.
+// baseline maps the resolved method to the session's Baseline: the
+// construction algorithm of the four baseline methods, which the session
+// runs cold on every solve, or nil for the SDGA-based methods.
 func (o options) baseline() (cra.Algorithm, error) {
 	switch o.method {
 	case MethodSDGASRA, MethodSDGA:

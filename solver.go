@@ -44,7 +44,8 @@ type Snapshot struct {
 // re-solves several times faster than a cold Solve while returning the same
 // assignment a cold solve of the edited instance would (identical whenever
 // the stage optima are unique, which holds with probability one for
-// continuous scores). Baseline methods re-run cold on Resolve.
+// continuous scores). Baseline methods re-run cold on a Resolve that follows
+// an edit that changed the instance.
 //
 // All methods are safe for concurrent use, and the session is built to be
 // served: solves are single-flight behind a solve lock, but reads and writes
@@ -61,18 +62,13 @@ type Snapshot struct {
 // deadlock), but View, Progress, the mutators and ResolveAsync are all
 // callback-safe.
 type Solver struct {
-	// mu is the solve lock: it guards the session, the baseline-method
-	// state (lastA, edited), start, editsSince and applyErr. Lock order is
-	// always mu → pendMu; pendMu is never held while acquiring mu.
+	// mu is the solve lock: it guards the session, start, editsSince and
+	// applyErr. Lock order is always mu → pendMu; pendMu is never held while
+	// acquiring mu.
 	mu     sync.Mutex
 	opts   options
 	sess   *cra.Session
-	alg    cra.Algorithm // cold construction of the baseline methods
 	solved bool
-	// edited and lastA implement the no-edit Resolve fast path for the
-	// baseline methods (the session keeps its own equivalent state).
-	edited bool
-	lastA  *core.Assignment
 	// start is the wall-clock origin of the running Solve/Resolve, read by
 	// the progress hooks (only touched while mu is held).
 	start time.Time
@@ -154,8 +150,8 @@ func newSolver(in *Instance, o options) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.alg = alg
 	cfg := cra.SessionConfig{
+		Baseline:     alg,
 		Refine:       o.method == MethodSDGASRA,
 		SRA:          o.sra(),
 		CandidateCap: o.candidateCap,
@@ -347,95 +343,20 @@ func (s *Solver) run(ctx context.Context, cold bool) (*Result, error) {
 	}
 	defer s.maybeCompactLocked()
 	s.start = time.Now()
-	warm := !cold
 	var a *core.Assignment
 	var err error
-	switch {
-	case s.alg != nil:
-		if !cold && !s.edited && s.lastA != nil {
-			// No pending edits: confirm the recorded assignment without
-			// re-running the cold algorithm (and without progress snapshots),
-			// matching the session methods' behavior.
-			res := s.buildResult(s.lastA.Clone(), time.Since(s.start))
-			s.publishLocked(res, warm)
-			return res, nil
-		}
-		a, err = s.runBaseline(ctx)
-	case cold:
+	if cold {
 		a, err = s.sess.Solve(ctx)
-	default:
+	} else {
 		a, err = s.sess.Resolve(ctx)
 	}
 	if err != nil {
 		return nil, wrapErr(err)
 	}
 	s.solved = true
-	if s.alg != nil {
-		s.lastA = a.Clone()
-		s.edited = false
-	}
 	res := s.buildResult(a, time.Since(s.start))
-	s.publishLocked(res, warm)
+	s.publishLocked(res, !cold)
 	return res, nil
-}
-
-// runBaseline executes a baseline method cold: on an unedited paper set it
-// runs directly on the session instance; with withdrawals it materialises
-// the compacted instance and scatters the result back to original indices;
-// with every paper withdrawn it returns the empty assignment, as the session
-// methods do. The progress stream works here too: one construction snapshot
-// after the algorithm.
-func (s *Solver) runBaseline(ctx context.Context) (*core.Assignment, error) {
-	in := s.sess.Instance()
-	P := in.NumPapers()
-	switch s.sess.ActivePapers() {
-	case P:
-		a, err := s.alg.AssignContext(ctx, in)
-		if err != nil {
-			return nil, err
-		}
-		s.constructHook()(a.Clone())
-		return a, nil
-	case 0:
-		a := core.NewAssignment(P)
-		s.constructHook()(a.Clone())
-		return a, nil
-	}
-	var papers []Paper
-	idx := make([]int, 0, s.sess.ActivePapers())
-	for p := 0; p < P; p++ {
-		if s.sess.Active(p) {
-			papers = append(papers, in.Papers[p])
-			idx = append(idx, p)
-		}
-	}
-	back := make(map[int]int, len(idx))
-	for np, op := range idx {
-		back[op] = np
-	}
-	sub := &core.Instance{
-		Papers:    papers,
-		Reviewers: in.Reviewers,
-		GroupSize: in.GroupSize,
-		Workload:  in.Workload,
-		Score:     in.Score,
-	}
-	for _, c := range in.Conflicts() {
-		if np, ok := back[c.Paper]; ok {
-			sub.AddConflict(c.Reviewer, np)
-		}
-	}
-	compact, err := s.alg.AssignContext(ctx, sub)
-	if err != nil {
-		return nil, err
-	}
-	// Copy the compact groups back onto the original paper indices.
-	full := core.NewAssignment(P)
-	for np, g := range compact.Groups {
-		full.Groups[idx[np]] = g
-	}
-	s.constructHook()(full.Clone())
-	return full, nil
 }
 
 // activeScore sums the group scores of the active papers.

@@ -138,7 +138,9 @@ func TestSolverPaperScaleParity(t *testing.T) {
 }
 
 // TestSolverBaselineMethods: every method supports the session lifecycle
-// (solve, edits, resolve); baselines run cold but must respect the edits.
+// (solve, edits, resolve); baselines run cold but must respect the edits,
+// and like the SDGA methods do not re-run after an edit that changed
+// nothing.
 func TestSolverBaselineMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	papers, reviewers := randomProblem(rng, 12, 9, 6)
@@ -177,6 +179,22 @@ func TestSolverBaselineMethods(t *testing.T) {
 				t.Fatalf("%s: paper %d has %d reviewers", m, p, len(g))
 			}
 		}
+
+		// A duplicate conflict changes nothing: Resolve confirms the groups
+		// without re-running the method and emits no progress snapshot.
+		snapshots := 0
+		s.OnImprovement(func(Snapshot) { snapshots++ })
+		if err := s.AddConflict(2, 3); err != nil {
+			t.Fatalf("%s: duplicate conflict: %v", m, err)
+		}
+		again, err := s.Resolve(context.Background())
+		if err != nil {
+			t.Fatalf("%s: resolve after a duplicate conflict: %v", m, err)
+		}
+		if !reflect.DeepEqual(again.Assignment.Groups, res.Assignment.Groups) || snapshots != 0 {
+			t.Fatalf("%s: duplicate conflict: groups %v after %v, %d snapshots", m, again.Assignment.Groups, res.Assignment.Groups, snapshots)
+		}
+		s.OnImprovement(nil)
 
 		// With every paper withdrawn, the assignment is empty; a restored
 		// paper gets its group back.
