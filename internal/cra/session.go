@@ -33,16 +33,18 @@ type SessionConfig struct {
 	// pipeline). Off = construction only.
 	Refine bool
 	// SRA parameterises the refinement (defaults are applied internally:
-	// Omega 10, Lambda 0.1, MaxRounds 1000, Seed 1).
+	// Omega 10, MaxRounds 1000, Seed 1).
 	SRA SRA
-	// CandidateCap, when positive, restricts every stage (and the
-	// refinement's pair scores and completions) to the top-k candidate
-	// reviewers per paper — the sparse solve path, see SDGA.CandidateCap.
-	// The refinement prices an assigned pair outside a paper's candidates
-	// with an exact on-demand score, so it degrades only by the candidate
-	// truncation itself. Candidate lists depend only on topic vectors, so
-	// they survive every session edit except reviewer additions (a
-	// structural rebuild recomputes them). 0 keeps the exact dense path.
+	// CandidateCap, when positive, restricts every stage and every
+	// refinement completion to the top-k candidate reviewers per paper — the
+	// sparse solve path, see SDGA.CandidateCap — and the refinement's
+	// reviewer totals (the denominators of Equation 9) to those pairs. The
+	// removal model prices every assigned pair, inside a paper's candidates
+	// or not, with the oracle's exact pair score, so the refinement degrades
+	// only by the candidate truncation itself. Candidate lists depend only
+	// on topic vectors, so they survive every session edit except reviewer
+	// additions (a structural rebuild recomputes them). 0 keeps the exact
+	// dense path.
 	CandidateCap int
 	// OnConstruct, when set, receives a private copy of the construction
 	// (SDGA or Baseline) assignment of every run, before refinement starts.
@@ -51,9 +53,9 @@ type SessionConfig struct {
 
 // Session is a long-lived solver bound to one instance: SDGA(-SRA), or the
 // configured Baseline algorithm. It owns every piece of reusable hot state —
-// the gain oracle, one profit matrix and one transportation solver per SDGA
-// stage, the refinement's pair-score matrix and completion scratch — and
-// supports incremental instance edits followed by warm re-solves:
+// the gain oracle, one transportation solver per SDGA stage and one profit
+// matrix that every fill writes into — and supports incremental instance
+// edits followed by warm re-solves:
 //
 //   - Solve computes the assignment from scratch (and records per-stage
 //     state);
@@ -61,8 +63,8 @@ type SessionConfig struct {
 //     the instance and marks the affected state dirty; the five mutators
 //     (AddConflict, WithdrawPaper, RestorePaper, AddReviewer, SetWorkload)
 //     are Apply with one op each;
-//   - Resolve re-solves warm: profit-matrix rows are re-filled only for
-//     dirty papers, each stage's transportation re-solves through
+//   - Resolve re-solves warm: profit rows are re-filled only for dirty
+//     papers, each stage's transportation re-solves through
 //     Transport.ResolveRows from the retained flow and duals, and papers
 //     whose stage choice drifts are propagated as dirty into later stages.
 //
@@ -91,12 +93,13 @@ type Session struct {
 
 	stages []*sessionStage
 
-	// Refinement state: pair scores depend only on topic vectors, so the
-	// matrix survives every edit except reviewer additions.
-	pairs      engine.Matrix
-	pairsValid bool
-	fill       engine.Matrix
-	sraTr      flow.Transport
+	// buf is the one profit matrix of the session: every stage fill, every
+	// refinement completion round and the refinement's pair-score fill write
+	// into it. One is enough because a transport copies every cell it loads,
+	// so buf holds nothing a later call reads, and a warm call refills its
+	// dirty rows before its transport reads them. Every fill uses cands, so
+	// a warm refill always finds the layout it needs.
+	buf engine.Matrix
 
 	// cands holds the per-paper candidate reviewers of the sparse solve path
 	// (nil when CandidateCap is off); rebuilt on structural resolves.
@@ -115,7 +118,6 @@ type Session struct {
 
 // sessionStage is the retained state of one SDGA stage.
 type sessionStage struct {
-	m        engine.Matrix
 	tr       flow.Transport
 	perPaper []int // chosen reviewer per paper (-1 for withdrawn papers)
 }
@@ -182,7 +184,6 @@ func (s *Session) Apply(e Edit) (int, error) {
 		// warm state from scratch.
 		idx := s.in.AddReviewer(e.Reviewer)
 		s.structural = true
-		s.pairsValid = false
 		s.version = s.in.Version()
 		return idx, nil
 	case OpSetWorkload:
@@ -240,15 +241,6 @@ func (s *Session) Solve(ctx context.Context) (*core.Assignment, error) {
 // solves cold.
 func (s *Session) Resolve(ctx context.Context) (*core.Assignment, error) {
 	return s.resolve(ctx)
-}
-
-// Assignment returns a copy of the last solved assignment, or nil before the
-// first Solve. Withdrawn papers have empty groups.
-func (s *Session) Assignment() *core.Assignment {
-	if s.last == nil {
-		return nil
-	}
-	return s.last.Clone()
 }
 
 func (s *Session) resolve(ctx context.Context) (*core.Assignment, error) {
@@ -327,11 +319,9 @@ func (s *Session) sdga(ctx context.Context) (*core.Assignment, bool, error) {
 	structural := s.structural || s.last == nil
 	if structural {
 		// Candidate lists depend on the topic vectors and the pool size, both
-		// of which only change through structural edits; the pair-score matrix
-		// retains the candidate slices, so it must be rebuilt alongside them.
+		// of which only change through structural edits.
 		if k := effectiveCandidateCap(in, s.cfg.CandidateCap); k > 0 {
 			s.cands = buildCandidates(in, k, runtime.GOMAXPROCS(0))
-			s.pairsValid = false
 		} else {
 			s.cands = nil
 		}
@@ -445,7 +435,9 @@ func (s *Session) baseline(ctx context.Context) (*core.Assignment, error) {
 // cold call fills the whole matrix and loads it through FillProfitSparse and
 // SolveSparse, over the candidate lists cands, or every reviewer when cands
 // is nil. A warm call re-fills only the dirty rows and re-solves through
-// ResolveRows from the flow and duals of the preceding solve on tr. It is
+// ResolveRows from the flow and duals of the preceding solve on tr, which
+// reads only those rows: m need only hold some fill over the same cands,
+// not the one tr loaded, since tr keeps its own copy of every cell. It is
 // the one place that sets tr's worker count, and it points tr.DenseRow at
 // spec on every call, since spec's closures read state that is valid only
 // within the caller's step: the escape hatch and the warm re-read of
@@ -500,7 +492,7 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 		ForbiddenValue: flow.Forbidden,
 		Bonus:          tieBreak,
 	}
-	rows, err := fillSolve(ctx, s.eng, &st.m, &st.tr, spec, s.cands, !structural, s.dirtyList, s.need, s.caps)
+	rows, err := fillSolve(ctx, s.eng, &s.buf, &st.tr, spec, s.cands, !structural, s.dirtyList, s.need, s.caps)
 	if err != nil && ctx.Err() == nil && in.Workload > stageCap {
 		if stageFallbackHook != nil {
 			stageFallbackHook()
@@ -556,8 +548,11 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 }
 
 // refine runs the session's stochastic refinement from start (the
-// construction of a solve, or the input of SRA.RefineContext), reusing the
-// session pair-score matrix, completion matrix and transportation solver.
+// construction of a solve, or the input of SRA.RefineContext). It fills the
+// pair scores into the session's buffer and sums them into the reviewer
+// totals of Equation 9, then hands the buffer, which the completion rounds
+// overwrite, to a refinement loop whose completion transport lives only as
+// long as the loop, so a refinement leaves nothing behind in the session.
 // The stochastic stream restarts from the configured seed on every call, so
 // warm and cold runs of the same edited instance follow the same trajectory.
 // Like every Refiner it never returns start itself, not even from its
@@ -569,12 +564,9 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 		ctx, cancel = context.WithTimeout(ctx, cfg.TimeBudget)
 		defer cancel()
 	}
-	if !s.pairsValid {
-		if err := s.eng.FillProfitSparse(ctx, &s.pairs, engine.ProfitSpec{}, s.cands); err != nil {
-			// Context exhausted before refinement: anytime semantics.
-			return start.Clone(), nil
-		}
-		s.pairsValid = true
+	if err := s.eng.FillProfitSparse(ctx, &s.buf, engine.ProfitSpec{}, s.cands); err != nil {
+		// Context exhausted before refinement: anytime semantics.
+		return start.Clone(), nil
 	}
 	active := make([]bool, s.in.NumPapers())
 	for p := range active {
@@ -583,12 +575,10 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 	run := sraRun{
 		cfg:           cfg,
 		eng:           s.eng,
-		pairScore:     s.pairs.Rows(),
-		reviewerTotal: pairReviewerTotals(s.pairs.Rows(), active, s.in.NumReviewers(), s.cands),
+		reviewerTotal: pairReviewerTotals(s.buf.Rows(), active, s.in.NumReviewers(), s.cands),
 		active:        active,
 		cands:         s.cands,
-		fill:          &s.fill,
-		tr:            &s.sraTr,
+		fill:          &s.buf,
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
 	return run.refine(ctx, start)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -201,26 +202,61 @@ func TestSRACandidateCapNeverDecreases(t *testing.T) {
 	}
 }
 
-// TestPairScoreAtSparseFallback: the probability model must price every pair
-// with the exact oracle score — candidate pairs through the candidate-aligned
-// matrix, out-of-candidate pairs (reachable after a densified completion)
-// through the on-demand fallback, never as zero.
-func TestPairScoreAtSparseFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	in := randomConference(rng, 12, 16, 8, 2)
-	eng := engine.New(in)
-	cands := buildCandidates(in, 4, 1)
-	var pairs engine.Matrix
-	if err := eng.FillProfitSparse(context.Background(), &pairs, engine.ProfitSpec{}, cands); err != nil {
+// TestProbPricesPairsOutsideCandidates: under a candidate cap the removal
+// model prices every pair with the oracle's exact pair score over the
+// candidate-pair reviewer totals, both a pair inside a paper's candidates
+// and an assigned pair outside them (reachable after a densified stage),
+// never as zero.
+func TestProbPricesPairsOutsideCandidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	in := randomConference(rng, 60, 30, 10, 3) // MinWorkload: stages densify
+	sess, err := NewSession(in.Clone(), SessionConfig{CandidateCap: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	run := sraRun{eng: eng, cands: cands, pairScore: pairs.Rows()}
-	for p := 0; p < in.NumPapers(); p++ {
-		for r := 0; r < in.NumReviewers(); r++ {
-			want := eng.PairScore(r, p)
-			if got := run.pairScoreAt(p, r); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("pairScoreAt(%d,%d) = %v, want %v", p, r, got, want)
+	a, err := sess.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs engine.Matrix
+	if err := sess.eng.FillProfitSparse(context.Background(), &pairs, engine.ProfitSpec{}, sess.cands); err != nil {
+		t.Fatal(err)
+	}
+	active := make([]bool, in.NumPapers())
+	for p := range active {
+		active[p] = true
+	}
+	run := sraRun{
+		cfg:           SRA{Model: ProbCoverage},
+		eng:           sess.eng,
+		reviewerTotal: pairReviewerTotals(pairs.Rows(), active, in.NumReviewers(), sess.cands),
+	}
+	check := func(p, r int, what string) {
+		t.Helper()
+		got := run.prob(r, p, 1)
+		want := sess.eng.PairScore(r, p) / run.reviewerTotal[r]
+		if got == 0 || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s pair (r=%d, p=%d): prob = %v, want %v (non-zero)", what, r, p, got, want)
+		}
+	}
+	inside, outside := false, false
+	for p, g := range a.Groups {
+		for _, r := range g {
+			if run.reviewerTotal[r] == 0 || sess.eng.PairScore(r, p) == 0 {
+				continue
+			}
+			if slices.Contains(sess.cands[p], int32(r)) {
+				if !inside {
+					check(p, r, "candidate")
+					inside = true
+				}
+			} else if !outside {
+				check(p, r, "out-of-candidate")
+				outside = true
 			}
 		}
+	}
+	if !inside || !outside {
+		t.Fatalf("no scored assigned pair inside (%v) or outside (%v) the candidates", inside, outside)
 	}
 }

@@ -42,19 +42,18 @@ const (
 // context deadline), always returning the best assignment found.
 //
 // Each call refines on a throwaway Session over a clone of the instance, so
-// RefineContext runs the session's refinement: the O(P·R) pair-score
-// precomputation of the probability model runs through the parallel gain
-// oracle, the per-round completion reuses one flat profit matrix and one
-// transportation solver, and per-paper scores are re-evaluated only for
-// papers whose group actually changed in the round (delta re-scoring: a
-// round that removes and re-adds the same reviewer leaves the cached score
-// untouched). A Solver refining its own construction follows the identical
-// trajectory for the same settings.
+// RefineContext runs the session's refinement: the probability model's
+// reviewer totals come from one O(P·R) pair-score fill through the parallel
+// gain oracle, the per-round completion refills the session's one profit
+// matrix and re-solves one transportation solver that lives for the
+// refinement, and per-paper scores are re-evaluated only for papers whose
+// group actually changed in the round (delta re-scoring: a round that
+// removes and re-adds the same reviewer leaves the cached score untouched).
+// A Solver refining its own construction follows the identical trajectory
+// for the same settings.
 type SRA struct {
 	// Omega is the convergence threshold ω (default 10, the paper's setting).
 	Omega int
-	// Lambda is the decay rate λ of Equation 10 (default 0.1).
-	Lambda float64
 	// MaxRounds caps the number of refinement rounds (default 1000).
 	MaxRounds int
 	// TimeBudget optionally bounds the wall-clock refinement time (0 =
@@ -81,9 +80,6 @@ func (SRA) Name() string { return "SRA" }
 func (s SRA) withDefaults() SRA {
 	if s.Omega <= 0 {
 		s.Omega = 10
-	}
-	if s.Lambda <= 0 {
-		s.Lambda = 0.1
 	}
 	if s.MaxRounds <= 0 {
 		s.MaxRounds = 1000
@@ -118,10 +114,11 @@ func (s SRA) RefineContext(ctx context.Context, instance *core.Instance, start *
 }
 
 // pairReviewerTotals sums each reviewer's pair scores over the active papers
-// (the denominator of Equation 9). A non-nil cands means pairScore rows are
-// candidate-aligned (row p holds one cell per entry of cands[p]), so totals
-// run over candidate pairs only — the truncated pairs carry exactly the
-// score mass the pruning already deemed negligible. Non-finite scores (a
+// (the denominator of Equation 9), reading a pair-score fill: row p holds
+// one cell per reviewer, or, with non-nil cands, one cell per entry of
+// cands[p], so totals run over candidate pairs only — the truncated pairs
+// carry exactly the score mass the pruning already deemed negligible. The
+// caller sums them before anything overwrites the fill. Non-finite scores (a
 // custom ScoreFunc gone wrong) are skipped so one bad cell cannot poison a
 // reviewer's whole denominator with NaN — the probability model then
 // degrades to the uniform floor for that reviewer instead of producing a
@@ -147,55 +144,31 @@ func pairReviewerTotals(pairScore [][]float64, active []bool, R int, cands [][]i
 }
 
 // sraRun is one configured execution of the refinement loop over a
-// session's state: its gain oracle, pair-score matrix, completion matrix and
-// transportation solver (see Session.refine).
+// session's gain oracle and profit matrix, with a completion transport of its
+// own that lives as long as the run (see Session.refine).
 type sraRun struct {
 	cfg           SRA // defaults already applied
 	eng           *engine.Oracle
-	pairScore     [][]float64
 	reviewerTotal []float64
 	// active masks the papers that participate; withdrawn papers keep empty
 	// groups and are never touched by removal or completion.
 	active []bool
 	// cands, when non-nil, holds the per-paper candidate lists of the sparse
-	// mode; pairScore rows are then candidate-aligned.
+	// mode, over which the completion fills and solves.
 	cands [][]int32
 	fill  *engine.Matrix
-	tr    *flow.Transport
+	tr    flow.Transport
 	rng   *rand.Rand
 }
 
-// pairScoreAt returns the pair score c(r, p) regardless of layout: a direct
-// cell in dense mode, a binary search over the candidate list in sparse mode
-// with an exact on-demand oracle evaluation for the (rare) assigned pair
-// outside it — a densified completion can assign any reviewer, and the
-// removal model must price such pairs correctly rather than as zero.
-func (run *sraRun) pairScoreAt(p, r int) float64 {
-	// Kept small enough to inline: the dense lookup is on the removal
-	// sampler's hot path, where an outlined call costs ~5% of the round.
-	if run.cands == nil {
-		return run.pairScore[p][r]
-	}
-	return run.pairScoreSparse(p, r)
-}
+// lambda is the decay rate λ of Equation 10.
+const lambda = 0.1
 
-func (run *sraRun) pairScoreSparse(p, r int) float64 {
-	c := run.cands[p]
-	lo, hi := 0, len(c)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c[mid] < int32(r) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(c) && c[lo] == int32(r) {
-		return run.pairScore[p][lo]
-	}
-	return run.eng.PairScore(r, p)
-}
-
+// prob returns P(r|p) under the run's probability model. Every pair is
+// priced with the oracle's exact pair score, bit for bit what a pair-score
+// fill writes, so an assigned pair outside a paper's candidates, which a
+// densified stage or completion can produce, is priced correctly rather
+// than as zero.
 func (run *sraRun) prob(r, p int, iteration int) float64 {
 	R := len(run.reviewerTotal)
 	switch run.cfg.Model {
@@ -205,13 +178,13 @@ func (run *sraRun) prob(r, p int, iteration int) float64 {
 		if run.reviewerTotal[r] == 0 {
 			return 1 / float64(R)
 		}
-		return run.pairScoreAt(p, r) / run.reviewerTotal[r]
+		return run.eng.PairScore(r, p) / run.reviewerTotal[r]
 	default: // ProbCoverageDecay, Equation 10
 		base := 0.0
 		if run.reviewerTotal[r] > 0 {
-			base = run.pairScoreAt(p, r) / run.reviewerTotal[r]
+			base = run.eng.PairScore(r, p) / run.reviewerTotal[r]
 		}
-		v := math.Exp(-run.cfg.Lambda*float64(iteration)) * base
+		v := math.Exp(-lambda*float64(iteration)) * base
 		if floor := 1 / float64(R); v < floor {
 			v = floor
 		}
@@ -414,7 +387,7 @@ func (run *sraRun) complete(ctx context.Context, c *completion, trial *core.Assi
 		},
 		ForbiddenValue: flow.Forbidden,
 	}
-	rows, err := fillSolve(ctx, run.eng, run.fill, run.tr, spec, run.cands, c.started, c.dirty, c.need, rem)
+	rows, err := fillSolve(ctx, run.eng, run.fill, &run.tr, spec, run.cands, c.started, c.dirty, c.need, rem)
 	// After a solve that failed only for infeasibility, the edit-stable CSR
 	// and the partial flow stay loaded, and the next round can re-solve
 	// incrementally from them. Any other failure may leave rows half

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -192,6 +193,32 @@ func TestSolveSparseDensifyEscape(t *testing.T) {
 	}
 	if math.Abs(total-want) > 1e-9 {
 		t.Fatalf("objective %v, brute force of widened instance %v", total, want)
+	}
+}
+
+// TestSolveSparseDenseRowWrongWidth: a DenseRow row of the wrong width met
+// while the escape hatch widens a row ends the solve with an error instead of
+// a panic and leaves the transport unsolved; a following SolveSparse with a
+// correct callback solves afresh.
+func TestSolveSparseDenseRowWrongWidth(t *testing.T) {
+	full := [][]float64{{0.5, 0.4, 0.9}, {0.8, 0.1, 0.2}}
+	vals := [][]float64{{0.5}, {0.8}}
+	cols := [][]int32{{0}, {0}}
+	need, caps := []int{1, 1}, []int{1, 1, 1}
+	var tr Transport
+	tr.DenseRow = func(i int, buf []float64) []float64 { return buf[:1] }
+	if _, _, err := tr.SolveSparse(vals, cols, 3, need, caps); !errors.Is(err, errDenseRowWidth) {
+		t.Fatalf("short DenseRow row: err = %v, want %v", err, errDenseRowWidth)
+	}
+	if _, _, err := tr.Resolve(caps); err == nil || err.Error() != "flow: re-solve called before a solve" {
+		t.Fatalf("Resolve after the refused row: err = %v, want the before-a-solve error", err)
+	}
+	tr.DenseRow = func(i int, buf []float64) []float64 { return append(buf[:0], full[i]...) }
+	if _, _, err := tr.SolveSparse(vals, cols, 3, need, caps); err != nil {
+		t.Fatal(err)
+	}
+	if err := certify(&tr); err != nil {
+		t.Fatalf("SolveSparse after the refused row: %v", err)
 	}
 }
 

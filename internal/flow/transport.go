@@ -36,6 +36,10 @@ import (
 // demand of every row.
 var ErrInfeasible = errors.New("flow: demand cannot be satisfied")
 
+// errDenseRowWidth refuses a DenseRow row whose length is not the column
+// count.
+var errDenseRowWidth = errors.New("flow: DenseRow returned a row of the wrong width")
+
 // Forbidden marks an impossible row/column pairing in MaxProfitTransport.
 var Forbidden = math.Inf(-1)
 
@@ -161,7 +165,12 @@ type Transport struct {
 	// infeasible. The callback must stay consistent with the last loaded
 	// instance until the next SolveSparse. It is called only from the
 	// goroutine that calls the Transport, and never after a load without
-	// candidate lists (every row is already full width).
+	// candidate lists (every row is already full width). A returned row of
+	// the wrong width is refused with an error: by ResolveRows before any
+	// state changes, and while a solve widens a row, by ending that solve
+	// with the transport unsolved, since the rows already marked wide and
+	// the flow already moved cannot be restored mid-run; Resolve and
+	// ResolveRows then refuse until the next SolveSparse.
 	DenseRow func(row int, buf []float64) []float64
 
 	n, m int
@@ -580,7 +589,7 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 			buf := t.rrBuf[off : off+t.m : off+t.m]
 			off += t.m
 			if row = t.DenseRow(i, buf); len(row) != t.m {
-				return nil, 0, errors.New("flow: DenseRow returned a row of the wrong width")
+				return nil, 0, errDenseRowWidth
 			}
 			copy(buf, row)
 			row = buf
@@ -1065,8 +1074,8 @@ func (t *Transport) run() error {
 		if t.deficit == 0 {
 			return nil
 		}
-		if !t.densifyStuck() {
-			return ErrInfeasible
+		if err := t.densifyStuck(); err != nil {
+			return err
 		}
 	}
 }
@@ -1090,16 +1099,17 @@ func (t *Transport) noteReached() {
 // rebuilds the CSR and restarts the flow from cold duals. When every stuck
 // row is already full, it widens the candidate-limited rows their failed
 // searches reached instead: an augmenting path of the dense instance may
-// leave through a column outside such a row's candidates. It reports whether
-// anything was widened — false means densification cannot help (a dense load,
-// no callback, or a stuck row whose whole reachable set is full width, which
-// proves the dense instance infeasible) and the caller fails with
-// ErrInfeasible. The flow reset it forces is acceptable because saturated
-// candidate sets are the rare tail case the escape hatch exists for, not the
-// steady state.
-func (t *Transport) densifyStuck() bool {
+// leave through a column outside such a row's candidates. It returns
+// ErrInfeasible when nothing can be widened — densification cannot help (a
+// dense load, no callback, or a stuck row whose whole reachable set is full
+// width, which proves the dense instance infeasible) — and errDenseRowWidth,
+// leaving the transport unsolved, when DenseRow returns a row of the wrong
+// width. The flow reset it forces is acceptable because saturated candidate
+// sets are the rare tail case the escape hatch exists for, not the steady
+// state.
+func (t *Transport) densifyStuck() error {
 	if !t.sparse || t.DenseRow == nil || len(t.stuck) == 0 {
-		return false
+		return ErrInfeasible
 	}
 	newly := 0
 	for _, i32 := range t.stuck {
@@ -1115,22 +1125,26 @@ func (t *Transport) densifyStuck() bool {
 		newly = len(t.reached)
 	}
 	if newly == 0 {
-		return false
+		return ErrInfeasible
 	}
 	if densifyHook != nil {
 		densifyHook(newly)
 	}
-	t.rebuildSparseCSR()
+	if err := t.rebuildSparseCSR(); err != nil {
+		t.solved = false
+		return err
+	}
 	t.resetFlow()
-	return true
+	return nil
 }
 
 // rebuildSparseCSR rebuilds the CSR with every rowFull row widened to the
 // full column width (position == column index, like a dense row); other
 // rows' segments are copied unchanged. The live and spare CSR buffers are
 // swapped, so repeated densifications reuse the same two generations of
-// arrays.
-func (t *Transport) rebuildSparseCSR() {
+// arrays. A DenseRow row of the wrong width ends the rebuild with
+// errDenseRowWidth before the swap.
+func (t *Transport) rebuildSparseCSR() error {
 	n, m := t.n, t.m
 	newStart := growInt32(t.rowStartTmp, n+1)
 	newStart[0] = 0
@@ -1151,6 +1165,9 @@ func (t *Transport) rebuildSparseCSR() {
 		oldSeg := int(t.rowStart[i+1]) - oldBase
 		if t.rowFull[i] && oldSeg < m {
 			row := t.DenseRow(i, t.denseBuf[:m])
+			if len(row) != m {
+				return errDenseRowWidth
+			}
 			for j := 0; j < m; j++ {
 				newIdx[base+j] = int32(j)
 				newCost[base+j] = -row[j]
@@ -1166,6 +1183,7 @@ func (t *Transport) rebuildSparseCSR() {
 	t.assigned = growBool(t.assigned, total)
 	// resetFlow (the caller's next step) clears assigned and re-derives duals
 	// and seeds from the new CSR; the old edge indices die with the old flow.
+	return nil
 }
 
 // collectDeficitRows rebuilds the deficit-row list (ascending) — the one

@@ -32,9 +32,11 @@ type Snapshot struct {
 }
 
 // Solver is a long-lived assignment session: it owns a private copy of the
-// instance plus every piece of reusable solver state (profit matrices, the
-// per-stage transportation solvers, refinement scratch), accepts incremental
-// instance edits, and re-solves warm.
+// instance plus every piece of reusable solver state (the per-stage
+// transportation solvers, which keep their own copies of the profits they
+// loaded, and one profit matrix that every fill writes into), accepts
+// incremental instance edits, and re-solves warm. A refinement keeps nothing
+// once it returns: its completion solver lives for the refinement only.
 //
 // The lifecycle is: NewSolver → Solve (cold) → edits (AddConflict,
 // WithdrawPaper, RestorePaper, AddReviewer, SetWorkload) → Resolve (warm) →

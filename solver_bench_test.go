@@ -6,6 +6,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"repro/internal/cra"
 )
 
 // BenchmarkResolveAfterEdit is the session warm-path acceptance benchmark at
@@ -281,5 +283,49 @@ func TestShardedSolveSpeedup(t *testing.T) {
 	t.Logf("cold solve: 1 cpu %.2fs vs %d cpus %.2fs: %.2fx", serialSec, runtime.NumCPU(), multiSec, ratio)
 	if ratio < 1.5 {
 		t.Fatalf("multicore cold solve only %.2fx faster than single-CPU, want >= 1.5x", ratio)
+	}
+}
+
+// TestSessionRetainedHeap checks that a refinement leaves nothing behind in
+// its session: at P=1000/R=2000, dense and at candidate cap 64, a solved
+// session that refines must keep at most 5% + 1 MB more live heap than one
+// that does not. The live heap is HeapAlloc after two garbage collections,
+// measured across building and solving the session, with the session still
+// referenced. Skipped in -short mode.
+func TestSessionRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale heap check skipped in -short mode")
+	}
+	retained := func(name string, cfg cra.SessionConfig) float64 {
+		in := benchConferenceInstance(1000, 2000, 40, 3)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		sess, err := cra.NewSession(in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Solve(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(sess)
+		mb := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
+		t.Logf("retained heap %s: %.1f MB", name, mb)
+		return mb
+	}
+	refine := cra.SRA{Omega: 1000, MaxRounds: 2, Seed: 1}
+	for _, c := range []struct {
+		name string
+		cap  int
+	}{{"dense", 0}, {"cap 64", 64}} {
+		plain := retained(c.name+" SDGA", cra.SessionConfig{CandidateCap: c.cap})
+		refined := retained(c.name+" SDGA-SRA", cra.SessionConfig{CandidateCap: c.cap, Refine: true, SRA: refine})
+		if limit := 1.05*plain + 1; refined > limit {
+			t.Errorf("%s: a refined session keeps %.1f MB, more than %.1f MB (an unrefined one keeps %.1f MB)", c.name, refined, limit, plain)
+		}
 	}
 }

@@ -15,9 +15,12 @@
 //
 // The primary entry point is the long-lived Solver session. Real conference
 // workloads are incremental — papers are withdrawn, reviewers declare late
-// conflicts, workloads change — so the Solver owns its hot state (profit
-// matrices, per-stage transportation solvers, refinement scratch) across
-// calls and re-solves warm after edits:
+// conflicts, workloads change — so the Solver owns its hot state across
+// calls and re-solves warm after edits. That state is one transportation
+// solver per SDGA stage, which keeps its own copy of the profits it loaded,
+// and one profit matrix that every fill writes into; the refinement builds
+// its completion solver for its own duration, so a solved session holds the
+// same state whether it refines or not:
 //
 //	in := wgrap.NewInstance(papers, reviewers, 3, 0) // δp=3, minimum workload
 //	solver, err := wgrap.NewSolver(in)               // default SDGA-SRA pipeline
