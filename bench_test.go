@@ -321,9 +321,8 @@ func BenchmarkProfitMatrixCI(b *testing.B) {
 // at the paper's full P=1000, R=2000 puts about two thirds of the time in
 // the per-stage transportation solves, mostly their shortest-path
 // searches, and under a third in the δp profit fills, after the
-// residual-topic fill and its AVX row step in internal/engine; within the
-// fills the per-cell finishing step now costs more than the row step — see
-// README.md.)
+// residual-topic fill, its AVX row step and its call-free finishing loop
+// in internal/engine — see README.md.)
 func BenchmarkSDGALargeConference(b *testing.B) {
 	in := benchConferenceInstance(300, 600, 40, 3)
 	b.ResetTimer()

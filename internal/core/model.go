@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Reviewer is a member of the candidate reviewer pool. Topics is the
@@ -48,7 +50,12 @@ type Instance struct {
 	// WeightedCoverage (Definition 1).
 	Score ScoreFunc
 
-	conflicts map[Conflict]struct{}
+	// conflicts[p] lists the reviewers in conflict with paper p, ascending
+	// and without repeats; nil until the first conflict is added. stray
+	// holds the pairs whose paper index was out of range when added, in the
+	// order added, so that Validate can refuse them.
+	conflicts [][]int
+	stray     []Conflict
 
 	// version counts structural mutations made through the Instance's
 	// methods (AddConflict, AddReviewer). Long-lived solver sessions use it
@@ -94,13 +101,23 @@ func (in *Instance) ScoreFn() ScoreFunc {
 	return in.Score
 }
 
-// AddConflict registers a conflict of interest between reviewer r and paper p.
+// AddConflict registers a conflict of interest between reviewer r and paper
+// p. Add a paper before its conflicts: a pair whose paper index is out of
+// range when added stays out of range, and Validate refuses it. Adding
+// reviewers in ascending order per paper appends; any other order inserts.
 func (in *Instance) AddConflict(r, p int) {
-	if in.conflicts == nil {
-		in.conflicts = make(map[Conflict]struct{})
-	}
-	in.conflicts[Conflict{Reviewer: r, Paper: p}] = struct{}{}
 	in.version++
+	if p < 0 || p >= len(in.Papers) {
+		in.stray = append(in.stray, Conflict{Reviewer: r, Paper: p})
+		return
+	}
+	if len(in.conflicts) <= p {
+		in.conflicts = append(in.conflicts, make([][]int, len(in.Papers)-len(in.conflicts))...)
+	}
+	list := in.conflicts[p]
+	if i, found := slices.BinarySearch(list, r); !found {
+		in.conflicts[p] = slices.Insert(list, i, r)
+	}
 }
 
 // AddReviewer appends a reviewer to the pool and returns its index.
@@ -129,28 +146,71 @@ func (in *Instance) Clone() *Instance {
 		version:   in.version,
 	}
 	if in.conflicts != nil {
-		c.conflicts = make(map[Conflict]struct{}, len(in.conflicts))
-		for k := range in.conflicts {
-			c.conflicts[k] = struct{}{}
+		// One backing array for every list; each list's capacity ends at
+		// its length, so an AddConflict on the clone copies the list first.
+		flat := make([]int, 0, in.numListed())
+		c.conflicts = make([][]int, len(in.conflicts))
+		for p, list := range in.conflicts {
+			off := len(flat)
+			flat = append(flat, list...)
+			c.conflicts[p] = flat[off:len(flat):len(flat)]
 		}
 	}
+	c.stray = slices.Clone(in.stray)
 	return c
 }
 
-// IsConflict reports whether assigning reviewer r to paper p is forbidden.
-func (in *Instance) IsConflict(r, p int) bool {
-	if in.conflicts == nil {
-		return false
+// numListed counts the conflicts of the per-paper lists.
+func (in *Instance) numListed() int {
+	n := 0
+	for _, list := range in.conflicts {
+		n += len(list)
 	}
-	_, ok := in.conflicts[Conflict{Reviewer: r, Paper: p}]
-	return ok
+	return n
 }
 
-// Conflicts returns all registered conflicts of interest in unspecified order.
+// IsConflict reports whether assigning reviewer r to paper p is forbidden.
+// It inlines, so on an instance without conflicts it costs no call.
+func (in *Instance) IsConflict(r, p int) bool {
+	return (in.conflicts != nil || in.stray != nil) && in.findConflict(r, p)
+}
+
+// findConflict is IsConflict's lookup: a binary search of paper p's list,
+// or a scan of the out-of-range pairs.
+func (in *Instance) findConflict(r, p int) bool {
+	if uint(p) < uint(len(in.conflicts)) {
+		_, found := slices.BinarySearch(in.conflicts[p], r)
+		return found
+	}
+	return slices.Contains(in.stray, Conflict{Reviewer: r, Paper: p})
+}
+
+// PaperConflicts returns the reviewers in conflict with paper p, ascending
+// and without repeats (nil for none, and for a paper index out of range).
+// The slice is the instance's own: callers must not modify it, and it is
+// valid until the next AddConflict.
+func (in *Instance) PaperConflicts(p int) []int {
+	if p < 0 || p >= len(in.conflicts) {
+		return nil
+	}
+	return in.conflicts[p]
+}
+
+// Conflicts returns all registered conflicts of interest in ascending
+// (paper, reviewer) order, each once.
 func (in *Instance) Conflicts() []Conflict {
-	out := make([]Conflict, 0, len(in.conflicts))
-	for c := range in.conflicts {
-		out = append(out, c)
+	out := make([]Conflict, 0, in.numListed()+len(in.stray))
+	for p, list := range in.conflicts {
+		for _, r := range list {
+			out = append(out, Conflict{Reviewer: r, Paper: p})
+		}
+	}
+	if len(in.stray) > 0 {
+		out = append(out, in.stray...)
+		slices.SortFunc(out, func(a, b Conflict) int {
+			return cmp.Or(cmp.Compare(a.Paper, b.Paper), cmp.Compare(a.Reviewer, b.Reviewer))
+		})
+		out = slices.Compact(out)
 	}
 	return out
 }
@@ -233,10 +293,20 @@ func (in *Instance) Validate() error {
 		return fmt.Errorf("core: insufficient capacity: R=%d reviewers at δr=%d cannot carry P·δp=%d",
 			in.NumReviewers(), in.Workload, in.NumPapers()*in.GroupSize)
 	}
-	for c := range in.conflicts {
-		if c.Reviewer < 0 || c.Reviewer >= in.NumReviewers() || c.Paper < 0 || c.Paper >= in.NumPapers() {
-			return fmt.Errorf("core: conflict (%d,%d) out of range", c.Reviewer, c.Paper)
+	for p, list := range in.conflicts {
+		if len(list) == 0 {
+			continue
 		}
+		if lo, hi := list[0], list[len(list)-1]; lo < 0 || hi >= in.NumReviewers() || p >= in.NumPapers() {
+			r := lo
+			if lo >= 0 {
+				r = hi
+			}
+			return fmt.Errorf("core: conflict (%d,%d) out of range", r, p)
+		}
+	}
+	if len(in.stray) > 0 {
+		return fmt.Errorf("core: conflict (%d,%d) out of range", in.stray[0].Reviewer, in.stray[0].Paper)
 	}
 	return nil
 }
@@ -252,10 +322,8 @@ func (in *Instance) JournalInstance(p int) *Instance {
 		Workload:  1,
 		Score:     in.Score,
 	}
-	for c := range in.conflicts {
-		if c.Paper == p {
-			ji.AddConflict(c.Reviewer, 0)
-		}
+	for _, r := range in.PaperConflicts(p) {
+		ji.AddConflict(r, 0)
 	}
 	return ji
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,6 +116,49 @@ func TestConflicts(t *testing.T) {
 	}
 	if got := len(in.Conflicts()); got != 1 {
 		t.Fatalf("Conflicts() returned %d entries", got)
+	}
+}
+
+// TestConflictLists: the per-paper lists stay ascending and without
+// repeats whatever order conflicts are added in, Conflicts lists every pair
+// once in (paper, reviewer) order, a clone's lists are its own, and a pair
+// out of range is kept for Validate to refuse.
+func TestConflictLists(t *testing.T) {
+	in := conferenceInstance()
+	for _, c := range [][2]int{{2, 1}, {0, 1}, {2, 0}, {2, 1}, {1, 1}, {0, 2}} {
+		in.AddConflict(c[0], c[1])
+	}
+	if got := in.PaperConflicts(1); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("PaperConflicts(1) = %v, want [0 1 2]", got)
+	}
+	if in.PaperConflicts(-1) != nil || in.PaperConflicts(in.NumPapers()) != nil {
+		t.Fatal("PaperConflicts out of range is not nil")
+	}
+	want := []Conflict{{2, 0}, {0, 1}, {1, 1}, {2, 1}, {0, 2}}
+	if got := in.Conflicts(); !slices.Equal(got, want) {
+		t.Fatalf("Conflicts() = %v, want %v", got, want)
+	}
+	c := in.Clone()
+	c.AddConflict(1, 0)
+	if in.IsConflict(1, 0) || !slices.Equal(in.PaperConflicts(0), []int{2}) {
+		t.Fatalf("clone's AddConflict reached the original: %v", in.PaperConflicts(0))
+	}
+	if !slices.Equal(c.PaperConflicts(0), []int{1, 2}) || !slices.Equal(c.PaperConflicts(1), []int{0, 1, 2}) {
+		t.Fatalf("clone lists %v %v", c.PaperConflicts(0), c.PaperConflicts(1))
+	}
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{-1, in.NumPapers()} {
+		bad := in.Clone()
+		bad.AddConflict(0, p)
+		bad.AddConflict(0, p)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("paper %d: Validate = %v, want out of range", p, err)
+		}
+		if !bad.IsConflict(0, p) || len(bad.Conflicts()) != len(want)+1 {
+			t.Fatalf("paper %d: stray pair lost: %v", p, bad.Conflicts())
+		}
 	}
 }
 

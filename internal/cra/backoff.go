@@ -22,22 +22,22 @@ import (
 // them one stage at a time — all but the last, then all but the last two,
 // down to none — and tries to fill every active paper's remaining
 // δp − |group| slots with one transportation over the reviewers' remaining
-// workloads, at the marginal gains against the prefix groups plus bonus
-// (nil for none), as in ProfitSpec. Pairs already assigned, conflicts and
-// withdrawn papers are excluded. The empty prefix is the whole instance as
-// one transportation, which has a plan whenever the instance is feasible.
-// The first prefix that completes wins.
+// workloads, at the marginal gains against the prefix groups, plus
+// engine.TieBreak when tieBreak is set. Pairs already assigned, conflicts
+// and withdrawn papers are excluded. The empty prefix is the whole instance
+// as one transportation, which has a plan whenever the instance is
+// feasible. The first prefix that completes wins.
 //
 // withdrawn may be nil (no paper withdrawn); cands holds the stages'
 // candidate lists (nil for every reviewer), and the transportation runs
 // through fillSolve as a cold stage does.
-func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perStage [][]int, withdrawn []bool, cands [][]int32, bonus func(p, r int) float64) *core.Assignment {
+func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perStage [][]int, withdrawn []bool, cands [][]int32, tieBreak bool) *core.Assignment {
 	if ctx.Err() != nil || !errors.Is(stageErr, flow.ErrInfeasible) {
 		return nil
 	}
 	in := eng.Instance()
 	P, R := in.NumPapers(), in.NumReviewers()
-	isWithdrawn := func(p int) bool { return withdrawn != nil && withdrawn[p] }
+	active := func(p int) bool { return withdrawn == nil || !withdrawn[p] }
 	groupVecs := make([]core.Vector, P)
 	for p := range groupVecs {
 		groupVecs[p] = make(core.Vector, in.NumTopics())
@@ -65,7 +65,7 @@ func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perSt
 		}
 		for p := range need {
 			need[p] = 0
-			if !isWithdrawn(p) {
+			if active(p) {
 				need[p] = in.GroupSize - len(a.Groups[p])
 			}
 		}
@@ -73,12 +73,10 @@ func stageBackOff(ctx context.Context, stageErr error, eng *engine.Oracle, perSt
 			rem[r] = max(rem[r], 0)
 		}
 		spec := engine.ProfitSpec{
-			GroupVecs: groupVecs,
-			Forbidden: func(p, r int) bool {
-				return isWithdrawn(p) || a.Contains(p, r) || in.IsConflict(r, p)
-			},
+			GroupVecs:      groupVecs,
+			ForbiddenCols:  forbidGroups(in, a, active, nil),
 			ForbiddenValue: flow.Forbidden,
-			Bonus:          bonus,
+			TieBreak:       tieBreak,
 		}
 		rows, err := fillSolve(ctx, eng, &m, &tr, spec, cands, false, nil, need, rem)
 		if err == nil {

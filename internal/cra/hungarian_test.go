@@ -49,14 +49,16 @@ func (hungarianSDGA) AssignContext(ctx context.Context, instance *core.Instance)
 	var m engine.Matrix
 	solve := func(limit int) ([]int, error) {
 		caps := make([]int, R)
+		var exhausted []int
 		for r := range caps {
 			caps[r] = max(min(limit, rem[r]), 0)
+			if caps[r] == 0 {
+				exhausted = append(exhausted, r)
+			}
 		}
 		spec := engine.ProfitSpec{
-			GroupVecs: groupVecs,
-			Forbidden: func(p, r int) bool {
-				return caps[r] == 0 || a.Contains(p, r) || in.IsConflict(r, p)
-			},
+			GroupVecs:      groupVecs,
+			ForbiddenCols:  forbidGroups(in, a, func(int) bool { return true }, exhausted),
 			ForbiddenValue: flow.Forbidden,
 		}
 		if err := eng.FillProfit(ctx, &m, spec); err != nil {
@@ -71,7 +73,7 @@ func (hungarianSDGA) AssignContext(ctx context.Context, instance *core.Instance)
 			perPaper, err = solve(in.Workload)
 		}
 		if err != nil {
-			if b := stageBackOff(ctx, err, eng, perStage, nil, nil, nil); b != nil {
+			if b := stageBackOff(ctx, err, eng, perStage, nil, nil, false); b != nil {
 				return b, nil
 			}
 			return nil, err

@@ -48,7 +48,9 @@ func (PairILP) AssignContext(ctx context.Context, instance *core.Instance) (*cor
 	var m engine.Matrix
 	var tr flow.Transport
 	spec := engine.ProfitSpec{
-		Forbidden:      func(p, r int) bool { return in.IsConflict(r, p) },
+		ForbiddenCols: func(p int, cols []int) ([]int, bool) {
+			return append(cols, in.PaperConflicts(p)...), false
+		},
 		ForbiddenValue: flow.Forbidden,
 	}
 	rows, err := fillSolve(ctx, eng, &m, &tr, spec, nil, false, nil, need, caps)

@@ -29,11 +29,17 @@ func fillMissingSlots(ctx context.Context, eng *engine.Oracle, a *core.Assignmen
 	for p := 0; p < P; p++ {
 		groupVecs[p] = in.GroupVector(a.Groups[p])
 	}
+	// A column without capacity must be forbidden too: its cells would
+	// otherwise enter the transport's cold duals.
+	var exhausted []int
+	for r, c := range rem {
+		if c <= 0 {
+			exhausted = append(exhausted, r)
+		}
+	}
 	spec := engine.ProfitSpec{
-		GroupVecs: groupVecs,
-		Forbidden: func(p, r int) bool {
-			return need[p] == 0 || rem[r] <= 0 || a.Contains(p, r) || in.IsConflict(r, p)
-		},
+		GroupVecs:      groupVecs,
+		ForbiddenCols:  forbidGroups(in, a, func(p int) bool { return need[p] != 0 }, exhausted),
 		ForbiddenValue: flow.Forbidden,
 	}
 	var m engine.Matrix

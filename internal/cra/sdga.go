@@ -17,9 +17,9 @@ import (
 // instance, so SDGA runs the session's stage loop: the fused gain oracle of
 // internal/engine fills each stage's profit matrix with the marginal gains
 // in parallel, and each stage is one transportation solve. The only term
-// added to a gain is the session's tie-break (see tieBreak), which makes
-// every stage optimum unique, so SDGA returns exactly the assignment a
-// session solve of the same instance returns, at any GOMAXPROCS.
+// added to a gain is the session's tie-break (see engine.TieBreak), which
+// makes every stage optimum unique, so SDGA returns exactly the assignment
+// a session solve of the same instance returns, at any GOMAXPROCS.
 type SDGA struct {
 	// CandidateCap, when positive, restricts every stage to the top-k
 	// candidate reviewers per paper (by approximate coverage score, via the

@@ -19,7 +19,7 @@ import (
 var ErrConflictSaturated = errors.New("cra: conflicts leave a paper with fewer candidates than the group size")
 
 // SessionConfig configures a long-lived solver session. Every stage's profit
-// cell is the marginal gain of Definition 9 plus the session's tieBreak.
+// cell is the marginal gain of Definition 9 plus engine.TieBreak.
 // The session runs every transport and the candidate build on
 // runtime.GOMAXPROCS(0) workers; the solved assignment is identical for
 // every worker count.
@@ -368,7 +368,7 @@ func (s *Session) sdga(ctx context.Context) (*core.Assignment, bool, error) {
 			for k := range perStage {
 				perStage[k] = s.stages[k].perPaper
 			}
-			if b := stageBackOff(ctx, err, s.eng, perStage, s.edits.withdrawn, s.cands, tieBreak); b != nil {
+			if b := stageBackOff(ctx, err, s.eng, perStage, s.edits.withdrawn, s.cands, true); b != nil {
 				a, err, backedOff = b, nil, true
 			}
 		}
@@ -461,6 +461,21 @@ func fillSolve(ctx context.Context, eng *engine.Oracle, m *engine.Matrix, tr *fl
 	return rows, err
 }
 
+// forbidGroups is the ProfitSpec.ForbiddenCols of a fill over the groups of
+// a: row p is forbidden whole unless open(p), and otherwise forbids the
+// reviewers of p's group in a, p's conflicts of interest and the columns in
+// also.
+func forbidGroups(in *core.Instance, a *core.Assignment, open func(p int) bool, also []int) func(int, []int) ([]int, bool) {
+	return func(p int, cols []int) ([]int, bool) {
+		if !open(p) {
+			return cols, true
+		}
+		cols = append(cols, a.Groups[p]...)
+		cols = append(cols, in.PaperConflicts(p)...)
+		return append(cols, also...), false
+	}
+}
+
 // runStage solves one SDGA stage of the replay, warm when possible, and
 // applies its choices to the replay state (assignment, group vectors,
 // remaining workloads, drift-dirty propagation).
@@ -481,16 +496,14 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 	}
 	// Capacity exhaustion is expressed through the transportation column
 	// capacities (not the profit matrix), so profit rows stay valid across
-	// edits that only shift reviewer loads. The tie-break bonus makes stage
+	// edits that only shift reviewer loads. The tie-break makes stage
 	// optima unique, which is what lets the warm ResolveRows path reproduce
-	// a cold solve's plan exactly (see tieBreak).
+	// a cold solve's plan exactly (see engine.TieBreak).
 	spec := engine.ProfitSpec{
-		GroupVecs: s.groupVecs,
-		Forbidden: func(p, r int) bool {
-			return s.edits.withdrawn[p] || a.Contains(p, r) || in.IsConflict(r, p)
-		},
+		GroupVecs:      s.groupVecs,
+		ForbiddenCols:  forbidGroups(in, a, s.edits.Active, nil),
 		ForbiddenValue: flow.Forbidden,
-		Bonus:          tieBreak,
+		TieBreak:       true,
 	}
 	rows, err := fillSolve(ctx, s.eng, &s.buf, &st.tr, spec, s.cands, !structural, s.dirtyList, s.need, s.caps)
 	if err != nil && ctx.Err() == nil && in.Workload > stageCap {
@@ -582,36 +595,6 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
 	}
 	return run.refine(ctx, start)
-}
-
-// tieBreak returns a deterministic, index-keyed perturbation in [0, 1e-7)
-// added to every stage profit cell. Weighted-coverage gains tie exactly and
-// systematically (the min() saturates: any reviewer covering a paper's
-// remaining need yields the identical capped gain), and tied transportation
-// optima are broken by search order — which differs between a cold
-// SolveSparse and a warm ResolveRows. The perturbation makes the stage
-// optimum unique, so warm and cold runs of the same edited instance pick
-// identical plans and the session's replay parity is exact rather than
-// tie-lucky.
-//
-// The range is a deliberate compromise between two failure modes. It must
-// sit far ABOVE the transport's tightness tolerance (1e-12): the solver
-// treats any reduced cost within that tolerance as zero, so a perturbation
-// gap that lands below it is invisible and the "unique" optimum decays back
-// into search-order ambiguity — warm and cold replays then legitimately pick
-// different plans, which the stochastic refinement amplifies into real score
-// divergence (observed at the earlier [0, 1e-9) range, where roughly one
-// tied pair in 10³ drew an unresolvable gap; at 1e-7 that is one in 10⁵ of
-// an already small population). And it must sit BELOW any genuine gain
-// difference it could override: real non-tied gains differ at the 1e-2
-// scale, so a 1e-7 nudge only ever decides exact ties. The value is
-// identical across runs (it depends only on the pair indices).
-func tieBreak(p, r int) float64 {
-	x := uint64(p+1)*0x9E3779B97F4A7C15 ^ uint64(r+1)*0xC2B2AE3D27D4EB4F
-	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
-	x ^= x >> 33
-	return 1e-7 * float64(x>>11) / float64(1<<53)
 }
 
 // growInts returns s resized to n; contents are unspecified.

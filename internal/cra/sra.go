@@ -381,10 +381,8 @@ func (run *sraRun) complete(ctx context.Context, c *completion, trial *core.Assi
 		}
 	}
 	spec := engine.ProfitSpec{
-		GroupVecs: c.groupVecs,
-		Forbidden: func(p, r int) bool {
-			return c.need[p] == 0 || trial.Contains(p, r) || in.IsConflict(r, p)
-		},
+		GroupVecs:      c.groupVecs,
+		ForbiddenCols:  forbidGroups(in, trial, func(p int) bool { return c.need[p] != 0 }, nil),
 		ForbiddenValue: flow.Forbidden,
 	}
 	rows, err := fillSolve(ctx, run.eng, run.fill, &run.tr, spec, run.cands, c.started, c.dirty, c.need, rem)

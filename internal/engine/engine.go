@@ -31,10 +31,15 @@
 // list the row's open topics — those with c_t < p_t, which the group can
 // still raise — and, for each in ascending order, stream the row's columns
 // against a topic-major T×R copy of the reviewer vectors (the panel),
-// adding the topic's term into every column's running sum. The forbidden /
-// zero-denominator / bonus step then runs per cell as before. A dense fill
-// costs O(P·T) to list the open topics plus O(R) per open topic of each
-// row; from SDGA's second stage on most of a paper's topics are closed.
+// adding the topic's term into every column's running sum. One call-free
+// loop then finishes the row: each cell divided by the paper's denominator,
+// plus the inlined TieBreak when the spec sets it. The row's forbidden cells
+// are described once per row (ProfitSpec.ForbiddenCols), not asked for per
+// cell: a row forbidden whole skips the kernel, and any other row has the
+// few columns its description lists overwritten after the loop. A dense
+// fill costs O(P·T) to list the open topics plus O(R) per open topic of
+// each row; from SDGA's second stage on most of a paper's topics are
+// closed.
 //
 // The row kernel is exact, not an approximation: a closed topic (c_t = p_t)
 // contributes max(0, min(x_t, p_t) − p_t) = +0 for every reviewer, a sum
@@ -65,8 +70,9 @@
 //
 // An Oracle is read-only with respect to its Instance and safe for
 // concurrent use, provided the instance is not mutated during a call.
-// Between calls a session may add conflicts (fills see them through
-// ProfitSpec.Forbidden) and append reviewers (core.Instance.AddReviewer):
+// Between calls a session may add conflicts (fills see them through the
+// row descriptions, which list core.Instance.PaperConflicts) and append
+// reviewers (core.Instance.AddReviewer):
 // the next fill rebuilds the panel for the grown pool before it hands rows
 // to its workers. Changing the scoring function or the paper set after New
 // is not supported.

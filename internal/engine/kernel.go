@@ -18,9 +18,11 @@ type openTopic struct {
 }
 
 // rowScratch is one fill worker's scratch space: the open topics of the row
-// being filled. Pooled on the Oracle so steady-state fills allocate nothing.
+// being filled and its forbidden columns (ProfitSpec.ForbiddenCols). Pooled
+// on the Oracle so steady-state fills allocate nothing.
 type rowScratch struct {
-	open []openTopic
+	open   []openTopic
+	forbid []int
 }
 
 // topicPanel is the topic-major copy of the reviewer pool's expertise
@@ -109,7 +111,10 @@ func (pn *topicPanel) denseRow(row []float64, open []openTopic, pair bool) {
 // reviewer in the dense layout (len(row) == R), or, when cand is non-nil,
 // one per candidate column of the sparse-row layout (len(cand) == len(row)).
 // It accumulates the numerators in row over the open topics, then finishes
-// each cell with the forbidden / zero-denominator / bonus step of profitCell.
+// every cell in one loop: row[i]/den (0 when den == 0) plus the inlined
+// TieBreak when the spec sets it, the same operations in the same order as
+// profitCell. A spec with the per-cell Forbidden or Bonus finishes each cell
+// through them instead. fillRow forbids the listed cells afterwards.
 func (j *fillJob) weightedRow(sc *rowScratch, row []float64, p int, cand []int32) {
 	o, pn, spec := j.o, j.pn, &j.spec
 	clear(row)
@@ -138,22 +143,46 @@ func (j *fillJob) weightedRow(sc *rowScratch, row []float64, p int, cand []int32
 			}
 		}
 	}
-	for i := range row {
-		r := i
-		if cand != nil {
-			r = int(cand[i])
+	if spec.Forbidden != nil || spec.Bonus != nil {
+		for i := range row {
+			r := i
+			if cand != nil {
+				r = int(cand[i])
+			}
+			if spec.Forbidden != nil && spec.Forbidden(p, r) {
+				row[i] = spec.ForbiddenValue
+				continue
+			}
+			var gain float64
+			if den != 0 {
+				gain = row[i] / den
+			}
+			if spec.TieBreak {
+				gain += TieBreak(p, r)
+			}
+			if spec.Bonus != nil {
+				gain += spec.Bonus(p, r)
+			}
+			row[i] = gain
 		}
-		if spec.Forbidden != nil && spec.Forbidden(p, r) {
-			row[i] = spec.ForbiddenValue
-			continue
+		return
+	}
+	d := den
+	if d == 0 {
+		d = 1 // the row is still clear, and +0/1 is the zero gain
+	}
+	switch {
+	case !spec.TieBreak:
+		for i := range row {
+			row[i] /= d
 		}
-		var gain float64
-		if den != 0 {
-			gain = row[i] / den
+	case cand == nil:
+		for i := range row {
+			row[i] = row[i]/d + TieBreak(p, i)
 		}
-		if spec.Bonus != nil {
-			gain += spec.Bonus(p, r)
+	default:
+		for i, r := range cand {
+			row[i] = row[i]/d + TieBreak(p, int(r))
 		}
-		row[i] = gain
 	}
 }

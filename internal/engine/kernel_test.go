@@ -102,17 +102,56 @@ func kernelGroupVecs(rng *rand.Rand, in *core.Instance) []core.Vector {
 	return gv
 }
 
+// kernelSpec is one profit spec of the kernel tests: fill is what the fills
+// get, and ref the per-cell spec whose profitCell values every filled cell
+// must equal. The two are one spec unless fill describes its forbidden
+// cells by row (ForbiddenCols), in which case ref forbids the same cells
+// one at a time and adds TieBreak as its Bonus.
+type kernelSpec struct{ fill, ref ProfitSpec }
+
 // kernelSpecs lists the profit specs of the kernel tests: gains and pair
-// scores, each plain and with forbidden cells plus a bonus.
-func kernelSpecs(rng *rand.Rand, in *core.Instance) map[string]ProfitSpec {
+// scores, each plain, with per-cell forbidden cells plus a bonus, and with
+// a row description plus the tie-break flag. The row description forbids
+// every ninth row whole and lists, in the other rows, every column with
+// (p·7 + r·3) mod 5 = 0, in descending order, so most rows list columns
+// outside their candidates, then the paper's conflicts, then its first
+// listed column again.
+func kernelSpecs(rng *rand.Rand, in *core.Instance) map[string]kernelSpec {
 	gv := kernelGroupVecs(rng, in)
 	forbidden := func(p, r int) bool { return (p*7+r*3)%5 == 0 || in.IsConflict(r, p) }
 	bonus := func(p, r int) float64 { return 1e-3 * float64((p*31+r*17)%11) }
-	return map[string]ProfitSpec{
-		"gain":              {GroupVecs: gv},
-		"gain-forbid-bonus": {GroupVecs: gv, Forbidden: forbidden, ForbiddenValue: -1e18, Bonus: bonus},
-		"pair":              {},
-		"pair-forbid-bonus": {Forbidden: forbidden, ForbiddenValue: math.Inf(-1), Bonus: bonus},
+	whole := func(p int) bool { return p%9 == 4 }
+	rowCols := func(p int, cols []int) ([]int, bool) {
+		if whole(p) {
+			return cols, true
+		}
+		n := len(cols)
+		for r := in.NumReviewers() - 1; r >= 0; r-- {
+			if (p*7+r*3)%5 == 0 {
+				cols = append(cols, r)
+			}
+		}
+		cols = append(cols, in.PaperConflicts(p)...)
+		if len(cols) > n {
+			cols = append(cols, cols[n])
+		}
+		return cols, false
+	}
+	perCell := func(p, r int) bool { return whole(p) || forbidden(p, r) }
+	same := func(spec ProfitSpec) kernelSpec { return kernelSpec{spec, spec} }
+	return map[string]kernelSpec{
+		"gain":              same(ProfitSpec{GroupVecs: gv}),
+		"gain-forbid-bonus": same(ProfitSpec{GroupVecs: gv, Forbidden: forbidden, ForbiddenValue: -1e18, Bonus: bonus}),
+		"gain-rows-tie": {
+			ProfitSpec{GroupVecs: gv, ForbiddenCols: rowCols, ForbiddenValue: -1e18, TieBreak: true},
+			ProfitSpec{GroupVecs: gv, Forbidden: perCell, ForbiddenValue: -1e18, Bonus: TieBreak},
+		},
+		"pair":              same(ProfitSpec{}),
+		"pair-forbid-bonus": same(ProfitSpec{Forbidden: forbidden, ForbiddenValue: math.Inf(-1), Bonus: bonus}),
+		"pair-rows-tie": {
+			ProfitSpec{ForbiddenCols: rowCols, ForbiddenValue: math.Inf(-1), TieBreak: true},
+			ProfitSpec{Forbidden: perCell, ForbiddenValue: math.Inf(-1), Bonus: TieBreak},
+		},
 	}
 }
 
@@ -182,24 +221,25 @@ func kernelTrials(t *testing.T, fn core.ScoreFunc) {
 		in := kernelInstance(rng, P, R, T, fn)
 		o := New(in)
 		cand := randCandidates(rng, P, R, 1+rng.Intn(R))
-		for sname, spec := range kernelSpecs(rng, in) {
+		for sname, ks := range kernelSpecs(rng, in) {
 			label := fmt.Sprintf("trial %d %s", trial, sname)
+			spec, ref := ks.fill, ks.ref
 			var dense, sparse Matrix
 			if err := o.FillProfit(ctx, &dense, spec); err != nil {
 				t.Fatal(err)
 			}
-			checkDense(t, o, &dense, spec, label)
+			checkDense(t, o, &dense, ref, label)
 
 			if err := o.FillProfitSparse(ctx, &sparse, spec, cand); err != nil {
 				t.Fatal(err)
 			}
-			checkSparse(t, o, &sparse, spec, cand, nil, label)
+			checkSparse(t, o, &sparse, ref, cand, nil, label)
 
 			row := make([]float64, R)
 			for p := 0; p < P; p++ {
 				o.FillRowInto(row, p, spec)
 				for r := range row {
-					if got, want := row[r], refCell(o, spec, p, r); differ(got, want) {
+					if got, want := row[r], refCell(o, ref, p, r); differ(got, want) {
 						t.Fatalf("%s FillRowInto (%d,%d) = %v, want %v", label, p, r, got, want)
 					}
 				}
@@ -207,6 +247,9 @@ func kernelTrials(t *testing.T, fn core.ScoreFunc) {
 
 			// Dirty-row refills: scribble NaN over some rows, refill them.
 			dirty := []int{0, P / 2, P - 1}
+			if P > 9 {
+				dirty = append(dirty, 4) // forbidden whole by the row specs
+			}
 			for _, p := range dirty {
 				for _, row := range [][]float64{dense.Row(p), sparse.Row(p)} {
 					for i := range row {
@@ -217,53 +260,57 @@ func kernelTrials(t *testing.T, fn core.ScoreFunc) {
 			if err := o.FillProfitRows(ctx, &dense, spec, dirty); err != nil {
 				t.Fatal(err)
 			}
-			checkDense(t, o, &dense, spec, label+" dirty")
+			checkDense(t, o, &dense, ref, label+" dirty")
 			if err := o.FillProfitRows(ctx, &sparse, spec, dirty); err != nil {
 				t.Fatal(err)
 			}
-			checkSparse(t, o, &sparse, spec, cand, dirty, label+" dirty")
+			checkSparse(t, o, &sparse, ref, cand, dirty, label+" dirty")
 		}
 	}
 }
 
 // TestFillKernelAfterAddReviewer grows the pool between two fills on one
 // Oracle: the second fill must cover the new reviewers, bit-identical to
-// the reference, through every entry point, on both row-kernel paths.
+// the reference, through every entry point, on both row-kernel paths, with
+// per-cell and with row-described forbidden cells.
 func TestFillKernelAfterAddReviewer(t *testing.T) {
 	forEachPath(t, func(t *testing.T) {
-		ctx := context.Background()
-		rng := rand.New(rand.NewSource(73))
-		in := kernelInstance(rng, 40, 20, 12, nil)
-		o := New(in)
-		spec := kernelSpecs(rng, in)["gain-forbid-bonus"]
-		var m Matrix
-		if err := o.FillProfit(ctx, &m, spec); err != nil {
-			t.Fatal(err)
-		}
-		checkDense(t, o, &m, spec, "before")
-		for k := 0; k < 5; k++ {
-			in.AddReviewer(core.Reviewer{Topics: randVec(rng, in.NumTopics())})
-		}
-		R := in.NumReviewers()
-		row := make([]float64, R)
-		o.FillRowInto(row, 3, spec)
-		for r := range row {
-			if got, want := row[r], refCell(o, spec, 3, r); differ(got, want) {
-				t.Fatalf("FillRowInto (3,%d) = %v, want %v", r, got, want)
+		for _, name := range []string{"gain-forbid-bonus", "gain-rows-tie"} {
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(73))
+			in := kernelInstance(rng, 40, 20, 12, nil)
+			o := New(in)
+			ks := kernelSpecs(rng, in)[name]
+			spec, ref := ks.fill, ks.ref
+			var m Matrix
+			if err := o.FillProfit(ctx, &m, spec); err != nil {
+				t.Fatal(err)
 			}
+			checkDense(t, o, &m, ref, name+" before")
+			for k := 0; k < 5; k++ {
+				in.AddReviewer(core.Reviewer{Topics: randVec(rng, in.NumTopics())})
+			}
+			R := in.NumReviewers()
+			row := make([]float64, R)
+			o.FillRowInto(row, 3, spec)
+			for r := range row {
+				if got, want := row[r], refCell(o, ref, 3, r); differ(got, want) {
+					t.Fatalf("%s FillRowInto (3,%d) = %v, want %v", name, r, got, want)
+				}
+			}
+			if err := o.FillProfit(ctx, &m, spec); err != nil {
+				t.Fatal(err)
+			}
+			checkDense(t, o, &m, ref, name+" after")
+			cand := randCandidates(rng, in.NumPapers(), R-1, 8)
+			for p := range cand {
+				cand[p] = append(cand[p], int32(R-1)) // every row sees a new reviewer
+			}
+			if err := o.FillProfitSparse(ctx, &m, spec, cand); err != nil {
+				t.Fatal(err)
+			}
+			checkSparse(t, o, &m, ref, cand, nil, name+" after")
 		}
-		if err := o.FillProfit(ctx, &m, spec); err != nil {
-			t.Fatal(err)
-		}
-		checkDense(t, o, &m, spec, "after")
-		cand := randCandidates(rng, in.NumPapers(), R-1, 8)
-		for p := range cand {
-			cand[p] = append(cand[p], int32(R-1)) // every row sees a new reviewer
-		}
-		if err := o.FillProfitSparse(ctx, &m, spec, cand); err != nil {
-			t.Fatal(err)
-		}
-		checkSparse(t, o, &m, spec, cand, nil, "after")
 	})
 }
 
@@ -278,24 +325,27 @@ func TestFillKernelNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	in := kernelInstance(rng, 300, 120, 20, nil)
 	o := New(in)
-	spec := kernelSpecs(rng, in)["gain-forbid-bonus"]
+	specs := kernelSpecs(rng, in)
 	cand := randCandidates(rng, in.NumPapers(), in.NumReviewers(), 16)
 	var dense, sparse Matrix
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		denseAllocs := testing.AllocsPerRun(20, func() {
-			if err := o.FillProfit(ctx, &dense, spec); err != nil {
-				t.Fatal(err)
+	for _, name := range []string{"gain-forbid-bonus", "gain-rows-tie", "pair-rows-tie"} {
+		spec := specs[name].fill
+		for _, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			denseAllocs := testing.AllocsPerRun(20, func() {
+				if err := o.FillProfit(ctx, &dense, spec); err != nil {
+					t.Fatal(err)
+				}
+			})
+			sparseAllocs := testing.AllocsPerRun(20, func() {
+				if err := o.FillProfitSparse(ctx, &sparse, spec, cand); err != nil {
+					t.Fatal(err)
+				}
+			})
+			runtime.GOMAXPROCS(prev)
+			if denseAllocs != 0 || sparseAllocs != 0 {
+				t.Errorf("%s, GOMAXPROCS=%d: FillProfit allocates %v, FillProfitSparse %v per run, want 0", name, procs, denseAllocs, sparseAllocs)
 			}
-		})
-		sparseAllocs := testing.AllocsPerRun(20, func() {
-			if err := o.FillProfitSparse(ctx, &sparse, spec, cand); err != nil {
-				t.Fatal(err)
-			}
-		})
-		runtime.GOMAXPROCS(prev)
-		if denseAllocs != 0 || sparseAllocs != 0 {
-			t.Errorf("GOMAXPROCS=%d: FillProfit allocates %v, FillProfitSparse %v per run, want 0", procs, denseAllocs, sparseAllocs)
 		}
 	}
 }
@@ -312,7 +362,7 @@ func TestFillKernelConcurrentFills(t *testing.T) {
 		o := New(in)
 		specs := kernelSpecs(rng, in)
 		cand := randCandidates(rng, in.NumPapers(), in.NumReviewers(), 12)
-		names := []string{"gain", "gain-forbid-bonus", "pair", "pair-forbid-bonus"}
+		names := []string{"gain", "gain-forbid-bonus", "gain-rows-tie", "pair", "pair-forbid-bonus", "pair-rows-tie"}
 		const goroutines = 8
 		dense := make([]Matrix, goroutines)
 		sparse := make([]Matrix, goroutines)
@@ -322,7 +372,7 @@ func TestFillKernelConcurrentFills(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				spec := specs[names[g%len(names)]]
+				spec := specs[names[g%len(names)]].fill
 				for round := 0; round < 3 && errs[g] == nil; round++ {
 					errs[g] = o.FillProfit(ctx, &dense[g], spec)
 					if errs[g] == nil {
@@ -336,10 +386,10 @@ func TestFillKernelConcurrentFills(t *testing.T) {
 			if errs[g] != nil {
 				t.Fatal(errs[g])
 			}
-			spec := specs[names[g%len(names)]]
+			ref := specs[names[g%len(names)]].ref
 			label := fmt.Sprintf("goroutine %d", g)
-			checkDense(t, o, &dense[g], spec, label)
-			checkSparse(t, o, &sparse[g], spec, cand, nil, label)
+			checkDense(t, o, &dense[g], ref, label)
+			checkSparse(t, o, &sparse[g], ref, cand, nil, label)
 		}
 	})
 }

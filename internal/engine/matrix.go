@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,36 +79,81 @@ func (m *Matrix) Rows() [][]float64 { return m.views }
 
 // ProfitSpec describes one profit-matrix build. Cell (p, r) receives the
 // marginal gain of adding reviewer r to paper p's current group (or the
-// plain pair score when GroupVecs is nil), unless the pair is forbidden.
+// plain pair score when GroupVecs is nil), plus TieBreak(p, r) when TieBreak
+// is set, unless the pair is forbidden.
 //
-// Forbidden and Bonus are invoked concurrently from the worker pool and must
-// be safe for concurrent use; in practice they only read solver state that
-// is frozen during the build.
+// ForbiddenCols, Forbidden and Bonus are invoked concurrently from the
+// worker pool and must be safe for concurrent use; in practice they only
+// read solver state that is frozen during the build.
 type ProfitSpec struct {
 	// GroupVecs[p] is paper p's current group expertise vector. A nil slice
 	// means the empty group for every paper, i.e. cells hold pair scores.
 	GroupVecs []core.Vector
-	// Forbidden reports pairs that must never be assigned (conflicts of
-	// interest, exhausted capacity, already-assigned pairs); their cells are
-	// set to ForbiddenValue instead of a gain.
-	Forbidden func(p, r int) bool
+	// ForbiddenCols describes row p's forbidden cells, once per row: it
+	// appends the reviewers that must never be assigned to paper p
+	// (conflicts of interest, exhausted capacity, already-assigned pairs) to
+	// cols, in any order and possibly repeated, and returns the result, or
+	// reports whole when no reviewer may be (a withdrawn paper, a completion
+	// row with no open slot). cols is the fill worker's scratch buffer; the
+	// fill reads the result before it asks for the next row. Forbidden cells
+	// are set to ForbiddenValue instead of a gain. Nil forbids nothing.
+	ForbiddenCols func(p int, cols []int) (out []int, whole bool)
 	// ForbiddenValue is the sentinel stored in forbidden cells (callers pass
 	// the marker their downstream solver expects, e.g. flow.Forbidden).
 	ForbiddenValue float64
-	// Bonus optionally adds a modular per-pair term to the gain (the
-	// session's stage tie-break). When set, the cell is gain + Bonus(p, r).
-	Bonus func(p, r int) float64
+	// TieBreak adds TieBreak(p, r), the session's stage tie-break, to every
+	// cell that is not forbidden.
+	TieBreak bool
+	// Forbidden and Bonus are the per-cell form of ForbiddenCols and
+	// TieBreak, kept only for perfbench's stage model (perfbench/stages.go),
+	// which builds against them; they go when that model does. When either
+	// is set, every cell is finished one call at a time: a cell with
+	// Forbidden(p, r) gets ForbiddenValue, any other the gain, plus
+	// TieBreak(p, r) when TieBreak is set, plus Bonus(p, r) when Bonus is.
+	Forbidden func(p, r int) bool
+	Bonus     func(p, r int) float64
+}
+
+// TieBreak returns a deterministic, index-keyed perturbation in [0, 1e-7)
+// that a ProfitSpec with TieBreak set adds to every cell it does not
+// forbid. Weighted-coverage gains tie exactly and systematically (the min()
+// saturates: any reviewer covering a paper's remaining need yields the
+// identical capped gain), and tied transportation optima are broken by
+// search order — which differs between a cold SolveSparse and a warm
+// ResolveRows. The perturbation makes the stage optimum unique, so warm and
+// cold runs of the same edited instance pick identical plans and the
+// session's replay parity is exact rather than tie-lucky.
+//
+// The range is a deliberate compromise between two failure modes. It must
+// sit far ABOVE the transport's tightness tolerance (1e-12): the solver
+// treats any reduced cost within that tolerance as zero, so a perturbation
+// gap that lands below it is invisible and the "unique" optimum decays back
+// into search-order ambiguity — warm and cold replays then legitimately pick
+// different plans, which the stochastic refinement amplifies into real score
+// divergence (observed at the earlier [0, 1e-9) range, where roughly one
+// tied pair in 10³ drew an unresolvable gap; at 1e-7 that is one in 10⁵ of
+// an already small population). And it must sit BELOW any genuine gain
+// difference it could override: real non-tied gains differ at the 1e-2
+// scale, so a 1e-7 nudge only ever decides exact ties. The value is
+// identical across runs (it depends only on the pair indices).
+func TieBreak(p, r int) float64 {
+	x := uint64(p+1)*0x9E3779B97F4A7C15 ^ uint64(r+1)*0xC2B2AE3D27D4EB4F
+	x ^= x >> 33
+	x *= 0xFF51AFD7ED558CCD
+	x ^= x >> 33
+	return 1e-7 * float64(x>>11) / float64(1<<53)
 }
 
 // fillRowBlock is the number of rows one fill unit covers: the worker pool
 // hands out blocks of rows, each filled row by row through fillRow.
 const fillRowBlock = 64
 
-// profitCell computes the value of cell (p, r) per spec, one cell at a time.
-// It is the fill path of the reviewer-coverage, paper-coverage, dot-product
-// and custom scores, and the reference the weighted-coverage row kernel
-// (weightedRow) is tested against bit for bit. gv is the paper's group
-// vector (nil for pair scores).
+// profitCell computes the value of cell (p, r) per spec's gain, TieBreak,
+// Forbidden and Bonus, one cell at a time; fillRow applies ForbiddenCols
+// around it. It is the fill path of the reviewer-coverage, paper-coverage,
+// dot-product and custom scores, and the reference the weighted-coverage
+// row kernel (weightedRow) is tested against bit for bit. gv is the paper's
+// group vector (nil for pair scores).
 func (o *Oracle) profitCell(p, r int, gv core.Vector, spec *ProfitSpec) float64 {
 	if spec.Forbidden != nil && spec.Forbidden(p, r) {
 		return spec.ForbiddenValue
@@ -117,6 +163,9 @@ func (o *Oracle) profitCell(p, r int, gv core.Vector, spec *ProfitSpec) float64 
 		gain = o.PairScore(r, p)
 	} else {
 		gain = o.Gain(p, gv, r)
+	}
+	if spec.TieBreak {
+		gain += TieBreak(p, r)
 	}
 	if spec.Bonus != nil {
 		gain += spec.Bonus(p, r)
@@ -160,25 +209,51 @@ func (j *fillJob) release() {
 }
 
 // fillRow fills row p: every column in the dense layout, or the candidate
-// columns cand of the sparse-row layout. Weighted coverage goes through the
-// residual-topic row kernel; every other score fills cell by cell.
+// columns cand of the sparse-row layout. A row that ForbiddenCols forbids
+// whole is set to ForbiddenValue and nothing else runs. Otherwise weighted
+// coverage goes through the residual-topic row kernel, every other score
+// fills cell by cell, and the columns ForbiddenCols lists are then
+// overwritten with ForbiddenValue.
 func (j *fillJob) fillRow(sc *rowScratch, row []float64, p int, cand []int32) {
+	spec := &j.spec
+	var forbid []int
+	if spec.ForbiddenCols != nil {
+		var whole bool
+		sc.forbid, whole = spec.ForbiddenCols(p, sc.forbid[:0])
+		if whole {
+			for i := range row {
+				row[i] = spec.ForbiddenValue
+			}
+			return
+		}
+		forbid = sc.forbid
+	}
 	if j.pn != nil {
 		j.weightedRow(sc, row, p, cand)
-		return
-	}
-	var gv core.Vector
-	if j.spec.GroupVecs != nil {
-		gv = j.spec.GroupVecs[p]
-	}
-	if cand != nil {
-		for x, r := range cand {
-			row[x] = j.o.profitCell(p, int(r), gv, &j.spec)
+	} else {
+		var gv core.Vector
+		if spec.GroupVecs != nil {
+			gv = spec.GroupVecs[p]
 		}
-		return
+		if cand != nil {
+			for x, r := range cand {
+				row[x] = j.o.profitCell(p, int(r), gv, spec)
+			}
+		} else {
+			for i := range row {
+				row[i] = j.o.profitCell(p, i, gv, spec)
+			}
+		}
 	}
-	for i := range row {
-		row[i] = j.o.profitCell(p, i, gv, &j.spec)
+	for _, r := range forbid {
+		i := r
+		if cand != nil {
+			var found bool
+			if i, found = slices.BinarySearch(cand, int32(r)); !found {
+				continue
+			}
+		}
+		row[i] = spec.ForbiddenValue
 	}
 }
 

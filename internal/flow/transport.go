@@ -336,10 +336,11 @@ func (t *Transport) SolveDense(profit [][]float64, rowNeed, colCap []int) ([][]i
 // an optimal transportation plan, returning the per-row matched columns
 // (sorted) and the total profit. vals[i][x] is the profit of pairing row i
 // with column cols[i][x] (columns strictly ascending per row); pairs outside
-// the candidate lists do not exist, so every pass — CSR build, cold duals,
-// greedy seeding, Dijkstra phases, ResolveRows — scales with the candidate
-// count instead of m. With nil cols every row lists every column: vals is
-// the dense n×m profit matrix.
+// the candidate lists do not exist, so every pass — the load, greedy
+// seeding, Dijkstra phases, ResolveRows — scales with the candidate count
+// instead of m. With nil cols every row lists every column: vals is the
+// dense n×m profit matrix. The load reads vals once: it derives each row's
+// cold dual as it copies the row into the CSR (see load).
 //
 // Forbidden cells are kept at +Inf cost (a +Inf-cost edge is never used), so
 // the loaded pattern survives any later per-row profit edit and ResolveRows
@@ -355,12 +356,37 @@ func (t *Transport) SolveSparse(vals [][]float64, cols [][]int32, m int, rowNeed
 	if err := validateTransport(vals, cols, m, rowNeed, colCap); err != nil {
 		return nil, 0, err
 	}
-	n := len(vals)
-	if n == 0 {
+	if len(vals) == 0 {
 		t.n, t.m = 0, 0
 		t.solved = true
 		return nil, 0, nil
 	}
+	t.load(vals, cols, m, rowNeed, colCap)
+	if err := t.run(); err != nil {
+		return nil, 0, err
+	}
+	return t.extract()
+}
+
+// load builds the CSR of a fresh instance (vals and cols as in SolveSparse)
+// and resets the solver state to demands, capacities, zero flow and cold
+// duals. With zero flow the residual graph has no backward arcs, so a row's
+// true shortest path is simply its best cell — which is what cold duals
+// (v = 0, u[i] = max_j profit[i][j], potT = 0) encode. They make every
+// column sink-tight, letting the greedy seed and tight pass place most units
+// before the first Dijkstra. (Retaining the previous instance's spread-out
+// column duals was measured to serialise the augmentation to one unit per
+// phase, an order of magnitude slower — after a cost change, cold duals are
+// the correct warm start.)
+//
+// Each load shard runs the cold-dual rule (dualScan) on every cell as it
+// copies it, instead of a second pass over the whole CSR. Every v[j] is +0,
+// so the reduced profit it feeds, 0 − cost, has the bits of
+// rowDualsAndCands's v[j] − cost, and u and the seed candidates are exactly
+// what resetDualsForEmptyFlow computes on the finished CSR; its potT, the
+// least v[j] over the columns with capacity, is +0 too.
+func (t *Transport) load(vals [][]float64, cols [][]int32, m int, rowNeed, colCap []int) {
+	n := len(vals)
 	t.n, t.m = n, m
 	t.sparse = cols != nil
 	t.rowFull = growBool(t.rowFull, n)
@@ -373,6 +399,10 @@ func (t *Transport) SolveSparse(vals [][]float64, cols [][]int32, m int, rowNeed
 	total := int(t.rowStart[n])
 	t.colIdx = growInt32(t.colIdx, total)
 	t.cost = growFloat(t.cost, total)
+	t.v = growFloat(t.v, m)
+	clear(t.v)
+	t.u = growFloat(t.u, n)
+	t.cand = growInt32(t.cand, n*seedCands)
 	shardRows(t.loadWorkers(), n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			base := int(t.rowStart[i])
@@ -384,23 +414,20 @@ func (t *Transport) SolveSparse(vals [][]float64, cols [][]int32, m int, rowNeed
 					idx[j] = int32(j)
 				}
 			}
+			var s dualScan
+			cand := t.cand[i*seedCands : (i+1)*seedCands]
 			for x, p := range vals[i] {
-				t.cost[base+x] = -p
+				c := -p
+				t.cost[base+x] = c
+				s.add(cand, int32(base+x), x == 0, 0-c) // 0 − c is v[j] − cost, v = +0
 			}
+			t.u[i] = s.finish(cand)
 		}
 	})
-	t.load(rowNeed, colCap)
-	if err := t.run(); err != nil {
-		return nil, 0, err
-	}
-	return t.extract()
-}
+	t.seedReady = true
+	t.potT = 0
 
-// load resets the solver state of a freshly built CSR: demands, capacities,
-// zero flow and cold duals.
-func (t *Transport) load(rowNeed, colCap []int) {
-	n, m := t.n, t.m
-	t.assigned = growBool(t.assigned, len(t.colIdx))
+	t.assigned = growBool(t.assigned, total)
 	clear(t.assigned)
 	t.rowNeed = growInt(t.rowNeed, n)
 	copy(t.rowNeed, rowNeed)
@@ -419,19 +446,6 @@ func (t *Transport) load(rowNeed, colCap []int) {
 	for j := range t.colPairs {
 		t.colPairs[j] = t.colPairs[j][:0]
 	}
-
-	// Potentials: with zero flow the residual graph has no backward arcs,
-	// so a row's true shortest path is simply its best cell — which is what
-	// cold duals (v = 0, u[i] = max_j profit[i][j], potT = 0) encode. They
-	// make every column sink-tight, letting the greedy seed and tight pass
-	// place most units before the first Dijkstra. (Retaining the previous
-	// instance's spread-out column duals was measured to serialise the
-	// augmentation to one unit per phase, an order of magnitude slower —
-	// after a cost change, cold duals are the correct warm start.)
-	t.v = growFloat(t.v, m)
-	clear(t.v)
-	t.u = growFloat(t.u, n)
-	t.resetDualsForEmptyFlow()
 	t.solved = true
 }
 
@@ -891,7 +905,10 @@ func (t *Transport) heapPop() heapNode {
 // the current column duals — u rows cover the pair edges, potT the
 // column→sink edges — and records each row's tight candidate edges for the
 // greedy seed pass. When Workers > 1 the per-row pass is sharded (each row's
-// dual and candidate slots are disjoint, so the result is identical).
+// dual and candidate slots are disjoint, so the result is identical). It is
+// the cold-dual pass of resetFlow, which keeps the CSR; a fresh load runs
+// the same rule, dualScan, inside its copy shards, and
+// TestLoadPassMatchesColdDuals pins the two to the same bits.
 func (t *Transport) resetDualsForEmptyFlow() {
 	t.cand = growInt32(t.cand, t.n*seedCands)
 	shardRows(t.loadWorkers(), t.n, t.rowDualsAndCands)
@@ -907,32 +924,52 @@ func (t *Transport) resetDualsForEmptyFlow() {
 
 // rowDualsAndCands computes u[i] = max_e (v[col(e)] − cost[e]) for rows
 // [lo, hi) and collects up to seedCands edges within tightEps of the running
-// maximum. Candidates are re-verified against the final dual at claim time,
-// so the running-max approximation can only lose candidates, never admit a
-// non-tight one.
+// maximum (see dualScan). Candidates are re-verified against the final dual
+// at claim time, so the running-max approximation can only lose candidates,
+// never admit a non-tight one.
 func (t *Transport) rowDualsAndCands(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		base := i * seedCands
-		nc := 0
-		best := 0.0
-		for e := t.rowStart[i]; e < t.rowStart[i+1]; e++ {
-			rd := t.v[t.colIdx[e]] - t.cost[e]
-			if e == t.rowStart[i] || rd > best {
-				if rd > best+tightEps {
-					nc = 0
-				}
-				best = rd
-			}
-			if nc < seedCands && rd >= best-tightEps {
-				t.cand[base+nc] = e
-				nc++
-			}
+		var s dualScan
+		cand := t.cand[i*seedCands : (i+1)*seedCands]
+		start := t.rowStart[i]
+		for e := start; e < t.rowStart[i+1]; e++ {
+			s.add(cand, e, e == start, t.v[t.colIdx[e]]-t.cost[e])
 		}
-		for k := nc; k < seedCands; k++ {
-			t.cand[base+k] = -1
-		}
-		t.u[i] = best
+		t.u[i] = s.finish(cand)
 	}
+}
+
+// dualScan is the cold-dual rule of one row, fed its cells in CSR order:
+// the row's dual is the largest reduced profit rd = v[col] − cost, and its
+// seed candidates are up to seedCands edges within tightEps of the running
+// maximum. The load runs it as it copies each row (with v = 0), and
+// rowDualsAndCands over a loaded CSR.
+type dualScan struct {
+	best float64
+	nc   int
+}
+
+// add feeds the scan edge e with reduced profit rd; first marks the row's
+// first edge.
+func (s *dualScan) add(cand []int32, e int32, first bool, rd float64) {
+	if first || rd > s.best {
+		if rd > s.best+tightEps {
+			s.nc = 0
+		}
+		s.best = rd
+	}
+	if s.nc < seedCands && rd >= s.best-tightEps {
+		cand[s.nc] = e
+		s.nc++
+	}
+}
+
+// finish pads the row's unused candidate slots with -1 and returns its dual.
+func (s *dualScan) finish(cand []int32) float64 {
+	for k := s.nc; k < seedCands; k++ {
+		cand[k] = -1
+	}
+	return s.best
 }
 
 // resetFlow discards the placed flow and restarts from cold duals (see load:

@@ -11,7 +11,9 @@
 package wire
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -86,7 +88,11 @@ func (w *Instance) ToInstance() (*core.Instance, error) {
 	}
 	in := core.NewInstance(papers, reviewers, w.GroupSize, w.Workload)
 	in.Score = fn
-	for _, c := range w.Conflicts {
+	// Added in (paper, reviewer) order, every conflict appends to its
+	// paper's list, whatever order the request lists them in.
+	pairs := slices.Clone(w.Conflicts)
+	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[1], b[1]), cmp.Compare(a[0], b[0])) })
+	for _, c := range pairs {
 		in.AddConflict(c[0], c[1])
 	}
 	return in, nil

@@ -97,6 +97,44 @@ func TestInstanceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInstanceEncodingIsStable encodes one instance, and clones of it,
+// several times: every encoding must be the same bytes, with the conflicts
+// in ascending (paper, reviewer) order whatever order they were added in,
+// so that two durable snapshots of one state are byte-identical.
+func TestInstanceEncodingIsStable(t *testing.T) {
+	in := testInstance()
+	for _, c := range [][2]int{{1, 1}, {2, 0}, {1, 0}, {0, 1}, {2, 1}} {
+		in.AddConflict(c[0], c[1])
+	}
+	encode := func(in *core.Instance) string {
+		w, err := FromInstance(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	first := encode(in)
+	for i := 0; i < 8; i++ {
+		for _, got := range []string{encode(in), encode(in.Clone())} {
+			if got != first {
+				t.Fatalf("encoding %d differs:\n%s\nwant\n%s", i, got, first)
+			}
+		}
+	}
+	w, err := FromInstance(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]int{{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}}
+	if !reflect.DeepEqual(w.Conflicts, want) {
+		t.Fatalf("conflicts %v, want %v", w.Conflicts, want)
+	}
+}
+
 func TestInstanceDefaultScoreName(t *testing.T) {
 	in := testInstance()
 	in.Score = nil

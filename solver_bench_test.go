@@ -3,6 +3,7 @@ package wgrap
 import (
 	"context"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -230,6 +231,59 @@ func BenchmarkSolveColdPaperScale(b *testing.B) {
 	b.Run("multicore", func(b *testing.B) {
 		run(b)
 	})
+}
+
+// BenchmarkSolveColdRepeated is perfbench cold-dense's solve in process:
+// P=350, R=700, T=40, δp=3 with no candidate cap, solved cold again and
+// again on one Solver, which reuses its buffers across solves as a serving
+// tenant does. It is not gated; profile a cold dense solve with it
+// (-cpuprofile).
+func BenchmarkSolveColdRepeated(b *testing.B) {
+	ctx := context.Background()
+	s, err := NewSolver(benchConferenceInstance(350, 700, 40, 3), WithMethod(MethodSDGA))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Solve(ctx); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Solve(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveColdConflicts is one cold SDGA solve at the paper's
+// conference scale (P=1000, R=2000, T=40, δp=3) on one CPU, over the
+// instance with no conflict of interest and with 3,000 drawn from a fixed
+// seed, so that what conflicts cost a cold solve shows. It is not gated.
+func BenchmarkSolveColdConflicts(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		conflicts int
+	}{{"none", 0}, {"3000-drawn", 3000}} {
+		in := benchConferenceInstance(1000, 2000, 40, 3)
+		rng := rand.New(rand.NewSource(24))
+		for k := 0; k < bc.conflicts; k++ {
+			in.AddConflict(rng.Intn(in.NumReviewers()), rng.Intn(in.NumPapers()))
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			prev := runtime.GOMAXPROCS(1)
+			defer runtime.GOMAXPROCS(prev)
+			for i := 0; i < b.N; i++ {
+				s, err := NewSolver(in, WithMethod(MethodSDGA))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Solve(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestShardedSolveSpeedup asserts the multi-core acceptance criterion
