@@ -18,6 +18,7 @@ BenchmarkTransportSolve/legacy-200x400-8           	      10	 508076954 ns/op	55
 BenchmarkProfitMatrixCI-8                          	       3	   2345678 ns/op	      16 B/op	       1 allocs/op
 BenchmarkSolveHugeScale/solve_huge_scale_sparse-8  	       1	28348720444 ns/op	         0.7534 avg-coverage
 BenchmarkScorerTopK-8                              	     100	  13128524 ns/op	     479 B/op	       0 allocs/op
+BenchmarkSolveColdRepeated-8                       	      20	  15234567 ns/op	  123456 B/op	     321 allocs/op
 BenchmarkBuildCandidates/single-worker-8           	      50	  17387163 ns/op	  489944 B/op	      66 allocs/op
 BenchmarkBuildCandidates/multicore-8               	      50	  10206467 ns/op	  524543 B/op	      90 allocs/op
 BenchmarkFigure15TopK-8                            	       1	 987654321 ns/op
@@ -72,13 +73,14 @@ func TestRunWritesSnapshot(t *testing.T) {
 	if snap.CandidateCap != 64 {
 		t.Fatalf("candidate cap = %d, want 64", snap.CandidateCap)
 	}
-	// Default -keep records the transport, profit-matrix, solve-scale and
-	// candidate-stage benchmarks only.
-	if len(snap.Benchmarks) != 7 {
-		t.Fatalf("kept %d benchmarks, want 7: %v", len(snap.Benchmarks), snap.Benchmarks)
+	// Default -keep records the transport, profit-matrix, solve-scale,
+	// repeated cold-solve and candidate-stage benchmarks only.
+	if len(snap.Benchmarks) != 8 {
+		t.Fatalf("kept %d benchmarks, want 8: %v", len(snap.Benchmarks), snap.Benchmarks)
 	}
 	for _, name := range []string{
 		"BenchmarkSolveHugeScale/solve_huge_scale_sparse",
+		"BenchmarkSolveColdRepeated",
 		"BenchmarkScorerTopK",
 		"BenchmarkBuildCandidates/single-worker",
 		"BenchmarkBuildCandidates/multicore",

@@ -5,17 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// relaxPool runs the sharded row-relaxation scans of one Transport on a set
-// of persistent workers. A repair search settles on the order of n rows and
-// each settled wide row dispatches one ~m-cell scan — a few microseconds of
-// work — so the per-dispatch cost has to stay in the ~100ns range for the
-// sharding to win: spawning goroutines (a microsecond each) or waking parked
-// ones (a futex round trip) once per row would eat the parallel gain.
-// Workers therefore spin briefly on the dispatch sequence number, staying
-// hot across the few-microsecond gaps between dispatches within one search,
-// and park on a channel only when the spin budget runs out (between searches
-// and between solves) — one wake-up per worker per search instead of one per
-// row.
+// relaxPool runs the sharded row-relaxation scans of one Transport's repair
+// searches (cancelImprovingCycle) on a set of persistent workers; the
+// bounded shortest-path searches never dispatch, since their price-first
+// scan of a row is cheaper than the handoff. A repair search settles on the
+// order of n rows and each settled wide row dispatches one ~m-cell scan — a
+// few microseconds of work — so the per-dispatch cost has to stay in the
+// ~100ns range for the sharding to win: spawning goroutines (a microsecond
+// each) or waking parked ones (a futex round trip) once per row would eat
+// the parallel gain. Workers therefore spin briefly on the dispatch
+// sequence number, staying hot across the few-microsecond gaps between
+// dispatches within one search, and park on a channel only when the spin
+// budget runs out (between repair searches) — one wake-up per worker per
+// search instead of one per row.
 //
 // Memory-model notes: the dispatcher writes the scan payload, then publishes
 // it with the atomic seq increment; a worker's acquiring seq load therefore
@@ -48,17 +50,12 @@ type relaxPool struct {
 // between searches.
 const relaxSpinBudget = 1 << 13
 
-// startRelaxPool spins up the sharded-relaxation workers if the transport
-// wants them and none are running. It returns whether this call started the
-// pool and therefore owns the matching stopRelaxPool (run and repairSinkDual
-// can nest, e.g. through resetFlow).
-func (t *Transport) startRelaxPool() bool {
-	if t.relax != nil {
-		return false
-	}
+// startRelaxPool spins up the sharded-relaxation workers for the repair
+// searches of one repairSinkDual, if the transport wants them.
+func (t *Transport) startRelaxPool() {
 	w := t.searchWorkers()
 	if w <= 1 {
-		return false
+		return
 	}
 	if cap(t.relaxBufs) < w {
 		t.relaxBufs = make([][]relaxCand, w)
@@ -75,11 +72,10 @@ func (t *Transport) startRelaxPool() bool {
 		go p.work(wi)
 	}
 	t.relax = p
-	return true
 }
 
 // stopRelaxPool shuts the workers down and detaches the pool. Pool
-// goroutines never outlive the solve that started them, so an abandoned
+// goroutines never outlive the repair that started them, so an abandoned
 // Transport leaks nothing.
 func (t *Transport) stopRelaxPool() {
 	p := t.relax

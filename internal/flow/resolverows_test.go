@@ -182,8 +182,8 @@ func TestResolveRowsPlanMatchesColdPlan(t *testing.T) {
 // TestResolveRowsShardedDeterminism: warm re-solves must produce
 // bit-identical plans at any worker count now that three pieces of the warm
 // path run concurrently when Workers > 1 — the sharded dirty-row read phase
-// of ResolveRows, the pooled row-relaxation shards inside the repair and
-// phase searches, and the batched improving-cycle cancellation they feed.
+// of ResolveRows, the pooled row-relaxation shards inside the repair
+// searches, and the batched improving-cycle cancellation they feed.
 // The instance is drawn wide enough that every parallel path actually
 // engages (m ≥ relaxShardMin for the relax pool, dirty-set × m above the
 // read-phase threshold), and the edit script replays withdrawal waves,
@@ -464,5 +464,96 @@ func TestResolveRowsForbiddenRowAmongOthers(t *testing.T) {
 	}
 	if math.Abs(total-fresh) > 1e-9 || math.Abs(got-fresh) > 1e-9 {
 		t.Fatalf("recovery total %v (plan %v) != fresh %v", total, got, fresh)
+	}
+}
+
+// TestResolveRowsKeepsOptimalRecostedRow: a dirty row whose flow stays
+// optimal under its new costs keeps it. The row has arcs only to columns,
+// so its flow is optimal whenever its dual fits between lo, the largest
+// v[j] + p over its unassigned cells, and hi, the smallest over its
+// assigned ones. Raising an assigned cell's profit only raises hi, and must
+// keep the row's dual bits; lowering it to just above lo, or raising an
+// unassigned cell's profit to just below hi, narrows the band, and a dual
+// outside it moves into it. The first two edits change an assigned cell, so
+// a fast path that keeps only rows whose assigned cells kept their cost
+// releases the row and searches again. In each case ResolveRows must
+// run no search (gen unchanged), keep every assigned flag, every other
+// row's dual and every column dual, and leave a plan certify accepts.
+func TestResolveRowsKeepsOptimalRecostedRow(t *testing.T) {
+	const P, R = 30, 60
+	band := func(tr *Transport, profit [][]float64, i int) (lo, hi float64, asg, free int) {
+		lo, hi, asg, free = math.Inf(-1), math.Inf(1), -1, -1
+		for j, p := range profit[i] {
+			rd := tr.v[j] + p
+			switch e := int(tr.rowStart[i]) + j; {
+			case tr.assigned[e] && rd < hi:
+				hi, asg = rd, j
+			case !tr.assigned[e] && !math.IsInf(p, -1) && rd > lo:
+				lo, free = rd, j
+			}
+		}
+		return lo, hi, asg, free
+	}
+	for _, edit := range []string{"assigned-up", "assigned-down", "free-up"} {
+		t.Run(edit, func(t *testing.T) {
+			kept := 0
+			for seed := int64(0); seed < 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				profit := benchProfit(rng, P, R)
+				need, caps := fillInts(P, 1), fillInts(R, 1)
+				var tr Transport
+				if _, _, err := tr.SolveDense(profit, need, caps); err != nil {
+					t.Fatal(err)
+				}
+				i := rng.Intn(P)
+				lo, hi, asg, free := band(&tr, profit, i)
+				if hi-lo < 1e-3 {
+					continue // too narrow a band to move an edge inside it
+				}
+				switch edit {
+				case "assigned-up":
+					profit[i][asg] += 0.25
+				case "assigned-down":
+					profit[i][asg] -= (hi - lo) * 0.9
+				case "free-up":
+					profit[i][free] += (hi - lo) * 0.9
+				}
+				gen := tr.gen
+				assigned := append([]bool(nil), tr.assigned...)
+				u := append([]float64(nil), tr.u[:P]...)
+				v := append([]float64(nil), tr.v[:R]...)
+				if _, _, err := tr.ResolveRows(profit, []int{i}, need, caps); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if tr.gen != gen {
+					t.Fatalf("seed %d: ResolveRows ran a search (gen %d, was %d)", seed, tr.gen, gen)
+				}
+				for e := range assigned {
+					if tr.assigned[e] != assigned[e] {
+						t.Fatalf("seed %d: edge %d assigned %v, was %v", seed, e, tr.assigned[e], assigned[e])
+					}
+				}
+				for r := range u {
+					if r != i && !sameBits(tr.u[r], u[r]) {
+						t.Fatalf("seed %d: row %d dual %v, was %v", seed, r, tr.u[r], u[r])
+					}
+				}
+				for j := range v {
+					if !sameBits(tr.v[j], v[j]) {
+						t.Fatalf("seed %d: column %d dual %v, was %v", seed, j, tr.v[j], v[j])
+					}
+				}
+				if edit == "assigned-up" && !sameBits(tr.u[i], u[i]) {
+					t.Fatalf("seed %d: dual %v of a row whose band only widened moved from %v", seed, tr.u[i], u[i])
+				}
+				if err := certify(&tr); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				kept++
+			}
+			if kept < 10 {
+				t.Fatalf("only %d of 20 seeds drew a band of width >= 1e-3", kept)
+			}
+		})
 	}
 }

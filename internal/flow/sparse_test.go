@@ -65,22 +65,28 @@ func maskOutsideCandidates(profit [][]float64, cols [][]int32, full []bool) [][]
 
 // TestSolveSparseAllColumnsMatchesSolve: with every column a candidate the
 // sparse path must reproduce the dense solve exactly, and SolveSparse
-// without candidate lists must leave the same plan, objective bits and duals
-// as SolveDense.
+// without candidate lists, or with every row listing all m columns of m+1
+// whose extra column has capacity 0, must leave the same plan, objective
+// bits and duals as SolveDense.
 func TestSolveSparseAllColumnsMatchesSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
 		profit, need, caps := randomInstance(rng, 3+rng.Intn(5), 3+rng.Intn(5), 2, 2, 0.2)
-		vals, cols := sparseFromDense(rng, profit, len(profit[0]))
-		var dense, sparse, all Transport
-		dRec, aRec := stateRecorder{tr: &dense}, stateRecorder{tr: &all}
+		m := len(profit[0])
+		vals, cols := sparseFromDense(rng, profit, m)
+		var dense, sparse, all, wide Transport
+		dRec, aRec, wRec := stateRecorder{tr: &dense}, stateRecorder{tr: &all}, stateRecorder{tr: &wide}
 		dRows, dTotal, dErr := dense.SolveDense(profit, need, caps)
 		dRec.record(dRows, dTotal, dErr)
-		aRec.record(all.SolveSparse(profit, nil, len(profit[0]), need, caps))
+		aRec.record(all.SolveSparse(profit, nil, m, need, caps))
 		if d := diffStates(aRec.states, dRec.states); d != "" {
 			t.Fatalf("trial %d: SolveSparse without candidate lists: %s", trial, d)
 		}
-		sRows, sTotal, sErr := sparse.SolveSparse(vals, cols, len(profit[0]), need, caps)
+		wRec.record(wide.SolveSparse(vals, cols, m+1, need, append(caps[:m:m], 0)))
+		if d := diffStates(wRec.states, dRec.states); d != "" {
+			t.Fatalf("trial %d: SolveSparse with an extra capacity-0 column: %s", trial, d)
+		}
+		sRows, sTotal, sErr := sparse.SolveSparse(vals, cols, m, need, caps)
 		if (dErr == nil) != (sErr == nil) {
 			t.Fatalf("trial %d: dense err=%v sparse err=%v", trial, dErr, sErr)
 		}

@@ -11,18 +11,19 @@
 // The solver is Transport. SolveSparse loads an instance into one CSR, one
 // cell per candidate column of each row, or every column when the candidate
 // lists are nil (SolveDense is that case). Costs are reduced to
-// non-negative with Johnson-style node potentials. A greedy seed and one
-// tight-edge blocking pass place most of the flow; each remaining unit then
-// runs one single-source Dijkstra over the CSR-stored bipartite residual
-// graph, on a 4-ary heap ordered by distance and then node index, bounded
-// at the cheapest sink arrival it has labelled so far, so its frontier stays
-// a few dozen entries wide and its result is bit-identical to the unbounded
-// search's. ResolveRows warm-starts from the potentials and residual flow
-// of the previous solve after per-row and capacity edits (the session's
-// warm re-solves); Resolve is ResolveRows with no dirty row (SDGA's
-// stage-capacity fallback). The original generic min-cost max-flow solver
-// (successive shortest paths with SPFA, one search per unit of flow) lives
-// on in the package tests as the parity reference.
+// non-negative with Johnson-style node potentials. A greedy seed places most
+// of the flow; each remaining unit then runs one single-source Dijkstra over
+// the CSR-stored bipartite residual graph, on a 4-ary heap ordered by
+// distance and then node index, bounded at the cheapest sink arrival it has
+// labelled so far, so its frontier stays a few dozen entries wide and its
+// result is bit-identical to the unbounded search's. Each row scan of such a
+// search prices an arc before it tests anything else, since only a few arcs
+// fall under the bound. ResolveRows warm-starts from the potentials and
+// residual flow of the previous solve after per-row and capacity edits (the
+// session's warm re-solves); Resolve is ResolveRows with no dirty row
+// (SDGA's stage-capacity fallback). The original generic min-cost max-flow
+// solver (successive shortest paths with SPFA, one search per unit of flow)
+// lives on in the package tests as the parity reference.
 package flow
 
 import (
@@ -101,7 +102,7 @@ func MaxProfitTransport(profit [][]float64, rowNeed, colCap []int) ([][]int, flo
 }
 
 // tightEps is the tolerance under which a residual reduced cost counts as
-// zero (a "tight" edge usable by the augmenting DFS). Potentials are sums of
+// zero (a "tight" edge usable by the greedy seed). Potentials are sums of
 // a handful of O(1)-magnitude profits, so float noise sits around 1e-15;
 // 1e-12 leaves three orders of magnitude of slack without admitting paths
 // that are measurably non-shortest.
@@ -111,7 +112,7 @@ const tightEps = 1e-12
 // records for the greedy seed placement (see seed). With continuous profits a
 // row almost always has exactly one tight edge under cold duals, so a small
 // fixed fan-out covers practically every row; rows that exhaust their
-// candidates simply fall through to the augmenting DFS.
+// candidates simply fall through to the shortest-path phases.
 const seedCands = 4
 
 // colArc is one unit of flow through a column: the row it serves and the CSR
@@ -147,13 +148,16 @@ type pathStep struct {
 type Transport struct {
 	// Workers bounds the goroutines of three sharded passes: the instance
 	// load of SolveSparse (CSR build, cold duals, seed candidates), sharded
-	// across rows; the row relaxations of every search once the instance has
-	// relaxShardMin columns, sharded across one row's edges by a worker pool
-	// (see relaxRowSharded); and the read phase of ResolveRows, sharded
-	// across the dirty rows. 0 or 1 means serial. The plan, objective and
-	// duals are identical for every value: each pass writes disjoint per-row
-	// or per-worker state computed from inputs that nothing writes during
-	// the pass, and the steps that consume it run serially in a fixed order.
+	// across rows; the row relaxations of the unbounded repair search
+	// (cancelImprovingCycle) once the instance has relaxShardMin columns,
+	// sharded across one row's edges by a worker pool (see
+	// relaxRowSharded); and the read phase of ResolveRows, sharded across
+	// the dirty rows. The bounded shortest-path searches stay serial: a
+	// price-first scan of a row costs less than handing it to the pool. 0
+	// or 1 means serial. The plan, objective and duals are identical for
+	// every value: each pass writes disjoint per-row or per-worker state
+	// computed from inputs that nothing writes during the pass, and the
+	// steps that consume it run serially in a fixed order.
 	Workers int
 
 	// DenseRow, when set, supplies the full-width profit row of row i on
@@ -227,7 +231,8 @@ type Transport struct {
 
 	// Search scratch, generation-marked so a phase only initialises what it
 	// touches: dist/settled/parentEdge/parentNode[x] are valid iff
-	// mark[x] == gen, and arcRow/arcCol[x] iff arcMark[x] == gen. touched
+	// mark[x] == gen. arcMark[x] == gen marks x as used by a cycle already
+	// selected in the current repair search (cancelImprovingCycle). touched
 	// lists the nodes labeled by the current phase — the only ones whose
 	// potentials the Johnson update must move.
 	dist       []float64
@@ -247,10 +252,7 @@ type Transport struct {
 	bound   float64
 	tighten bool
 
-	arcRow []int32
-	arcCol []int32
-	onPath []bool
-	path   []pathStep
+	path []pathStep
 
 	// cycleCands collects every improving-cycle candidate settled by one
 	// repair search (cancelImprovingCycle applies a node-disjoint batch of
@@ -258,7 +260,7 @@ type Transport struct {
 	cycleCands []cycleCand
 
 	// relax, when non-nil, is the persistent worker pool that shards wide row
-	// relaxations during a search (started around run and repairSinkDual when
+	// relaxations during a repair search (started around repairSinkDual when
 	// Workers > 1 and the instance is wide enough); relaxBufs holds one
 	// label-candidate buffer per worker (see relaxRowSharded).
 	relax     *relaxPool
@@ -266,13 +268,13 @@ type Transport struct {
 
 	// Scratch of the ResolveRows dirty-row pass: rrVals holds each dirty
 	// row's new profits (a widened row's in rrBuf, re-read by the serial
-	// validation pass); rrKeep and rrBest hold the keep decision and the
-	// released-dual value computed by the (possibly sharded) read phase,
+	// validation pass); rrKeep and rrDual hold the keep decision and the
+	// row's new dual, computed by the (possibly sharded) read phase and
 	// consumed by the serial claim phase.
 	rrVals [][]float64
 	rrBuf  []float64
 	rrKeep []bool
-	rrBest []float64
+	rrDual []float64
 
 	// deficitRows lists the rows still short of their demand, rebuilt once
 	// per run and compacted lazily, so phases iterate deficits instead of
@@ -315,8 +317,8 @@ type cycleCand struct {
 	j    int32
 }
 
-// relaxCand is one improving label found by a sharded row-relaxation worker:
-// the edge and the tentative distance of its column.
+// relaxCand is one improving label found by a sharded row-relaxation worker
+// of the repair search: the edge and the tentative distance of its column.
 type relaxCand struct {
 	d float64
 	e int32
@@ -373,8 +375,8 @@ func (t *Transport) SolveSparse(vals [][]float64, cols [][]int32, m int, rowNeed
 // duals. With zero flow the residual graph has no backward arcs, so a row's
 // true shortest path is simply its best cell — which is what cold duals
 // (v = 0, u[i] = max_j profit[i][j], potT = 0) encode. They make every
-// column sink-tight, letting the greedy seed and tight pass place most units
-// before the first Dijkstra. (Retaining the previous instance's spread-out
+// column sink-tight, letting the greedy seed place most units before the
+// first Dijkstra. (Retaining the previous instance's spread-out
 // column duals was measured to serialise the augmentation to one unit per
 // phase, an order of magnitude slower — after a cost change, cold duals are
 // the correct warm start.)
@@ -528,12 +530,14 @@ func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 // ResolveRows re-solves the instance of the preceding SolveSparse after
 // in-place edits to the profit rows listed in rows: each dirty row's costs
 // are re-read from profit (the CSR pattern is unchanged, so Forbidden cells
-// simply become +Inf), its flow is released and its dual repaired, its
-// demand is updated from rowNeed, and column capacities are updated as in
-// Resolve. Only the released units are re-augmented unless the sink-side
-// dual turns infeasible, in which case the flow restarts from cold duals on
-// the kept CSR (still far cheaper than a cold solve, which would also
-// rescan every clean row).
+// simply become +Inf); a row whose demand is unchanged and whose flow stays
+// optimal under the new costs keeps it, with its dual moved into the band
+// that proves it (see the fast path below), and any other row has its flow
+// released, its dual repaired and its demand updated from rowNeed. Column
+// capacities are updated as in Resolve. Only the released units are
+// re-augmented unless the sink-side dual turns infeasible, in which case the
+// flow restarts from cold duals on the kept CSR (still far cheaper than a
+// cold solve, which would also rescan every clean row).
 //
 // profit rows are position-aligned with the loaded CSR: the full row after a
 // load without candidate lists, the candidate cells (in candidate order)
@@ -549,8 +553,8 @@ func (t *Transport) Resolve(colCap []int) ([][]int, float64, error) {
 // demands, capacities and flow as they were.
 //
 // With Workers > 1 and enough dirty rows to pay for the goroutine handoff,
-// the per-row read phase — keep/release decision, CSR re-cost, released-dual
-// value — runs sharded across the dirty rows: it only reads shared state the
+// the per-row read phase — CSR re-cost, keep/release decision, new dual —
+// runs sharded across the dirty rows: it only reads shared state the
 // claim phase never writes (column duals and each row's own CSR segment), so
 // per-row results land in disjoint scratch slots. The order-sensitive claim
 // phase (flow releases mutate the shared per-column pair lists) then replays
@@ -617,59 +621,56 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 		workers = 1
 	}
 	t.rrKeep = growBool(t.rrKeep, len(rows))
-	t.rrBest = growFloat(t.rrBest, len(rows))
-	shardRows(workers, len(rows), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
+	t.rrDual = growFloat(t.rrDual, len(rows))
+	shardRows(workers, len(rows), func(first, end int) {
+		for k := first; k < end; k++ {
 			i := rows[k]
 			base := int(t.rowStart[i])
-			rowVals := t.rrVals[k]
-			// Fast path: when the row's demand is unchanged, no assigned cell
-			// changed cost, and every unassigned cell keeps a non-negative
-			// reduced cost under the current duals (always true for pure cost
-			// increases — a new conflict turns an unassigned cell +Inf), the
-			// retained flow stays optimal as-is: patch the costs in place and
-			// keep the row's flow, duals and everything downstream untouched.
-			// This is the dominant session case — a late COI on a pair the
-			// stage never assigned — and it avoids the release → re-augment →
-			// possible flow-reset cascade entirely.
-			keep := false
-			if rowNeed[i] == t.rowNeed[i] {
-				keep = true
-				ui := t.u[i]
-				for x, p := range rowVals {
-					e := base + x
-					nc := -p
-					if t.assigned[e] {
-						if nc != t.cost[e] {
-							keep = false
-							break
-						}
-						continue
-					}
-					if nc+ui-t.v[t.colIdx[e]] < -tightEps {
-						keep = false
-						break
-					}
+			// Re-cost the row's CSR segment in place (the pattern, one edge
+			// per column / per candidate, is unchanged by construction) and
+			// collect, over the new reduced profits rd = v[j] + p: lo, the
+			// largest over the unassigned cells; hi, the smallest over the
+			// assigned ones; best, the largest over all of them.
+			lo, hi, best := math.Inf(-1), math.Inf(1), 0.0
+			for x, p := range t.rrVals[k] {
+				e := base + x
+				t.cost[e] = -p
+				rd := t.v[t.colIdx[e]] + p
+				if x == 0 || rd > best {
+					best = rd
+				}
+				if t.assigned[e] {
+					hi = min(hi, rd)
+				} else {
+					lo = max(lo, rd)
 				}
 			}
-			// Re-cost the row's CSR segment in place; the pattern (one edge
-			// per column / per candidate) is unchanged by construction.
-			for x, p := range rowVals {
-				t.cost[base+x] = -p
-			}
-			t.rrKeep[k] = keep
-			if !keep {
-				// Released dual for the new costs: with no assigned pairs,
-				// u[i] = max_j (v[j] − cost) keeps every residual edge of the
-				// row at non-negative reduced cost.
-				best := 0.0
-				for e := t.rowStart[i]; e < t.rowStart[i+1]; e++ {
-					if rd := t.v[t.colIdx[e]] - t.cost[e]; e == t.rowStart[i] || rd > best {
-						best = rd
-					}
+			// Fast path: the row has arcs only to columns, so with its
+			// demand unchanged its flow stays optimal whenever some dual
+			// u[i] in [lo, hi] leaves every forward arc (an unassigned cell,
+			// c + u[i] − v[j] ≥ 0) and every backward arc (an assigned one,
+			// v[j] − c − u[i] ≥ 0) non-negative: keep the flow and move u[i]
+			// into the band, leaving the other rows, the columns and the sink
+			// untouched. A dual already within tightEps of the band stays as
+			// it is, so a pure cost increase on unassigned cells (the
+			// dominant session case, a late COI on a pair the stage never
+			// assigned) keeps every bit. An assigned cell turned Forbidden
+			// (hi = −Inf) can never be kept. This avoids the release →
+			// re-augment → possible flow-reset cascade entirely.
+			keep := rowNeed[i] == t.rowNeed[i] && !math.IsInf(hi, -1) && lo <= hi+tightEps
+			// A released row's dual for the new costs: with no assigned
+			// pairs, u[i] = max_j (v[j] − cost) keeps every residual edge of
+			// the row at non-negative reduced cost.
+			dual := best
+			if keep {
+				dual = t.u[i]
+				if dual < lo-tightEps {
+					dual = lo
+				} else if dual > hi+tightEps {
+					dual = hi
 				}
-				t.rrBest[k] = best
 			}
+			t.rrKeep[k], t.rrDual[k] = keep, dual
 		}
 	})
 	// Drop the references to the caller's rows: a matrix the caller has
@@ -679,11 +680,11 @@ func (t *Transport) ResolveRows(profit [][]float64, rows []int, rowNeed, colCap 
 	// per-column pair lists, and their swap-remove order must match the
 	// serial replay for bit-identical plans.
 	for k, i := range rows {
+		t.u[i] = t.rrDual[k]
 		if t.rrKeep[k] {
 			continue
 		}
 		t.releaseRowFlow(i)
-		t.u[i] = t.rrBest[k]
 		t.deficit += rowNeed[i] - t.rowNeed[i]
 		t.rowNeed[i] = rowNeed[i]
 	}
@@ -725,9 +726,8 @@ func (t *Transport) repairSinkDual() {
 	// on the kept CSR — with the greedy seed re-placing most units — is far
 	// cheaper than cancelling the backlog one full-graph search at a time.
 	const bound = 8
-	if t.startRelaxPool() {
-		defer t.stopRelaxPool()
-	}
+	t.startRelaxPool()
+	defer t.stopRelaxPool()
 	for iter := 0; iter < bound; iter++ {
 		if t.trySinkDualPin() {
 			return
@@ -789,19 +789,10 @@ func (t *Transport) ensureScratch() {
 	} else {
 		t.arcMark = t.arcMark[:total]
 	}
-	t.arcRow = growInt32(t.arcRow, t.n)
-	t.arcCol = growInt32(t.arcCol, t.m)
-	// onPath relies on an all-false invariant maintained by dfs/apply, so it
-	// is zeroed only when the buffer actually grows.
-	if cap(t.onPath) < total {
-		t.onPath = make([]bool, total)
-	} else {
-		t.onPath = t.onPath[:total]
-	}
 }
 
 // beginPhase opens a fresh search generation: previously written dist,
-// settled, parent and current-arc entries all become invalid at once, without
+// settled, parent and used-node entries all become invalid at once, without
 // touching the arrays. The search bound resets to +Inf with tightening off,
 // which is how cancelImprovingCycle runs; shortestPathFrom turns tightening
 // on.
@@ -1041,17 +1032,21 @@ func (t *Transport) removeArc(j int, edge int32) {
 }
 
 // run drives the solve until every row demand is met: a greedy seed over
-// the recorded tight candidates and a tight-edge blocking pass first (with
-// cold duals they already place most units), then one single-source
-// shortest-path phase per remaining unit of deficit. Single-source phases
-// keep the settled set small: with continuous profits each Dijkstra can only
-// ever expose one new augmenting path, so searching from every deficit row
-// at once (the previous multi-source formulation) settled and relaxed the
-// whole near-tight neighbourhood of all deficit rows for every single unit
-// placed — two orders of magnitude more edge relaxations at paper scale. The
-// search bound keeps the heap small too: a phase still scans every settled
-// row's full width, but it pushes only the labels that can pop before the
-// sink (see shortestPathFrom).
+// the recorded tight candidates first (with cold duals it already places
+// most units), then one single-source shortest-path phase per remaining
+// unit of deficit. Single-source phases keep the settled set small: with
+// continuous profits each Dijkstra can only ever expose one new augmenting
+// path, so searching from every deficit row at once (the previous
+// multi-source formulation) settled and relaxed the whole near-tight
+// neighbourhood of all deficit rows for every single unit placed — two
+// orders of magnitude more edge relaxations at paper scale. The search
+// bound keeps the heap small too: a phase still scans every settled row's
+// full width, but it prices each cell first and pushes only the labels that
+// can pop before the sink (see shortestPathFrom and relaxNode). There is no
+// tight-edge blocking pass between the seed and the phases: after the greedy
+// seed, such a pass placed no unit in any cold SDGA solve measured and at
+// most a few in a warm one. The phases run serially; the relax pool serves
+// only the repair search.
 //
 // In sparse mode with a DenseRow callback, an attempt that leaves stuck rows
 // (sink unreachable within their candidate columns) widens those rows to
@@ -1059,18 +1054,13 @@ func (t *Transport) removeArc(j int, edge int32) {
 // the loop terminates, and a final failure means the full-width instance is
 // genuinely infeasible.
 func (t *Transport) run() error {
-	if t.startRelaxPool() {
-		defer t.stopRelaxPool()
-	}
 	for {
 		if t.deficit == 0 {
 			return nil
 		}
 		t.ensureScratch()
 		t.collectDeficitRows()
-		t.beginPhase()
 		t.seed()
-		t.augmentTight(t.deficitRows)
 		// Every augmentation fills exactly one spare column slot, so once none
 		// are left the remaining deficit rows cannot possibly be served — skip
 		// their (individually failing) searches wholesale. At most deficit
@@ -1240,7 +1230,7 @@ func (t *Transport) collectDeficitRows() {
 // placement deterministic and independent of the worker count. Each claim is
 // re-verified against the current duals and capacities, so a stale or
 // non-tight candidate is simply skipped and the row falls through to the
-// augmenting DFS.
+// shortest-path phases.
 func (t *Transport) seed() {
 	if !t.seedReady {
 		return
@@ -1280,6 +1270,16 @@ func (t *Transport) seed() {
 // shortest-path phases and the improving-cycle repair so the two search
 // paths can never diverge in how they price arcs; the repair search keeps
 // the bound at +Inf, because its capped Johnson update reads every label.
+//
+// A row scan has two orders, which admit the same arcs: an arc is labelled
+// when it is unassigned, not Forbidden, its column is unsettled and its
+// distance is within the bound, a conjunction whose order changes nothing.
+// A bounded search (t.tighten) prices each arc first, since only a few per
+// cent fall under the bound, and tests flow, Forbidden and settled state
+// only for those. Without a bound (the repair search, and the test-only
+// unboundedSearch reference) nothing is pruned by price, the settled test
+// skips most arcs before any arithmetic, and wide rows shard across the
+// relax pool.
 func (t *Transport) relaxNode(x int32, bd float64) {
 	n := t.n
 	if int(x) >= n {
@@ -1304,35 +1304,52 @@ func (t *Transport) relaxNode(x int32, bd float64) {
 	r := int(x)
 	ur := t.u[r]
 	lo, hi := t.rowStart[r], t.rowStart[r+1]
-	if t.relax != nil && int(hi-lo) >= relaxShardMin {
-		t.relaxRowSharded(x, bd, ur, lo, hi)
+	if !t.tighten {
+		if t.relax != nil && int(hi-lo) >= relaxShardMin {
+			t.relaxRowSharded(x, bd, ur, lo, hi)
+			return
+		}
+		for e := lo; e < hi; e++ {
+			if t.assigned[e] {
+				continue
+			}
+			c := t.cost[e]
+			if math.IsInf(c, 1) {
+				continue // Forbidden cell, kept at +Inf cost
+			}
+			j := t.colIdx[e]
+			y := int32(n) + j
+			if t.isSettled(y) {
+				continue
+			}
+			rd := c + ur - t.v[j]
+			if rd < 0 {
+				rd = 0
+			}
+			t.label(y, bd+rd, e, x)
+		}
 		return
 	}
-	for e := lo; e < hi; e++ {
-		if t.assigned[e] {
-			continue
-		}
-		c := t.cost[e]
-		if math.IsInf(c, 1) {
-			continue // Forbidden cell, kept at +Inf cost
-		}
-		j := t.colIdx[e]
-		y := int32(n) + j
-		if t.isSettled(y) {
-			continue
-		}
-		rd := c + ur - t.v[j]
+	bound, v := t.bound, t.v
+	idx, cost := t.colIdx[lo:hi], t.cost[lo:hi]
+	cost = cost[:len(idx)]
+	for k, j := range idx {
+		c := cost[k]
+		rd := c + ur - v[j]
 		if rd < 0 {
 			rd = 0
 		}
 		nd := bd + rd
-		if nd > t.bound {
+		if nd > bound {
 			continue // could only pop after the search stops
 		}
-		t.label(y, nd, e, x)
-		if t.tighten {
-			t.tightenBound(j, nd)
+		e, y := lo+int32(k), int32(n)+j
+		if t.assigned[e] || math.IsInf(c, 1) || t.isSettled(y) {
+			continue
 		}
+		t.label(y, nd, e, x)
+		t.tightenBound(j, nd)
+		bound = t.bound
 	}
 }
 
@@ -1340,8 +1357,8 @@ func (t *Transport) relaxNode(x int32, bd float64) {
 // just labelled at distance d; a column without a spare slot leaves it
 // alone. Labels above the bound are dropped, and a label equal to it is
 // kept: the search may still settle that one before it stops (see
-// shortestPathFrom). Callers check t.tighten first, which the repair
-// search leaves off.
+// shortestPathFrom). Only relaxNode's bounded row scan calls it; the repair
+// search leaves t.tighten off and never tightens.
 func (t *Transport) tightenBound(j int32, d float64) {
 	if b := t.sinkArrival(int(j), d); b < t.bound {
 		t.bound = b
@@ -1366,44 +1383,38 @@ func (t *Transport) sinkArrival(j int, d float64) float64 {
 // worth the goroutine handoff.
 const relaxShardMin = 1024
 
-// relaxRowSharded relaxes a settled row's outgoing arcs with the reduced-cost
-// scan sharded across the relax pool's workers. A CSR row holds each column
-// at most once, so the per-edge computations are independent: workers only
-// read shared search state (cost, duals, dist, settled, the bound — nothing
-// writes them while a scan is dispatched) and collect their improving labels
-// into per-worker buffers; the label/heap mutation, with the bound check and
-// tightening, then replays serially in ascending edge order, the exact order
-// the serial scan issues, so the heap sequence — and with it every
-// downstream settle, parent and potential — is bit-identical for any worker
-// count. This is the lever that parallelises the warm repair searches: each
-// one is a near-full-graph Dijkstra whose time is almost entirely this scan.
+// relaxRowSharded relaxes a settled row's outgoing arcs in a repair search
+// (unbounded: the only search that dispatches) with the reduced-cost scan
+// sharded across the relax pool's workers. A CSR row holds each column at
+// most once, so the per-edge computations are independent: workers only
+// read shared search state (cost, duals, dist, settled — nothing writes
+// them while a scan is dispatched) and collect their improving labels into
+// per-worker buffers; the label/heap mutation then replays serially in
+// ascending edge order, the exact order the serial scan issues, so the heap
+// sequence — and with it every downstream settle, parent and potential — is
+// bit-identical for any worker count. This is the lever that parallelises
+// the warm repair searches: each one is a near-full-graph Dijkstra whose
+// time is almost entirely this scan.
 func (t *Transport) relaxRowSharded(x int32, bd, ur float64, lo, hi int32) {
 	p := t.relax
 	p.dispatch(x, bd, ur, lo, hi)
 	n := t.n
 	for _, buf := range t.relaxBufs[:p.workers] {
 		for _, rc := range buf {
-			if rc.d > t.bound {
-				continue
-			}
-			j := t.colIdx[rc.e]
-			t.label(int32(n)+j, rc.d, rc.e, x)
-			if t.tighten {
-				t.tightenBound(j, rc.d)
-			}
+			t.label(int32(n)+t.colIdx[rc.e], rc.d, rc.e, x)
 		}
 	}
 }
 
 // relaxScan is one worker's shard of a dispatched row relaxation: the
 // contiguous edge range [lo + wi·seg/w, lo + (wi+1)·seg/w) of the row,
-// filtered and priced exactly like the serial loop in relaxNode, with the
+// filtered and priced exactly like relaxNode's unbounded loop, with the
 // improving labels appended to the worker's relaxBufs entry instead of
 // applied. Concatenating the buffers in worker order restores ascending edge
 // order.
 func (t *Transport) relaxScan(wi, w int, x int32, bd, ur float64, lo, hi int32) {
 	buf := t.relaxBufs[wi][:0]
-	n, seg, bound := t.n, int(hi-lo), t.bound
+	n, seg := t.n, int(hi-lo)
 	for e := lo + int32(wi*seg/w); e < lo+int32((wi+1)*seg/w); e++ {
 		if t.assigned[e] {
 			continue
@@ -1421,11 +1432,10 @@ func (t *Transport) relaxScan(wi, w int, x int32, bd, ur float64, lo, hi int32) 
 		if nd < bd {
 			nd = bd // same clamp as the serial rd < 0 branch
 		}
-		// Cheap pre-filters against the bound and distances as they stood at
-		// dispatch; the serial replay re-applies both checks against their
-		// current values, so a label another shard outprices, or whose bound
-		// an earlier edge's label tightened, is still dropped.
-		if nd > bound || t.mark[y] == t.gen && nd >= t.dist[y] {
+		// A cheap pre-filter against the distance as it stood at dispatch;
+		// the serial replay re-applies it against the current one (label), so
+		// a label another shard outprices is still dropped.
+		if t.mark[y] == t.gen && nd >= t.dist[y] {
 			continue
 		}
 		buf = append(buf, relaxCand{d: nd, e: e})
@@ -1517,146 +1527,26 @@ func (t *Transport) shortestPathFrom(root int) (jStar int, ok bool) {
 	return jStar, true
 }
 
-// augmentTight pushes as many units as possible along tight
-// (zero-reduced-cost) residual paths from the given deficit rows to spare
-// columns — a blocking-flow pass over the admissible subgraph with
-// Dinic-style current arcs. Pushing along tight edges keeps the flow optimal
-// for its value under the unchanged potentials, so any deficit row may
-// augment in any order. It runs once per solve, over the deficit rows the
-// greedy seed left unplaced, under cold duals (where ties are plentiful);
-// the single-source phases that follow place exactly one unit each, so they
-// augment the parent chain directly instead.
-func (t *Transport) augmentTight(roots []int32) int {
-	pushed := 0
-	for _, i32 := range roots {
-		i := int(i32)
-		for t.rowFlow[i] < t.rowNeed[i] {
-			if !t.dfs(i) {
-				break
-			}
-			pushed++
-		}
-	}
-	return pushed
-}
-
-// dfs searches one tight augmenting path from deficit row start and applies
-// it. Current-arc pointers (generation-marked, initialised on first touch)
-// only advance past permanently unusable prefixes (assigned or non-tight
-// edges); on-path nodes are skipped without advancing so a temporarily
-// blocked edge can be reused by a later search.
-func (t *Transport) dfs(start int) bool {
-	t.path = t.path[:0]
-	t.onPath[start] = true
-	cur := start
-	for {
-		if cur < t.n { // at a row: take a tight unassigned edge forward
-			r := cur
-			if t.arcMark[r] != t.gen {
-				t.arcMark[r] = t.gen
-				t.arcRow[r] = t.rowStart[r]
-			}
-			next := -1
-			var took int32
-			for k := t.arcRow[r]; k < t.rowStart[r+1]; k++ {
-				e := k
-				j := int(t.colIdx[e])
-				usable := !t.assigned[e] && t.cost[e]+t.u[r]-t.v[j] <= tightEps
-				if !usable {
-					if k == t.arcRow[r] {
-						t.arcRow[r]++
-					}
-					continue
-				}
-				if t.onPath[t.n+j] {
-					continue
-				}
-				next, took = t.n+j, e
-				break
-			}
-			if next >= 0 {
-				t.path = append(t.path, pathStep{edge: took, row: int32(r)})
-				t.onPath[next] = true
-				cur = next
-				continue
-			}
-			t.onPath[r] = false
-			if len(t.path) == 0 {
-				return false
-			}
-			last := t.path[len(t.path)-1] // arc that led here from a column
-			t.path = t.path[:len(t.path)-1]
-			cur = t.n + int(t.colIdx[last.edge])
-			t.arcCol[cur-t.n]++
-		} else { // at a column: tight spare slot, or a tight residual arc back
-			j := cur - t.n
-			if t.arcMark[t.n+j] != t.gen {
-				t.arcMark[t.n+j] = t.gen
-				t.arcCol[j] = 0
-			}
-			if len(t.colPairs[j]) < t.colCap[j] && t.v[j]-t.potT <= tightEps {
-				t.apply(start)
-				return true
-			}
-			next := -1
-			var took colArc
-			for k := t.arcCol[j]; int(k) < len(t.colPairs[j]); k++ {
-				a := t.colPairs[j][k]
-				usable := t.v[j]-t.cost[a.edge]-t.u[a.row] <= tightEps
-				if !usable {
-					if k == t.arcCol[j] {
-						t.arcCol[j]++
-					}
-					continue
-				}
-				if t.onPath[a.row] {
-					continue
-				}
-				next, took = int(a.row), a
-				break
-			}
-			if next >= 0 {
-				t.path = append(t.path, pathStep{edge: took.edge, row: took.row})
-				t.onPath[next] = true
-				cur = next
-				continue
-			}
-			t.onPath[t.n+j] = false
-			if len(t.path) == 0 {
-				return false
-			}
-			last := t.path[len(t.path)-1] // edge that led here from a row
-			t.path = t.path[:len(t.path)-1]
-			cur = int(last.row)
-			t.arcRow[cur]++
-		}
-	}
-}
-
-// apply commits the path accumulated by dfs (or augmentParentChain): even
-// steps assign their edge, odd steps release theirs, and the starting row
-// gains one unit of flow. It also clears the path's on-path marks.
+// apply commits the path accumulated by augmentParentChain or
+// cancelImprovingCycle: even steps assign their edge, odd steps release
+// theirs, and the starting row gains one unit of flow.
 func (t *Transport) apply(start int) {
 	for k, st := range t.path {
 		j := int(t.colIdx[st.edge])
 		if k%2 == 0 {
 			t.assigned[st.edge] = true
 			t.colPairs[j] = append(t.colPairs[j], colArc{row: st.row, edge: st.edge})
-			t.onPath[t.n+j] = false
 		} else {
 			t.assigned[st.edge] = false
 			t.removeArc(j, st.edge)
-			t.onPath[int(st.row)] = false
 		}
 	}
-	t.onPath[start] = false
 	t.rowFlow[start]++
 	t.deficit--
 }
 
 // augmentParentChain pushes one unit along the Dijkstra shortest-path tree
-// into spare column jStar — the fallback that guarantees phase progress when
-// rounding keeps the tight DFS from reproducing the path.
+// into spare column jStar.
 func (t *Transport) augmentParentChain(jStar int) {
 	t.path = t.path[:0]
 	x := t.n + jStar
@@ -1783,10 +1673,10 @@ func (t *Transport) cancelImprovingCycle() bool {
 		return false
 	}
 	// Select a maximal node-disjoint candidate set, best cycle first. Used
-	// nodes are marked in arcMark (free under the fresh generation: the tight
-	// DFS that shares it never runs inside this search). Paths of the parent
-	// tree that touch any marked node would share their whole tail toward the
-	// sink, so a single mark check per node is a complete overlap test.
+	// nodes are marked in arcMark under this search's generation. Paths of
+	// the parent tree that touch any marked node would share their whole
+	// tail toward the sink, so a single mark check per node is a complete
+	// overlap test.
 	sort.Slice(t.cycleCands, func(a, b int) bool {
 		ca, cb := t.cycleCands[a], t.cycleCands[b]
 		if ca.cand != cb.cand {

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cra"
 )
 
@@ -380,6 +381,67 @@ func TestSessionRetainedHeap(t *testing.T) {
 		refined := retained(c.name+" SDGA-SRA", cra.SessionConfig{CandidateCap: c.cap, Refine: true, SRA: refine})
 		if limit := 1.05*plain + 1; refined > limit {
 			t.Errorf("%s: a refined session keeps %.1f MB, more than %.1f MB (an unrefined one keeps %.1f MB)", c.name, refined, limit, plain)
+		}
+	}
+}
+
+// TestSessionRefineTrajectory pins the refinement's trajectory at the
+// paper's conference scale (P=1000, R=2000, T=40, δp=3): a refining
+// cra.Session solves, takes the withdrawals of papers 5, 77 and 400 and the
+// conflict (3, 9), and resolves, and both scores must match the recorded
+// values to 1e-9. SRA's completion has no tie-break, so where its optimum
+// has exact ties, the transport's search order picks the plan, and a change
+// to that order can move a score while every plan stays optimal; this test
+// makes such a move visible. The scores sum the active papers' group
+// scores. Skipped in -short mode.
+func TestSessionRefineTrajectory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale refinement trajectory skipped in -short mode")
+	}
+	for _, c := range []struct {
+		name           string
+		cap            int
+		seed           int64
+		solve, resolve float64
+	}{
+		{"dense seed 1", 0, 1, 992.4222962380519, 989.5359961560396},
+		{"cap 64 seed 1", 64, 1, 965.1170953385503, 962.7555881207677},
+	} {
+		sess, err := cra.NewSession(benchConferenceInstance(1000, 2000, 40, 3), cra.SessionConfig{
+			CandidateCap: c.cap, Refine: true, SRA: cra.SRA{Omega: 1000, MaxRounds: 12, Seed: c.seed},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		score := func(a *core.Assignment) float64 {
+			total := 0.0
+			for p, g := range a.Groups {
+				if sess.Active(p) {
+					total += sess.Instance().GroupScore(p, g)
+				}
+			}
+			return total
+		}
+		a, err := sess.Solve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		solved := score(a)
+		for _, p := range []int{5, 77, 400} {
+			if err := sess.WithdrawPaper(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.AddConflict(3, 9); err != nil {
+			t.Fatal(err)
+		}
+		if a, err = sess.Resolve(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		resolved := score(a)
+		if math.Abs(solved-c.solve) > 1e-9 || math.Abs(resolved-c.resolve) > 1e-9 {
+			t.Errorf("%s: scores %.16g after Solve and %.16g after Resolve, want %.16g and %.16g",
+				c.name, solved, resolved, c.solve, c.resolve)
 		}
 	}
 }
