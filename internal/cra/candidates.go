@@ -1,7 +1,6 @@
 package cra
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -41,8 +40,12 @@ const spreadDenominator = 4
 // length k): the top topical reviewers by approximate coverage score through
 // the inverted topic index, plus the stride slots described at
 // spreadDenominator. One flat backing array holds all P·k ids; papers are
-// sharded across workers, each with its own scorer scratch. Lists depend only
-// on (paper, pool), never on worker count, so sharding cannot change results.
+// sharded across workers, each with its own scorer scratch and id set. A
+// paper's TopK ids go into the set, each stride slot takes its pool position
+// or, while that is taken, the next one (mod R), and the set drains into the
+// paper's slice of the array in ascending order, so no list is searched or
+// sorted. Lists depend only on (paper, pool), never on worker count, so
+// sharding cannot change results.
 func buildCandidates(in *core.Instance, k, workers int) [][]int32 {
 	P, R := in.NumPapers(), in.NumReviewers()
 	vecs := make([][]float64, R)
@@ -53,39 +56,37 @@ func buildCandidates(in *core.Instance, k, workers int) [][]int32 {
 	spread := k / spreadDenominator
 	flat := make([]int32, P*k)
 	cands := make([][]int32, P)
-	fill := func(sc *topics.Scorer, p int) []int32 {
-		row := sc.TopK(in.Papers[p].Topics, k-spread, flat[p*k:p*k:(p+1)*k])
-		for j := 0; j < spread; j++ {
-			r := int32((p*spread + j) % R)
-			for slices.Contains(row, r) {
-				r = (r + 1) % int32(R)
+	fill := func(lo, hi int) {
+		sc, set := ix.NewScorer(), topics.NewIDSet(R)
+		for p := lo; p < hi; p++ {
+			row := sc.TopK(in.Papers[p].Topics, k-spread, flat[p*k:p*k:(p+1)*k])
+			for _, r := range row {
+				set.Add(r)
 			}
-			row = append(row, r)
+			for j := 0; j < spread; j++ {
+				r := int32((p*spread + j) % R)
+				for set.Has(r) {
+					r = (r + 1) % int32(R)
+				}
+				set.Add(r)
+			}
+			cands[p] = set.Drain(row[:0])
 		}
-		slices.Sort(row)
-		return row
 	}
 	if workers > P {
 		workers = P
 	}
 	if workers <= 1 {
-		sc := ix.NewScorer()
-		for p := 0; p < P; p++ {
-			cands[p] = fill(sc, p)
-		}
+		fill(0, P)
 		return cands
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		lo, hi := w*P/workers, (w+1)*P/workers
 		go func(lo, hi int) {
 			defer wg.Done()
-			sc := ix.NewScorer()
-			for p := lo; p < hi; p++ {
-				cands[p] = fill(sc, p)
-			}
-		}(lo, hi)
+			fill(lo, hi)
+		}(w*P/workers, (w+1)*P/workers)
 	}
 	wg.Wait()
 	return cands

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/topics"
 )
 
 func TestEffectiveCandidateCap(t *testing.T) {
@@ -52,6 +53,111 @@ func TestBuildCandidatesShape(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("candidate lists differ across worker counts")
 	}
+}
+
+// referenceCandidates is the stride placement buildCandidates had before
+// its id set, kept as the test reference: TopK, then each stride slot bumped
+// (+1 mod R) past the ids already in the list with slices.Contains, then a
+// sort of the whole list.
+func referenceCandidates(in *core.Instance, k int) [][]int32 {
+	P, R := in.NumPapers(), in.NumReviewers()
+	vecs := make([][]float64, R)
+	for r := range vecs {
+		vecs[r] = in.Reviewers[r].Topics
+	}
+	sc := topics.BuildIndex(vecs).NewScorer()
+	spread := k / spreadDenominator
+	cands := make([][]int32, P)
+	for p := range cands {
+		row := sc.TopK(in.Papers[p].Topics, k-spread, nil)
+		for j := 0; j < spread; j++ {
+			r := int32((p*spread + j) % R)
+			for slices.Contains(row, r) {
+				r = (r + 1) % int32(R)
+			}
+			row = append(row, r)
+		}
+		slices.Sort(row)
+		cands[p] = row
+	}
+	return cands
+}
+
+// TestBuildCandidatesMatchesReference pins buildCandidates' stride placement
+// to referenceCandidates, list for list, at 1 and 3 workers: on random,
+// Zipf and quantised pools, with P·spread wrapping past R many times, with R
+// barely above k, and with papers whose topics reach fewer than k − spread
+// reviewers, so TopK pads their lists.
+func TestBuildCandidatesMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	quantise := func(in *core.Instance) *core.Instance {
+		for _, v := range append(paperVecs(in), reviewerVecs(in)...) {
+			for x := range v {
+				v[x] = math.Round(v[x]*4) / 4
+			}
+		}
+		return in
+	}
+	// narrow gives the last topic to reviewers 0 and 5 only, and makes every
+	// third paper about that topic alone, so their scans touch two reviewers.
+	narrow := func(in *core.Instance) *core.Instance {
+		last := in.NumTopics() - 1
+		for r, v := range reviewerVecs(in) {
+			v[last] = 0
+			if r == 0 || r == 5 {
+				v[last] = 0.5
+			}
+		}
+		for p, v := range paperVecs(in) {
+			if p%3 == 0 {
+				clear(v)
+				v[last] = 1
+			}
+		}
+		return in
+	}
+	cases := []struct {
+		name string
+		in   *core.Instance
+		k    int
+	}{
+		{"random", randomConference(rng, 60, 90, 12, 3), 16},
+		{"zipf", zipfConference(rng, 120, 300, 20), 32},
+		{"zipf-quantised", quantise(zipfConference(rng, 120, 300, 20)), 32},
+		{"random-quantised", quantise(randomConference(rng, 60, 90, 12, 3)), 12},
+		{"stride-wraps", zipfConference(rng, 300, 40, 8), 16},
+		{"pool-barely-above-k", zipfConference(rng, 50, 34, 10), 32},
+		{"padded", narrow(zipfConference(rng, 60, 200, 10)), 24},
+	}
+	for _, tc := range cases {
+		want := referenceCandidates(tc.in, tc.k)
+		for _, workers := range []int{1, 3} {
+			got := buildCandidates(tc.in, tc.k, workers)
+			for p := range want {
+				if !slices.Equal(got[p], want[p]) {
+					t.Fatalf("%s, %d workers, paper %d:\n got %v\nwant %v", tc.name, workers, p, got[p], want[p])
+				}
+			}
+		}
+	}
+}
+
+// paperVecs and reviewerVecs return the instance's topic vectors, which the
+// callers edit in place.
+func paperVecs(in *core.Instance) []core.Vector {
+	vs := make([]core.Vector, in.NumPapers())
+	for p := range vs {
+		vs[p] = in.Papers[p].Topics
+	}
+	return vs
+}
+
+func reviewerVecs(in *core.Instance) []core.Vector {
+	vs := make([]core.Vector, in.NumReviewers())
+	for r := range vs {
+		vs[r] = in.Reviewers[r].Topics
+	}
+	return vs
 }
 
 // zipfConference draws a conference whose topics follow a Zipf(1)

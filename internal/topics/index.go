@@ -1,6 +1,9 @@
 package topics
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Index is an inverted index over a fixed pool of topic vectors (typically
 // the reviewer pool): for every topic it holds the postings of vectors with
@@ -34,9 +37,11 @@ type posting struct {
 // scanned weight per skipped posting, so a small multiple of k suffices; 16
 // was chosen so the measured objective loss at paper scale stays within the
 // test-asserted epsilon. A query then costs the scanned postings (about
-// scanBudgetFactor·k plus one per query topic) plus touched·log k for the
-// selection, where touched ≤ scanned is the number of distinct vectors the
-// scan reached — independent of the pool size.
+// scanBudgetFactor·k plus one per query topic), two passes over the touched
+// vectors (touched ≤ scanned, the distinct vectors the scan reached), the
+// selectBuckets histogram buckets, a quickselect of the threshold bucket and
+// one summary word per 4,096 pool ids to list the result — independent of the
+// pool size apart from that last term.
 const scanBudgetFactor = 16
 
 // BuildIndex builds the inverted index over the given vectors. All vectors
@@ -96,15 +101,24 @@ func (ix *Index) Len() int { return ix.n }
 // Dim returns the topic dimension.
 func (ix *Index) Dim() int { return ix.dim }
 
-// Scorer holds the reusable per-query scratch of TopK. A Scorer is bound to
-// its Index and must not be used concurrently; create one per goroutine.
+// selectBuckets is the number of linear score buckets over [0, sumQ] that
+// TopK's selection histograms the touched scores into.
+const selectBuckets = 256
+
+// Scorer holds the reusable per-query scratch of TopK: dense score and mark
+// arrays over the pool, the touched list, the score histogram, the threshold
+// bucket's entries and the id set the result is listed from. A Scorer is
+// bound to its Index and must not be used concurrently; create one per
+// goroutine.
 type Scorer struct {
 	ix      *Index
 	score   []float64
 	mark    []uint32
 	gen     uint32
 	touched []int32
+	hist    [selectBuckets]int32
 	sel     []scored
+	kept    *IDSet
 }
 
 // scored pairs a candidate id with its accumulated score for the top-k
@@ -120,22 +134,16 @@ func worse(a, b scored) bool {
 	return a.s < b.s || (a.s == b.s && a.id > b.id)
 }
 
-// siftDown restores the heap property below i in h, a heap whose root is its
-// worst entry under worse.
-func siftDown(h []scored, i int) {
-	for {
-		w := i
-		if l := 2*i + 1; l < len(h) && worse(h[l], h[w]) {
-			w = l
-		}
-		if r := 2*i + 2; r < len(h) && worse(h[r], h[w]) {
-			w = r
-		}
-		if w == i {
-			return
-		}
-		h[i], h[w] = h[w], h[i]
-		i = w
+// compareScored is worse's order as a three-way comparison: negative when a
+// ranks ahead of b.
+func compareScored(a, b scored) int {
+	switch {
+	case worse(b, a):
+		return -1
+	case worse(a, b):
+		return 1
+	default:
+		return 0
 	}
 }
 
@@ -145,6 +153,7 @@ func (ix *Index) NewScorer() *Scorer {
 		ix:    ix,
 		score: make([]float64, ix.n),
 		mark:  make([]uint32, ix.n),
+		kept:  NewIDSet(ix.n),
 	}
 }
 
@@ -154,6 +163,14 @@ func (ix *Index) NewScorer() *Scorer {
 // the scanned postings — the numerator of the coverage objective — so the
 // returned set is exactly the reviewers a dense scoring pass would rank
 // highest, up to the posting-scan truncation described on scanBudgetFactor.
+// Ties rank by id ascending, so the result is the first k of the touched
+// vectors fully sorted by score descending, then id ascending.
+//
+// The selection is linear in the touched set: a histogram of the touched
+// scores over selectBuckets linear buckets finds the bucket holding the k-th
+// score, every vector above it is kept, and a quickselect resolves that one
+// bucket exactly. The kept ids are listed in ascending order from a
+// two-level bitmap (IDSet), so no sort runs.
 //
 // When fewer than k candidates score positive (a query orthogonal to most of
 // the pool), the result is padded with the lowest unused indices so callers
@@ -199,10 +216,13 @@ func (s *Scorer) TopK(q []float64, k int, out []int32) []int32 {
 			if qt <= 0 || len(ix.post[t]) == 0 {
 				continue
 			}
-			limit := int(budget*qt/sumQ) + 1
+			// The comparison guards the conversion: a quotient past the
+			// postings (+Inf included, when budget·qt overflows) reads them
+			// all, and int of it would be undefined.
 			post := ix.post[t]
-			if limit > len(post) {
-				limit = len(post)
+			limit := len(post)
+			if x := budget * qt / sumQ; x < float64(len(post)) {
+				limit = int(x) + 1
 			}
 			for _, pe := range post[:limit] {
 				c := pe.w
@@ -219,55 +239,110 @@ func (s *Scorer) TopK(q []float64, k int, out []int32) []int32 {
 			}
 		}
 	}
-	// Select the k best touched candidates (score descending, id ascending)
-	// in a k-entry heap whose root is the worst kept entry: a further
-	// candidate costs one comparison against the root and, when it ranks
-	// ahead, one sift-down. The order is total, so the kept set is exactly
-	// the first k of a full sort of the touched set.
-	h := s.sel[:0]
-	for _, id := range s.touched {
-		c := scored{id: id, s: s.score[id]}
-		switch {
-		case len(h) < k:
-			h = append(h, c)
-			if len(h) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					siftDown(h, i)
-				}
+	if len(s.touched) > k {
+		s.selectTouched(k, sumQ)
+	} else {
+		for _, id := range s.touched {
+			s.kept.Add(id)
+		}
+		// Pad with the lowest ids the scan did not reach.
+		for id, have := int32(0), len(s.touched); have < k; id++ {
+			if !s.kept.Has(id) {
+				s.kept.Add(id)
+				have++
 			}
-		case worse(h[0], c):
-			h[0] = c
-			siftDown(h, 0)
 		}
 	}
-	s.sel = h
-	for _, c := range h {
-		res = append(res, c.id)
-	}
-	slices.Sort(res)
-	if len(res) < k {
-		res = padCandidates(res, k, n)
-	}
-	return res
+	return s.kept.Drain(res)
 }
 
-// padCandidates extends a sorted ascending candidate list to length k with
-// the lowest indices not already present.
-func padCandidates(res []int32, k, n int) []int32 {
-	have := len(res)
-	next := int32(0)
-	pos := 0
-	for len(res) < k && next < int32(n) {
-		for pos < have && res[pos] < next {
-			pos++
+// selectTouched adds to s.kept the first k touched ids in TopK's order,
+// given more than k touched. The bucket of a score v is int(v·scale),
+// clamped to the top bucket. The product is non-decreasing in v, so a higher
+// bucket holds only strictly higher scores and exact ties share a bucket:
+// every id above the threshold bucket b (the one holding the k-th score)
+// ranks ahead of every id in b, and every id below b ranks behind it. So the
+// ids above b plus the best k − (count above b) of b are the first k of the
+// full sort. The comparison form of the clamp keeps the index defined for
+// every value the scan can produce: scale is +Inf when sumQ is subnormal and
+// 0 when it overflowed, and v is +Inf when scores overflow (v·scale is then
+// +Inf or NaN, both of which land in the top bucket).
+func (s *Scorer) selectTouched(k int, sumQ float64) {
+	const top = selectBuckets - 1
+	scale := selectBuckets / sumQ
+	bucket := func(v float64) int {
+		if f := v * scale; f < top {
+			return int(f)
 		}
-		if pos < have && res[pos] == next {
-			next++
-			continue
-		}
-		res = append(res, next)
-		next++
+		return top
 	}
-	slices.Sort(res)
-	return res
+	hist := &s.hist
+	clear(hist[:])
+	for _, id := range s.touched {
+		hist[bucket(s.score[id])]++
+	}
+	b, acc := top, 0
+	for acc+int(hist[b]) < k {
+		acc += int(hist[b])
+		b--
+	}
+	sel := s.sel[:0]
+	for _, id := range s.touched {
+		v := s.score[id]
+		switch x := bucket(v); {
+		case x > b:
+			s.kept.Add(id)
+		case x == b:
+			sel = append(sel, scored{id: id, s: v})
+		}
+	}
+	s.sel = sel
+	need := k - acc
+	selectK(sel, need, 2*bits.Len(uint(len(sel))))
+	for _, c := range sel[:need] {
+		s.kept.Add(c.id)
+	}
+}
+
+// selectK reorders c so that c[:need] holds the need first entries of c in
+// worse's order, in no particular order among themselves. It is a
+// quickselect with a median-of-three pivot. The input comes from topic
+// vectors the caller does not control, so after the given number of
+// partition rounds (TopK allows 2·log2(len(c))) it sorts what is left
+// instead, bounding the worst case at O(n log n).
+func selectK(c []scored, need, rounds int) {
+	lo, hi := 0, len(c)
+	// Invariant: every entry of c[:lo] ranks ahead of every entry of c[lo:],
+	// and every entry of c[hi:] ranks behind every entry of c[:hi].
+	for ; lo < need && need < hi; rounds-- {
+		if rounds == 0 {
+			slices.SortFunc(c[lo:hi], compareScored)
+			return
+		}
+		m, last := lo+(hi-lo)/2, hi-1
+		if worse(c[lo], c[m]) {
+			c[lo], c[m] = c[m], c[lo]
+		}
+		if worse(c[m], c[last]) {
+			c[m], c[last] = c[last], c[m]
+			if worse(c[lo], c[m]) {
+				c[lo], c[m] = c[m], c[lo]
+			}
+		}
+		// c[m] is now the median of the three; partition around it.
+		c[m], c[last] = c[last], c[m]
+		pivot, i := c[last], lo
+		for j := lo; j < last; j++ {
+			if worse(pivot, c[j]) {
+				c[i], c[j] = c[j], c[i]
+				i++
+			}
+		}
+		c[i], c[last] = c[last], c[i]
+		if i < need {
+			lo = i + 1
+		} else {
+			hi = i
+		}
+	}
 }

@@ -2,6 +2,7 @@ package topics
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -67,6 +68,29 @@ func zipfVecs(rng *rand.Rand, n, dim int) [][]float64 {
 	return vecs
 }
 
+// extremeVecs draws n topic vectors with four nonzero topics each, every
+// weight picked from vals and none normalized, so scores can be subnormal or
+// overflow to +Inf, and the query weights' sum can too.
+func extremeVecs(rng *rand.Rand, n, dim int, vals []float64) [][]float64 {
+	vecs := make([][]float64, n)
+	for i := range vecs {
+		v := make([]float64, dim)
+		for j := 0; j < 4; j++ {
+			v[rng.Intn(dim)] = vals[rng.Intn(len(vals))]
+		}
+		vecs[i] = v
+	}
+	return vecs
+}
+
+// Weight sets for extremeVecs: subnormal, near the top of the float64 range,
+// and both mixed with ordinary weights.
+var (
+	subnormalWeights = []float64{5e-324, 1e-323, 1e-310, 2.5e-310}
+	hugeWeights      = []float64{1e300, 1e307, 1e308, math.MaxFloat64}
+	mixedWeights     = []float64{5e-324, 1e-310, 0.125, 0.5, 1, 1e300, 1e307, math.MaxFloat64}
+)
+
 // quantized rounds every weight to a multiple of 1/levels, so scores become
 // short sums of a few distinct values and tie often — at the k-th place too.
 func quantized(vecs [][]float64, levels float64) [][]float64 {
@@ -112,8 +136,12 @@ func fullSortTopK(ix *Index, q []float64, k int) (ids []int32, ranked []scored) 
 			if q[t] <= 0 {
 				continue
 			}
+			// The same guard as TopK's: a quotient past the postings (+Inf
+			// included) reads them all.
 			post := ix.post[t]
-			post = post[:min(int(budget*q[t]/sumQ)+1, len(post))]
+			if x := budget * q[t] / sumQ; x < float64(len(post)) {
+				post = post[:int(x)+1]
+			}
 			for _, pe := range post {
 				if !seen[pe.id] {
 					seen[pe.id] = true
@@ -278,11 +306,14 @@ func TestBuildIndexEmpty(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesFullSort pins the bounded selection to the reference full
-// sort, result for result, over uniform and Zipf pools up to R=2000, with
-// weights quantized so scores tie at the k-th place, k from 1 to past the
-// touched count (the padding path), a zero query and a query whose topics
-// have no postings.
+// TestTopKMatchesFullSort pins the histogram selection to the reference full
+// sort, result for result, over uniform and Zipf pools up to R=4500 (two
+// summary words in the id set), with weights quantized so scores tie at the
+// k-th place, pools of subnormal, huge and mixed weights (scores that are
+// subnormal or overflow, query sums that do, and a scan budget that
+// overflows), k from 1 to past the touched count (the padding path), a zero
+// query, a query whose topics have no postings, and a query whose touched
+// scores all tie, so the threshold bucket holds the whole touched set.
 func TestTopKMatchesFullSort(t *testing.T) {
 	const dim = 40
 	rng := rand.New(rand.NewSource(17))
@@ -294,10 +325,13 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		{"zipf", func(n int) [][]float64 { return zipfVecs(rng, n, dim) }},
 		{"uniform-quantized", func(n int) [][]float64 { return quantized(randVecs(rng, n, dim, 4), 8) }},
 		{"zipf-quantized", func(n int) [][]float64 { return quantized(zipfVecs(rng, n, dim), 8) }},
+		{"subnormal", func(n int) [][]float64 { return extremeVecs(rng, n, dim, subnormalWeights) }},
+		{"huge", func(n int) [][]float64 { return extremeVecs(rng, n, dim, hugeWeights) }},
+		{"mixed", func(n int) [][]float64 { return extremeVecs(rng, n, dim, mixedWeights) }},
 	}
 	var kthTies, padded int
 	for _, pool := range pools {
-		for _, n := range []int{1, 37, 500, 2000} {
+		for _, n := range []int{1, 37, 500, 2000, 4500} {
 			vecs := pool.gen(n)
 			// The last topic has no postings: no pool vector uses it.
 			for _, v := range vecs {
@@ -330,6 +364,113 @@ func TestTopKMatchesFullSort(t *testing.T) {
 	}
 	if kthTies == 0 || padded == 0 {
 		t.Fatalf("cases not reached: %d ties at the k-th place, %d padded results", kthTies, padded)
+	}
+
+	// Every vector outweighs the query on its one topic, so every touched
+	// score is the query's weight: one bucket holds the whole touched set,
+	// and the result is the k lowest touched ids.
+	vecs := make([][]float64, 2000)
+	for i := range vecs {
+		vecs[i] = make([]float64, dim)
+		vecs[i][0] = 0.3 + 0.7*rng.Float64()
+		vecs[i][1+rng.Intn(dim-1)] = rng.Float64()
+	}
+	ix := BuildIndex(vecs)
+	sc := ix.NewScorer()
+	q := make([]float64, dim)
+	q[0] = 0.3
+	for _, k := range []int{1, 5, 48, 64, 300} {
+		got := sc.TopK(q, k, nil)
+		want, ranked := fullSortTopK(ix, q, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("all-tie k=%d:\n got %v\nwant %v", k, got, want)
+		}
+		if len(ranked) <= k || ranked[0].s != ranked[len(ranked)-1].s {
+			t.Fatalf("all-tie k=%d: %d touched, scores %v..%v, want more than k, all equal",
+				k, len(ranked), ranked[0].s, ranked[len(ranked)-1].s)
+		}
+	}
+}
+
+// TestSelectK: selectK leaves the need first entries in worse's order in
+// front, for every need, on random, ordered, reversed, organ-pipe and
+// all-tied inputs, both through its partition rounds and through the sort
+// it falls back to once they run out (rounds 0 and 1).
+func TestSelectK(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n = 40
+	inputs := map[string]func(i int) float64{
+		"random":     func(int) float64 { return float64(rng.Intn(12)) },
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(n - i) },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
+		"tied":       func(int) float64 { return 0.5 },
+	}
+	for name, score := range inputs {
+		base := make([]scored, n)
+		for i, id := range rng.Perm(n) {
+			base[i] = scored{id: int32(id), s: score(i)}
+		}
+		want := slices.Clone(base)
+		slices.SortFunc(want, compareScored)
+		for need := 0; need <= n; need++ {
+			for _, rounds := range []int{0, 1, 2 * bits.Len(n)} {
+				c := slices.Clone(base)
+				selectK(c, need, rounds)
+				got := slices.Clone(c[:need])
+				slices.SortFunc(got, compareScored)
+				if !slices.Equal(got, want[:need]) {
+					t.Fatalf("%s need=%d rounds=%d: front %v, want %v", name, need, rounds, got, want[:need])
+				}
+			}
+		}
+	}
+}
+
+// TestIDSet: Has sees exactly the added ids, and Drain appends them
+// ascending and unique after what out holds and leaves the set empty, across
+// leaf and summary word boundaries and over repeated fill-and-drain rounds.
+func TestIDSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 63, 64, 65, 4096, 4097, 200000} {
+		s := NewIDSet(n)
+		for round := 0; round < 3; round++ {
+			var want []int32
+			for _, id := range []int{0, 63, 64, 4095, 4096, n - 1} {
+				if id < n {
+					want = append(want, int32(id))
+				}
+			}
+			for range round * 40 {
+				want = append(want, int32(rng.Intn(n)))
+			}
+			// Add in reverse, then a prefix again: duplicates are no-ops.
+			for i := len(want) - 1; i >= 0; i-- {
+				s.Add(want[i])
+			}
+			for _, id := range want[:len(want)/2+1] {
+				s.Add(id)
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			for id := int32(0); id < int32(n); id++ {
+				if _, member := slices.BinarySearch(want, id); s.Has(id) != member {
+					t.Fatalf("n=%d round %d: Has(%d) = %v, want %v", n, round, id, !member, member)
+				}
+			}
+			got := s.Drain([]int32{-1})
+			if got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Fatalf("n=%d round %d: Drain = %v, want [-1] then %v", n, round, got, want)
+			}
+			if again := s.Drain(nil); len(again) != 0 {
+				t.Fatalf("n=%d round %d: second Drain = %v, want nothing", n, round, again)
+			}
+			for id := int32(0); id < int32(n); id++ {
+				if s.Has(id) {
+					t.Fatalf("n=%d round %d: Has(%d) after Drain", n, round, id)
+				}
+			}
+		}
 	}
 }
 
@@ -393,16 +534,25 @@ func TestTopKConcurrentScorers(t *testing.T) {
 	}
 }
 
+// fuzzExtremes are the weights that bytes 0xf8 to 0xff decode to in
+// fuzzPool: subnormal weights, and weights whose scores or scan budget
+// overflow.
+var fuzzExtremes = [8]float64{5e-324, 1e-310, 1e-300, 1, 1e300, 1e307, 1e308, math.MaxFloat64}
+
 // fuzzPool decodes a fuzz input into a pool and a query of dimension dim:
 // the first dim bytes are the query, every further dim bytes one pool
-// vector. A byte below 0x80 is a zero weight, any other byte b the weight
-// (b&0x0f)/16, so random bytes give sparse vectors whose scores tie often.
-// The pool is capped at 2000 vectors.
+// vector. A byte below 0x80 is a zero weight, a byte b from 0xf8 up the
+// weight fuzzExtremes[b&7], and any other byte b the weight (b&0x0f)/16, so
+// random bytes give sparse vectors whose scores tie often. The pool is
+// capped at 2000 vectors.
 func fuzzPool(data []byte, dim int) (vecs [][]float64, q []float64) {
 	weights := func(b []byte) []float64 {
 		v := make([]float64, dim)
 		for t := range v {
-			if b[t] >= 0x80 {
+			switch {
+			case b[t] >= 0xf8:
+				v[t] = fuzzExtremes[b[t]&7]
+			case b[t] >= 0x80:
 				v[t] = float64(b[t]&0x0f) / 16
 			}
 		}
@@ -459,6 +609,13 @@ func FuzzTopK(f *testing.F) {
 	f.Add(fuzzSeed(uniform, uniform[4]), uint8(dim), uint16(1))                // k = 1
 	f.Add(fuzzSeed(quantized(uniform, 2), uniform[5]), uint8(dim), uint16(12)) // ties at the k-th place
 	f.Add([]byte{}, uint8(3), uint16(4))                                       // empty pool
+	extreme := fuzzSeed(zipf[:12], zipf[3])
+	for i := range extreme {
+		if extreme[i] != 0 && i%3 != 0 {
+			extreme[i] = 0xf8 | byte(i%8) // subnormal to huge weights
+		}
+	}
+	f.Add(extreme, uint8(dim), uint16(5))
 	f.Fuzz(func(t *testing.T, data []byte, dimb uint8, kb uint16) {
 		d := 1 + int(dimb)%16
 		vecs, q := fuzzPool(data, d)

@@ -2,6 +2,7 @@ package wgrap
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,6 +109,14 @@ type Solver struct {
 	// fsync fails, every further edit and solve is refused rather than
 	// silently diverging from the journal.
 	storeErr error
+
+	// scores holds each active paper's group score in the assignment the
+	// construction hook last scored (guarded by mu). scored reports that the
+	// running solve's result is that assignment, so buildResult reads the
+	// scores instead of computing them again; run clears it first, and only
+	// a non-refining hook sets it.
+	scores []float64
+	scored bool
 }
 
 // NewSolver builds a solver session for the instance. The instance is
@@ -191,12 +200,16 @@ func (s *Solver) emitSnapshot(sn Snapshot) {
 	}
 }
 
-// constructHook emits the construction-phase snapshot.
+// constructHook scores the construction once and emits the
+// construction-phase snapshot. Without a refinement the construction is the
+// solve's result, so buildResult reuses the scores.
 func (s *Solver) constructHook() func(*core.Assignment) {
 	return func(a *core.Assignment) {
+		score := s.scoreGroups(a)
+		s.scored = s.opts.method != MethodSDGASRA
 		s.emitSnapshot(Snapshot{
 			Phase:   "construct",
-			Score:   s.activeScore(a),
+			Score:   score,
 			Best:    a,
 			Elapsed: time.Since(s.start),
 		})
@@ -332,6 +345,7 @@ func (s *Solver) Resolve(ctx context.Context) (*Result, error) {
 // this warm re-solve), then solves, then publishes the new View and — for a
 // durable session past its compaction threshold — rewrites the snapshot.
 func (s *Solver) run(ctx context.Context, cold bool) (*Result, error) {
+	s.scored = false
 	s.pendMu.Lock()
 	serr := s.storeErr
 	s.pendMu.Unlock()
@@ -361,29 +375,36 @@ func (s *Solver) run(ctx context.Context, cold bool) (*Result, error) {
 	return res, nil
 }
 
-// activeScore sums the group scores of the active papers.
-func (s *Solver) activeScore(a *core.Assignment) float64 {
+// scoreGroups records each active paper's group score in a into s.scores
+// (0 for a withdrawn paper) and returns their sum in paper order.
+func (s *Solver) scoreGroups(a *core.Assignment) float64 {
 	in := s.sess.Instance()
+	s.scores = slices.Grow(s.scores[:0], len(a.Groups))[:len(a.Groups)]
 	total := 0.0
 	for p := range a.Groups {
+		s.scores[p] = 0
 		if s.sess.Active(p) {
-			total += in.GroupScore(p, a.Groups[p])
+			s.scores[p] = in.GroupScore(p, a.Groups[p])
+			total += s.scores[p]
 		}
 	}
 	return total
 }
 
 // buildResult assembles the public Result: metrics cover the active papers
-// only (withdrawn papers keep empty groups in Assignment).
+// only (withdrawn papers keep empty groups in Assignment). It scores a only
+// when the construction hook has not scored it in this solve.
 func (s *Solver) buildResult(a *core.Assignment, elapsed time.Duration) *Result {
-	in := s.sess.Instance()
+	if !s.scored {
+		s.scoreGroups(a)
+	}
 	total, lowest, active := 0.0, 0.0, 0
 	first := true
 	for p := range a.Groups {
 		if !s.sess.Active(p) {
 			continue
 		}
-		sc := in.GroupScore(p, a.Groups[p])
+		sc := s.scores[p]
 		total += sc
 		if first || sc < lowest {
 			lowest, first = sc, false

@@ -165,3 +165,37 @@ func TestSolverCandidateCapPaperScaleEpsilon(t *testing.T) {
 		t.Fatalf("pruned score %v lost more than 4%% of dense %v", sparseRes.Score, denseRes.Score)
 	}
 }
+
+// TestSolverCandidateCapHugeWeights: topic weights near the top of the
+// float64 range are valid input, and the candidate scan's budget times such
+// a weight overflows to +Inf. A capped solve over them must return, with a
+// valid assignment and the dense solve's score, instead of panicking in the
+// candidate build.
+func TestSolverCandidateCapHugeWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	papers, reviewers := randomProblem(rng, 40, 60, 6)
+	for i := range papers {
+		papers[i].Topics[i%6] = 1e307
+	}
+	for i := range reviewers {
+		if i%3 == 0 {
+			reviewers[i].Topics[i%6] = 1e307
+		}
+	}
+	in := NewInstance(papers, reviewers, 3, 0)
+	ctx := context.Background()
+	dense, err := solve(ctx, in, WithMethod(MethodSDGA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := solve(ctx, in, WithMethod(MethodSDGA), WithCandidateCap(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.ValidateAssignment(capped.Assignment); err != nil {
+		t.Fatal(err)
+	}
+	if capped.Score != dense.Score {
+		t.Fatalf("capped score %v, dense %v", capped.Score, dense.Score)
+	}
+}

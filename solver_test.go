@@ -406,6 +406,80 @@ func TestSolverProgressStream(t *testing.T) {
 	}
 }
 
+// TestSolverResultScoresMatchRecount: for every method, a Solve, a no-edit
+// Resolve and a Resolve after a withdrawal each return Score,
+// AverageCoverage and LowestCoverage bit-identical to a recount from the
+// instance's GroupScore over the returned assignment, summed in paper order;
+// and for the non-refining methods, whose construction is the result, the
+// construction snapshot's Score equals the Result's.
+func TestSolverResultScoresMatchRecount(t *testing.T) {
+	ctx := context.Background()
+	methods := []Method{MethodSDGASRA, MethodSDGA, MethodGreedy, MethodBRGG, MethodStableMatching, MethodPairILP}
+	for _, m := range methods {
+		t.Run(string(m), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(41))
+			papers, reviewers := randomProblem(rng, 24, 30, 8)
+			in := NewInstance(papers, reviewers, 3, 0)
+			var constructs []float64
+			s, err := NewSolver(in, WithMethod(m), WithOmega(4), WithSeed(9), WithProgress(func(sn Snapshot) {
+				if sn.Phase == "construct" {
+					constructs = append(constructs, sn.Score)
+				}
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := []struct {
+				name       string
+				run        func() (*Result, error)
+				constructs int
+			}{
+				{"solve", func() (*Result, error) { return s.Solve(ctx) }, 1},
+				{"no-edit resolve", func() (*Result, error) { return s.Resolve(ctx) }, 0},
+				{"resolve after withdrawal", func() (*Result, error) {
+					if err := s.WithdrawPaper(5); err != nil {
+						return nil, err
+					}
+					return s.Resolve(ctx)
+				}, 1},
+			}
+			for _, st := range steps {
+				constructs = constructs[:0]
+				res, err := st.run()
+				if err != nil {
+					t.Fatalf("%s: %v", st.name, err)
+				}
+				total, lowest, active := 0.0, 0.0, 0
+				for p, g := range res.Assignment.Groups {
+					if !s.Active(p) {
+						continue
+					}
+					sc := s.Instance().GroupScore(p, g)
+					total += sc
+					if active == 0 || sc < lowest {
+						lowest = sc
+					}
+					active++
+				}
+				avg := total / float64(active)
+				if math.Float64bits(res.Score) != math.Float64bits(total) ||
+					math.Float64bits(res.AverageCoverage) != math.Float64bits(avg) ||
+					math.Float64bits(res.LowestCoverage) != math.Float64bits(lowest) {
+					t.Fatalf("%s: result (score %v, average %v, lowest %v), recount (%v, %v, %v)",
+						st.name, res.Score, res.AverageCoverage, res.LowestCoverage, total, avg, lowest)
+				}
+				if len(constructs) != st.constructs {
+					t.Fatalf("%s: %d construction snapshots, want %d", st.name, len(constructs), st.constructs)
+				}
+				if m != MethodSDGASRA && len(constructs) == 1 &&
+					math.Float64bits(constructs[0]) != math.Float64bits(res.Score) {
+					t.Fatalf("%s: construction snapshot score %v, result %v", st.name, constructs[0], res.Score)
+				}
+			}
+		})
+	}
+}
+
 // TestSolverProgressBaselineMethods: the baseline methods, which run cold
 // outside the session, still emit the construction snapshot.
 func TestSolverProgressBaselineMethods(t *testing.T) {
