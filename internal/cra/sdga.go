@@ -52,7 +52,8 @@ func (s SDGA) AssignContext(ctx context.Context, instance *core.Instance) (*core
 	return sess.Solve(ctx)
 }
 
-// stageFallbackHook, when non-nil, is invoked whenever a stage falls back to
-// the reviewers' full remaining workload; tests use it to assert the fallback
-// (and its incremental Resolve) is actually exercised.
+// stageFallbackHook, when non-nil, is invoked once for every stage that
+// falls back to the reviewers' full remaining workload, by either route (a
+// stage short of slots by count before its solve, or a failed solve at the
+// stage caps); tests use it to assert the fallback is actually exercised.
 var stageFallbackHook func()

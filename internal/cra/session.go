@@ -114,6 +114,10 @@ type Session struct {
 	dirtyList []int
 
 	last *core.Assignment
+
+	// shortStages and retriedStages count the stage solves that ran at the
+	// fallback caps (see runStage and StageFallbacks).
+	shortStages, retriedStages int
 }
 
 // sessionStage is the retained state of one SDGA stage.
@@ -157,6 +161,15 @@ func (s *Session) Active(p int) bool { return s.edits.Active(p) }
 
 // ActivePapers returns the number of non-withdrawn papers.
 func (s *Session) ActivePapers() int { return s.edits.ActivePapers() }
+
+// StageFallbacks reports how many SDGA stage solves of the session so far
+// ran at the reviewers' full remaining workload instead of the stage caps:
+// short counts the stages whose caps fell short of the demand by count,
+// which took the fallback caps before their one solve, and retried the
+// stages that took them after a failed solve at the stage caps.
+func (s *Session) StageFallbacks() (short, retried int) {
+	return s.shortStages, s.retriedStages
+}
 
 // EditState returns a deep copy of the state the session judges edits by.
 func (s *Session) EditState() EditState { return s.edits.Clone() }
@@ -484,15 +497,28 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 	P, R := in.NumPapers(), in.NumReviewers()
 	st := s.stages[stage]
 	stageCap := in.StageWorkload()
+	// Every active paper needs one reviewer of this stage. A reviewer counts
+	// for at most demand slots, so the sum stays within R·P even at huge
+	// workloads.
+	demand := s.edits.ActivePapers()
+	slots := 0
 	for r := 0; r < R; r++ {
-		c := stageCap
-		if s.rem[r] < c {
-			c = s.rem[r]
-		}
-		if c < 0 {
-			c = 0
-		}
+		c := max(min(stageCap, s.rem[r]), 0)
 		s.caps[r] = c
+		slots += min(c, demand)
+	}
+	// The equal per-stage partition of Definition 9 can be infeasible in the
+	// general case; the stage then falls back to the reviewers' full
+	// remaining workload, which keeps the overall assignment feasible
+	// whenever one exists stage-wise. When δp does not divide δr on a tight
+	// pool, the stage caps can fall short of the demand by count, and no
+	// plan exists at them: such a stage takes the fallback caps before its
+	// one fill-and-solve instead of after a transport that must fail.
+	fallback := in.Workload > stageCap
+	short := fallback && slots < demand
+	if short {
+		s.fallbackCaps()
+		s.shortStages++
 	}
 	// Capacity exhaustion is expressed through the transportation column
 	// capacities (not the profit matrix), so profit rows stay valid across
@@ -506,22 +532,12 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 		TieBreak:       true,
 	}
 	rows, err := fillSolve(ctx, s.eng, &s.buf, &st.tr, spec, s.cands, !structural, s.dirtyList, s.need, s.caps)
-	if err != nil && ctx.Err() == nil && in.Workload > stageCap {
-		if stageFallbackHook != nil {
-			stageFallbackHook()
-		}
-		// The equal per-stage partition of Definition 9 can be infeasible in
-		// the general case; fall back to the reviewers' full remaining
-		// workload via a capacity-only warm re-solve (the matrix and CSR are
-		// untouched), which keeps the overall assignment feasible whenever
-		// one exists stage-wise.
-		for r := 0; r < R; r++ {
-			c := s.rem[r]
-			if c < 0 {
-				c = 0
-			}
-			s.caps[r] = c
-		}
+	if err != nil && ctx.Err() == nil && fallback && !short {
+		// The caps covered the demand, yet conflicts left no plan at them
+		// (Hall's condition failed): retry at the fallback caps through a
+		// capacity-only warm re-solve (the matrix and CSR are untouched).
+		s.fallbackCaps()
+		s.retriedStages++
 		rows, _, err = st.tr.Resolve(s.caps)
 	}
 	if err != nil {
@@ -558,6 +574,16 @@ func (s *Session) runStage(ctx context.Context, stage int, a *core.Assignment, s
 		sort.Ints(s.dirtyList)
 	}
 	return nil
+}
+
+// fallbackCaps sets every stage cap to the reviewer's remaining workload.
+func (s *Session) fallbackCaps() {
+	if stageFallbackHook != nil {
+		stageFallbackHook()
+	}
+	for r := range s.caps {
+		s.caps[r] = max(s.rem[r], 0)
+	}
 }
 
 // refine runs the session's stochastic refinement from start (the

@@ -341,7 +341,7 @@ func TestSessionStageFallbackWarm(t *testing.T) {
 	fallbacks := 0
 	stageFallbackHook = func() { fallbacks++ }
 	defer func() { stageFallbackHook = nil }()
-	exercised := 0
+	exercised, retried := 0, 0
 	for seed := int64(0); seed < 300 && exercised < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		in := sessionInstance(rng, 6+rng.Intn(6), 3+rng.Intn(3), 4, 2)
@@ -370,6 +370,8 @@ func TestSessionStageFallbackWarm(t *testing.T) {
 		if fallbacks > before {
 			exercised++
 		}
+		_, r := warm.StageFallbacks()
+		retried += r
 		validateSessionAssignment(t, warm, warmA)
 		cold, err := NewSession(warm.Instance().Clone(), SessionConfig{})
 		if err != nil {
@@ -388,6 +390,113 @@ func TestSessionStageFallbackWarm(t *testing.T) {
 	}
 	if exercised == 0 {
 		t.Fatal("no seed exercised the stage fallback; tighten the instances")
+	}
+	if retried == 0 {
+		t.Fatal("no fallback retried after a failed solve at the stage caps")
+	}
+}
+
+// TestSessionShortStageCountRoute: with δp = 3 not dividing a minimum
+// workload δr on a tight pool, a late stage's caps ⌈δr/δp⌉ cannot cover its
+// demand by count. Such a stage must take the fallback caps before its one
+// fill-and-solve: StageFallbacks counts it as short, no solve at the stage
+// caps fails (nothing is retried, and no run backs off), and the hook fires
+// once per fallback stage. Every warm Resolve after a scripted mix of edits
+// (withdraw, restore, a conflict on an assigned pair, set workload) must
+// match a cold Solve of the edited instance to 1e-9.
+func TestSessionShortStageCountRoute(t *testing.T) {
+	fallbacks := 0
+	stageFallbackHook = func() { fallbacks++ }
+	defer func() { stageFallbackHook = nil }()
+	ctx := context.Background()
+	sessions, shortRuns := 0, 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// An exactly tight pool: 3·P = δr·R with 3 ∤ δr.
+		R := 3 * (2 + rng.Intn(4))
+		workload := []int{2, 4, 5}[rng.Intn(3)]
+		in := sessionInstance(rng, workload*R/3, R, 6, 3)
+		warm, err := NewSession(in.Clone(), SessionConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions++
+		// check runs one solve or resolve and holds it to the count route and
+		// to a cold solve of the same edited instance.
+		check := func(step string, run func() (*core.Assignment, error)) {
+			t.Helper()
+			short0, _ := warm.StageFallbacks()
+			hooked0 := fallbacks
+			warmA, err := run()
+			if err != nil {
+				t.Fatalf("seed %d, %s: %v", seed, step, err)
+			}
+			short, retried := warm.StageFallbacks()
+			if retried != 0 || warm.structural {
+				t.Fatalf("seed %d, %s: a solve at the stage caps failed (retried %d, backed off %v)", seed, step, retried, warm.structural)
+			}
+			if fallbacks-hooked0 != short-short0 {
+				t.Fatalf("seed %d, %s: the hook fired %d times for %d short stages", seed, step, fallbacks-hooked0, short-short0)
+			}
+			if short > short0 {
+				shortRuns++
+			}
+			validateSessionAssignment(t, warm, warmA)
+			cold, err := NewSession(warm.Instance().Clone(), SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < in.NumPapers(); p++ {
+				if !warm.Active(p) {
+					if err := cold.WithdrawPaper(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			coldA, err := cold.Solve(ctx)
+			if err != nil {
+				t.Fatalf("seed %d, %s: cold solve: %v", seed, step, err)
+			}
+			if ws, cs := scoreActive(warm, warmA), scoreActive(cold, coldA); math.Abs(ws-cs) > 1e-9 {
+				t.Fatalf("seed %d, %s: warm %v != cold %v", seed, step, ws, cs)
+			}
+		}
+		check("solve", func() (*core.Assignment, error) { return warm.Solve(ctx) })
+		resolve := func() (*core.Assignment, error) { return warm.Resolve(ctx) }
+		p := rng.Intn(in.NumPapers())
+		if err := warm.WithdrawPaper(p); err != nil {
+			t.Fatal(err)
+		}
+		check("withdraw", resolve)
+		if err := warm.RestorePaper(p); err != nil {
+			t.Fatal(err)
+		}
+		check("restore", resolve)
+		q := rng.Intn(in.NumPapers())
+		if err := warm.AddConflict(warm.last.Groups[q][0], q); err != nil && !errors.Is(err, ErrConflictSaturated) {
+			t.Fatal(err)
+		}
+		check("conflict", resolve)
+		up := in.Workload + 1
+		if up%3 == 0 {
+			up++
+		}
+		if err := warm.SetWorkload(up); err != nil {
+			t.Fatal(err)
+		}
+		check("workload up", resolve)
+		if err := warm.WithdrawPaper(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := warm.SetWorkload(in.Workload); err != nil {
+			t.Fatal(err)
+		}
+		check("withdraw, workload back", resolve)
+	}
+	// The solve, the restore and the conflict leave the pool tight; the
+	// withdrawals and the raised workload give it slack.
+	if sessions < 10 || shortRuns < 2*sessions {
+		t.Fatalf("%d of %d runs took the count route; tighten the instances", shortRuns, 6*sessions)
 	}
 }
 

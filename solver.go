@@ -110,13 +110,18 @@ type Solver struct {
 	// silently diverging from the journal.
 	storeErr error
 
-	// scores holds each active paper's group score in the assignment the
-	// construction hook last scored (guarded by mu). scored reports that the
-	// running solve's result is that assignment, so buildResult reads the
-	// scores instead of computing them again; run clears it first, and only
-	// a non-refining hook sets it.
-	scores []float64
-	scored bool
+	// scores holds each paper's group score in the assignment last scored
+	// (guarded by mu), and scoredFor[p] the group scores[p] was computed for,
+	// nil while paper p has no score (never scored, or withdrawn), so
+	// scoreGroups rescores only the papers whose group changed. No edit
+	// makes a kept score stale: topic vectors never change, and AddReviewer
+	// only appends. scored reports that the running solve's result is the
+	// assignment last scored, so buildResult reads the scores instead of
+	// scoring it again; run clears it first, and only a non-refining
+	// construction hook sets it.
+	scores    []float64
+	scoredFor [][]int
+	scored    bool
 }
 
 // NewSolver builds a solver session for the instance. The instance is
@@ -376,17 +381,26 @@ func (s *Solver) run(ctx context.Context, cold bool) (*Result, error) {
 }
 
 // scoreGroups records each active paper's group score in a into s.scores
-// (0 for a withdrawn paper) and returns their sum in paper order.
+// (0 for a withdrawn paper) and returns their sum in paper order. A paper
+// whose group is the one its kept score was computed for keeps that score,
+// so a warm resolve scores only the papers its edits moved.
 func (s *Solver) scoreGroups(a *core.Assignment) float64 {
 	in := s.sess.Instance()
-	s.scores = slices.Grow(s.scores[:0], len(a.Groups))[:len(a.Groups)]
+	if len(s.scores) != len(a.Groups) {
+		s.scores = make([]float64, len(a.Groups))
+		s.scoredFor = make([][]int, len(a.Groups))
+	}
 	total := 0.0
-	for p := range a.Groups {
-		s.scores[p] = 0
-		if s.sess.Active(p) {
-			s.scores[p] = in.GroupScore(p, a.Groups[p])
-			total += s.scores[p]
+	for p, g := range a.Groups {
+		switch {
+		case !s.sess.Active(p):
+			s.scores[p], s.scoredFor[p] = 0, nil
+			continue
+		case s.scoredFor[p] == nil || !slices.Equal(s.scoredFor[p], g):
+			s.scores[p] = in.GroupScore(p, g)
+			s.scoredFor[p] = append(s.scoredFor[p][:0], g...)
 		}
+		total += s.scores[p]
 	}
 	return total
 }

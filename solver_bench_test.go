@@ -70,6 +70,51 @@ func BenchmarkResolveAfterEdit(b *testing.B) {
 		}
 	})
 
+	// The same withdraw/restore pairs on an exactly tight pool, P=1000 and
+	// R=1500 with δr=2, which δp=3 does not divide (stage cap 1): the last
+	// stage is short of slots by count on every resolve, so it runs at the
+	// reviewers' remaining workload. The setup checks that the first pair
+	// takes that route on every run, and the end that every timed run did,
+	// without a retry after a failed solve.
+	b.Run("warm-resolve-short-stage", func(b *testing.B) {
+		tight := benchConferenceInstance(1000, 1500, 40, 3)
+		s, err := NewSolver(tight, WithMethod(MethodSDGA))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pair := func(i int) {
+			p := (i * 13) % tight.NumPapers()
+			if err := s.WithdrawPaper(p); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Resolve(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.RestorePaper(p); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Resolve(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.Solve(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		pair(0)
+		if short, retried := s.sess.StageFallbacks(); short != 3 || retried != 0 {
+			b.Fatalf("3 runs took the count route %d times and retried %d times, want 3 and 0", short, retried)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			pair(i)
+		}
+		b.StopTimer()
+		if short, retried := s.sess.StageFallbacks(); short != 3+2*b.N || retried != 0 {
+			b.Fatalf("%d runs took the count route %d times and retried %d times", 3+2*b.N, short, retried)
+		}
+	})
+
 	b.Run("cold-solve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

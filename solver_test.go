@@ -429,6 +429,17 @@ func TestSolverResultScoresMatchRecount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Each resolve after an edit changes only some groups, so it reads
+			// some kept scores and rescores the rest.
+			var last *Result
+			edited := func(edit func() error) func() (*Result, error) {
+				return func() (*Result, error) {
+					if err := edit(); err != nil {
+						return nil, err
+					}
+					return s.Resolve(ctx)
+				}
+			}
 			steps := []struct {
 				name       string
 				run        func() (*Result, error)
@@ -436,12 +447,22 @@ func TestSolverResultScoresMatchRecount(t *testing.T) {
 			}{
 				{"solve", func() (*Result, error) { return s.Solve(ctx) }, 1},
 				{"no-edit resolve", func() (*Result, error) { return s.Resolve(ctx) }, 0},
-				{"resolve after withdrawal", func() (*Result, error) {
-					if err := s.WithdrawPaper(5); err != nil {
-						return nil, err
+				{"resolve after withdrawal", edited(func() error { return s.WithdrawPaper(5) }), 1},
+				{"resolve after restore", edited(func() error { return s.RestorePaper(5) }), 1},
+				{"resolve after a conflict on an assigned pair", edited(func() error {
+					return s.AddConflict(last.Assignment.Groups[7][0], 7)
+				}), 1},
+				{"resolve after withdrawal and restore", edited(func() error {
+					if err := s.WithdrawPaper(11); err != nil {
+						return err
 					}
-					return s.Resolve(ctx)
-				}, 1},
+					return s.RestorePaper(11)
+				}), 1},
+				{"resolve after AddReviewer", edited(func() error {
+					_, err := s.AddReviewer(Reviewer{Topics: randVec(rng, 8)})
+					return err
+				}), 1},
+				{"resolve after withdrawal, again", edited(func() error { return s.WithdrawPaper(2) }), 1},
 			}
 			for _, st := range steps {
 				constructs = constructs[:0]
@@ -449,6 +470,7 @@ func TestSolverResultScoresMatchRecount(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", st.name, err)
 				}
+				last = res
 				total, lowest, active := 0.0, 0.0, 0
 				for p, g := range res.Assignment.Groups {
 					if !s.Active(p) {
