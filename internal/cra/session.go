@@ -619,6 +619,7 @@ func (s *Session) refine(ctx context.Context, start *core.Assignment) (*core.Ass
 		cands:         s.cands,
 		fill:          &s.buf,
 		rng:           rand.New(rand.NewSource(cfg.Seed)),
+		pairs:         newPairCache(s.in.NumPapers(), s.in.GroupSize),
 	}
 	return run.refine(ctx, start)
 }

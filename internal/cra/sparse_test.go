@@ -336,6 +336,7 @@ func TestProbPricesPairsOutsideCandidates(t *testing.T) {
 		cfg:           SRA{Model: ProbCoverage},
 		eng:           sess.eng,
 		reviewerTotal: pairReviewerTotals(pairs.Rows(), active, in.NumReviewers(), sess.cands),
+		pairs:         newPairCache(in.NumPapers(), in.GroupSize),
 	}
 	check := func(p, r int, what string) {
 		t.Helper()

@@ -159,16 +159,53 @@ type sraRun struct {
 	fill  *engine.Matrix
 	tr    flow.Transport
 	rng   *rand.Rand
+	// pairs[p] caches the pair scores of paper p that the removal model has
+	// read in this refinement, each computed the first time its pair sits
+	// in p's group when a round prices it (see pairScore).
+	pairs [][]cachedPair
+}
+
+// cachedPair is one pair score of sraRun.pairs: reviewer r's on the paper.
+type cachedPair struct {
+	r int32
+	s float64
+}
+
+// newPairCache returns an empty sraRun.pairs for P papers. One backing
+// array gives every paper room for twice its group, so the cache rarely
+// allocates after this.
+func newPairCache(P, groupSize int) [][]cachedPair {
+	pairs := make([][]cachedPair, P)
+	room := 2 * groupSize
+	backing := make([]cachedPair, P*room)
+	for p := range pairs {
+		pairs[p] = backing[p*room : p*room : (p+1)*room]
+	}
+	return pairs
+}
+
+// pairScore returns the oracle's pair score of (r, p), computing it only
+// the first time the refinement asks. A group holds few reviewers over a
+// refinement, so the scan of p's cached pairs stays short.
+func (run *sraRun) pairScore(r, p int) float64 {
+	for _, c := range run.pairs[p] {
+		if int(c.r) == r {
+			return c.s
+		}
+	}
+	sc := run.eng.PairScore(r, p)
+	run.pairs[p] = append(run.pairs[p], cachedPair{r: int32(r), s: sc})
+	return sc
 }
 
 // lambda is the decay rate λ of Equation 10.
 const lambda = 0.1
 
 // prob returns P(r|p) under the run's probability model. Every pair is
-// priced with the oracle's exact pair score, bit for bit what a pair-score
-// fill writes, so an assigned pair outside a paper's candidates, which a
-// densified stage or completion can produce, is priced correctly rather
-// than as zero.
+// priced with the oracle's exact pair score (through the refinement's cache,
+// pairScore), bit for bit what a pair-score fill writes, so an assigned pair
+// outside a paper's candidates, which a densified stage or completion can
+// produce, is priced correctly rather than as zero.
 func (run *sraRun) prob(r, p int, iteration int) float64 {
 	R := len(run.reviewerTotal)
 	switch run.cfg.Model {
@@ -178,11 +215,11 @@ func (run *sraRun) prob(r, p int, iteration int) float64 {
 		if run.reviewerTotal[r] == 0 {
 			return 1 / float64(R)
 		}
-		return run.eng.PairScore(r, p) / run.reviewerTotal[r]
+		return run.pairScore(r, p) / run.reviewerTotal[r]
 	default: // ProbCoverageDecay, Equation 10
 		base := 0.0
 		if run.reviewerTotal[r] > 0 {
-			base = run.eng.PairScore(r, p) / run.reviewerTotal[r]
+			base = run.pairScore(r, p) / run.reviewerTotal[r]
 		}
 		v := math.Exp(-lambda*float64(iteration)) * base
 		if floor := 1 / float64(R); v < floor {
