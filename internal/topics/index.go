@@ -1,6 +1,7 @@
 package topics
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -62,10 +63,12 @@ func BuildIndex(vecs [][]float64) *Index {
 			}
 		}
 	}
+	longest := 0
 	for t, c := range counts {
 		if c > 0 {
 			ix.post[t] = make([]posting, 0, c)
 		}
+		longest = max(longest, c)
 	}
 	for id, v := range vecs {
 		for t, w := range v {
@@ -74,25 +77,69 @@ func BuildIndex(vecs [][]float64) *Index {
 			}
 		}
 	}
+	// Weight-descending, ties by id ascending: the scan order (and with it
+	// every TopK result) is fully deterministic.
+	tmp := make([]posting, longest)
 	for t := range ix.post {
-		// Weight-descending, ties by id ascending: the scan order (and with
-		// it every TopK result) is fully deterministic.
-		slices.SortFunc(ix.post[t], func(a, b posting) int {
-			switch {
-			case a.w > b.w:
-				return -1
-			case a.w < b.w:
-				return 1
-			case a.id < b.id:
-				return -1
-			case a.id > b.id:
-				return 1
-			default:
-				return 0
-			}
-		})
+		sortPostings(ix.post[t], tmp)
 	}
 	return ix
+}
+
+// insertionPostings is the list length below which sortPostings insertion
+// sorts: a radix pass clears and sums 256 counters, more than a short list
+// costs to sort by comparison.
+const insertionPostings = 48
+
+// sortPostings orders ps by weight descending, ties by id ascending, using
+// tmp (at least as long as ps) as scratch. ps arrives in ascending id
+// order, as BuildIndex appends it, and both sorts below are stable, so they
+// order by weight alone and every tie keeps that order. Every weight is
+// positive (a zero or NaN weight makes no posting), and the bits of
+// positive floats, subnormals and +Inf included, order as the values do,
+// so the complemented bits order them descending: the radix sort compares
+// no floats and calls no comparator.
+func sortPostings(ps, tmp []posting) {
+	if len(ps) < insertionPostings {
+		for i := 1; i < len(ps); i++ {
+			x := ps[i]
+			j := i
+			for ; j > 0 && ps[j-1].w < x.w; j-- {
+				ps[j] = ps[j-1]
+			}
+			ps[j] = x
+		}
+		return
+	}
+	// Least significant byte first; a byte that every key shares moves
+	// nothing, so its pass is skipped.
+	var counts [8][256]int
+	for _, p := range ps {
+		k := ^math.Float64bits(p.w)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	src, dst := ps, tmp[:len(ps)]
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(^math.Float64bits(src[0].w)>>(8*d))] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, p := range src {
+			b := byte(^math.Float64bits(p.w) >> (8 * d))
+			dst[c[b]] = p
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ps[0] {
+		copy(ps, src)
+	}
 }
 
 // Len returns the number of indexed vectors.

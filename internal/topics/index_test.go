@@ -306,6 +306,75 @@ func TestBuildIndexEmpty(t *testing.T) {
 	}
 }
 
+// closureSortIndex is the reference posting order: BuildIndex's lists,
+// appended in id order and sorted by a comparator closure, weight
+// descending, then id ascending.
+func closureSortIndex(vecs [][]float64) [][]posting {
+	post := make([][]posting, len(vecs[0]))
+	for id, v := range vecs {
+		for t, w := range v {
+			if w > 0 {
+				post[t] = append(post[t], posting{id: int32(id), w: w})
+			}
+		}
+	}
+	for t := range post {
+		slices.SortFunc(post[t], func(a, b posting) int {
+			switch {
+			case a.w > b.w:
+				return -1
+			case a.w < b.w:
+				return 1
+			case a.id < b.id:
+				return -1
+			case a.id > b.id:
+				return 1
+			default:
+				return 0
+			}
+		})
+	}
+	return post
+}
+
+// TestBuildIndexMatchesClosureSort pins BuildIndex's posting order to the
+// comparator sort it replaced, posting for posting, on random and Zipf
+// pools, pools whose weights tie exactly (quantized, or drawn from a few
+// values), subnormal, huge (+Inf included) and mixed weights, and vectors
+// with zero, negative and NaN weights that make no posting. The sizes cross
+// the insertion-sort cutoff, so both sorts run.
+func TestBuildIndexMatchesClosureSort(t *testing.T) {
+	const dim = 24
+	rng := rand.New(rand.NewSource(23))
+	withInf := append(slices.Clone(hugeWeights), math.Inf(1))
+	pools := []struct {
+		name string
+		gen  func(n int) [][]float64
+	}{
+		{"uniform", func(n int) [][]float64 { return randVecs(rng, n, dim, 4) }},
+		{"zipf", func(n int) [][]float64 { return zipfVecs(rng, n, dim) }},
+		{"quantized", func(n int) [][]float64 { return quantized(zipfVecs(rng, n, dim), 4) }},
+		{"ties", func(n int) [][]float64 { return extremeVecs(rng, n, dim, []float64{0.25, 0.5}) }},
+		{"subnormal", func(n int) [][]float64 { return extremeVecs(rng, n, dim, subnormalWeights) }},
+		{"huge", func(n int) [][]float64 { return extremeVecs(rng, n, dim, withInf) }},
+		{"mixed", func(n int) [][]float64 { return extremeVecs(rng, n, dim, mixedWeights) }},
+		{"no-posting weights", func(n int) [][]float64 {
+			return extremeVecs(rng, n, dim, []float64{0, math.Copysign(0, -1), -1, math.NaN(), 0.5, 1e-310})
+		}},
+	}
+	for _, pool := range pools {
+		for _, n := range []int{1, 5, insertionPostings, 300, 3000} {
+			vecs := pool.gen(n)
+			got, want := BuildIndex(vecs).post, closureSortIndex(vecs)
+			for tp := range want {
+				if !slices.Equal(got[tp], want[tp]) {
+					t.Fatalf("%s n=%d topic %d:\n got %v\nwant %v", pool.name, n, tp, got[tp], want[tp])
+				}
+			}
+		}
+	}
+}
+
 // TestTopKMatchesFullSort pins the histogram selection to the reference full
 // sort, result for result, over uniform and Zipf pools up to R=4500 (two
 // summary words in the id set), with weights quantized so scores tie at the
@@ -637,6 +706,20 @@ func FuzzTopK(f *testing.F) {
 // BenchmarkScorerTopK times one op = 1000 TopK queries (k=48) against a
 // Zipf pool of R=2000 vectors over T=40 topics — the candidate stage of a
 // paper-scale capped solve, without the stride slots.
+// BenchmarkBuildIndex times the index build over the reviewer pool of a
+// paper-scale capped solve (R=2000, T=40, Zipf topics), which the candidate
+// stage runs once per cold solve.
+func BenchmarkBuildIndex(b *testing.B) {
+	vecs := zipfVecs(rand.New(rand.NewSource(9)), 2000, 40)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		indexSink = BuildIndex(vecs)
+	}
+}
+
+// indexSink keeps BenchmarkBuildIndex's result live.
+var indexSink *Index
+
 func BenchmarkScorerTopK(b *testing.B) {
 	const dim, k = 40, 48
 	rng := rand.New(rand.NewSource(31))
