@@ -409,8 +409,9 @@ func TestSessionShortStageCountRoute(t *testing.T) {
 	stageFallbackHook = func() { fallbacks++ }
 	defer func() { stageFallbackHook = nil }()
 	ctx := context.Background()
-	sessions, shortRuns := 0, 0
-	for seed := int64(0); seed < 30; seed++ {
+	const sessions = 30
+	shortRuns := 0
+	for seed := int64(0); seed < sessions; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		// An exactly tight pool: 3·P = δr·R with 3 ∤ δr.
 		R := 3 * (2 + rng.Intn(4))
@@ -420,7 +421,6 @@ func TestSessionShortStageCountRoute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sessions++
 		// check runs one solve or resolve and holds it to the count route and
 		// to a cold solve of the same edited instance.
 		check := func(step string, run func() (*core.Assignment, error)) {
@@ -495,7 +495,7 @@ func TestSessionShortStageCountRoute(t *testing.T) {
 	}
 	// The solve, the restore and the conflict leave the pool tight; the
 	// withdrawals and the raised workload give it slack.
-	if sessions < 10 || shortRuns < 2*sessions {
+	if shortRuns < 2*sessions {
 		t.Fatalf("%d of %d runs took the count route; tighten the instances", shortRuns, 6*sessions)
 	}
 }
