@@ -1,6 +1,7 @@
 package topics
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -706,14 +707,19 @@ func FuzzTopK(f *testing.F) {
 // BenchmarkScorerTopK times one op = 1000 TopK queries (k=48) against a
 // Zipf pool of R=2000 vectors over T=40 topics — the candidate stage of a
 // paper-scale capped solve, without the stride slots.
-// BenchmarkBuildIndex times the index build over the reviewer pool of a
-// paper-scale capped solve (R=2000, T=40, Zipf topics), which the candidate
-// stage runs once per cold solve.
+// BenchmarkBuildIndex times the index build, which the candidate stage runs
+// once per cold solve, over Zipf pools at T=40: R=2000, a paper-scale capped
+// solve's pool, where 36 of the 40 posting lists take the radix sort, and
+// R=200, where most lists are short enough for the insertion sort.
 func BenchmarkBuildIndex(b *testing.B) {
-	vecs := zipfVecs(rand.New(rand.NewSource(9)), 2000, 40)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		indexSink = BuildIndex(vecs)
+	for _, r := range []int{2000, 200} {
+		vecs := zipfVecs(rand.New(rand.NewSource(9)), r, 40)
+		b.Run(fmt.Sprintf("R=%d", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				indexSink = BuildIndex(vecs)
+			}
+		})
 	}
 }
 
