@@ -160,8 +160,8 @@ type sraRun struct {
 	tr    flow.Transport
 	rng   *rand.Rand
 	// pairs[p] caches the pair scores of paper p that the removal model has
-	// read in this refinement, each computed the first time its pair sits
-	// in p's group when a round prices it (see pairScore).
+	// read in this refinement, each computed the first time a round prices
+	// the pair (see pairScore).
 	pairs [][]cachedPair
 }
 
